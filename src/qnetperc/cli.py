@@ -15,8 +15,9 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import analysis, engine, quantum, topology
-from .config import (STREAM_REPEATERS, STREAM_REPLICATE, STREAM_TOPOLOGY,
-                     RunConfig, load_config_file, merge_config, subseed)
+from .config import (STREAM_POLICY, STREAM_REPEATERS, STREAM_REPLICATE,
+                     STREAM_TOPOLOGY, RunConfig, load_config_file, merge_config,
+                     subseed)
 
 
 def _json_dump(payload: dict, path) -> None:
@@ -145,7 +146,8 @@ def _cmd_run(args) -> int:
     params = cfg.model_params()
     state = engine.init_state(network, params, store=cfg.store,
                               reduction=cfg.reduction)
-    report = engine.run(state, policy=cfg.policy, seed=cfg.seed, prune=cfg.prune)
+    report = engine.run(state, policy=cfg.policy,
+                        seed=subseed(cfg.seed, STREAM_POLICY), prune=cfg.prune)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -205,8 +207,10 @@ def _cmd_threshold(args) -> int:
     estimates = []
     for alpha in alphas:
         params = replace(cfg, alpha=alpha, scenario="distributed").model_params()
-        # one-at-a-time policies are partition-identical but far too slow for
-        # bisection-sized clouds, so the lexicographic default maps to batch
+        # every policy gives the same partition.  Lexicographic is scheduled
+        # incrementally, but on the dense store each merge still rebuilds the
+        # sorted live-id index, which leaves it several times slower than
+        # batch on bisection-sized clouds, so bisection maps it to batch
         est = analysis.find_threshold(
             factory, params, target=args.target, tol=args.tol,
             eps_lo=args.eps_lo, eps_hi=args.eps_hi, seeds=seeds,

@@ -22,6 +22,14 @@ reduction="dijkstra" flag: removed components are kept as relay vertices
 and effective distances are shortest paths whose interior vertices are all
 relays.  Both must produce identical partitions; the lazy form bounds
 memory when removed components have many neighbors.
+
+run() fires the rules under one of three policies.  The default,
+lexicographic, always takes the smallest connectable id pair and otherwise
+reduces the smallest isolated id; it is scheduled incrementally from one
+initial pair scan, a heap of candidate pairs and a worklist of components
+whose isolation may have changed, and fires exactly the order a full rescan
+before every rule would.  The random and batch policies rescan every pair
+after each step.
 """
 
 from __future__ import annotations
@@ -179,9 +187,6 @@ class _DenseStore:
         self.D[sa, :] = INF
         self.D[:, sa] = INF
         return shortcuts
-
-    def mark_relay(self, a: int) -> None:
-        raise ValueError("dijkstra reduction requires the sparse store")
 
 
 class _SparseStore:
@@ -412,17 +417,6 @@ class PercolationState:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Membership partition and range consistency of the live state."""
-        seen: set[int] = set()
-        for comp in list(self.comps.values()) + self.removed:
-            assert comp.size == len(comp.members)
-            assert not (comp.members & seen), "component members overlap"
-            seen |= comp.members
-            expected = self.params.component_range_km(comp.size)
-            assert comp.range_km == expected, "stored range drifted from r(s)"
-        assert seen == set(range(self.n_nodes)), "members do not cover the node set"
-
     def report(self) -> RunReport:
         if self.active:
             raise ValueError("run has not finished; active components remain")
@@ -530,18 +524,82 @@ def _batch_merge(state: PercolationState, pairs) -> None:
         current[rb] = merged
 
 
+def _run_lexicographic(state: PercolationState, prune: bool) -> None:
+    """Merge the smallest connectable (a, b); else reduce the smallest isolated id.
+
+    One full pair scan seeds a heap of connectable pairs.  A pair stays
+    connectable while both ends are active (distances never grow, a live
+    component's range never changes), so dead pairs are dropped lazily and
+    the first live pair popped is the lexicographic minimum.  Afterwards a
+    merge can only create pairs on the new component's row, and a reduction
+    only among the reduced component's legs.  Isolation is permanent, and a
+    live component can become isolated only when it is new or when a
+    component within its range is reduced, so only those are re-checked.
+    """
+    active, comps, store = state.active, state.comps, state.store
+    relay = state.reduction == "dijkstra"
+    heap = [(a, b) for a, b, _ in state.connectable_pairs()]  # sorted: a heap
+    isolated: set[int] = set()
+    unchecked = set(active)
+    while active:
+        while heap and not (heap[0][0] in active and heap[0][1] in active):
+            heapq.heappop(heap)
+        if heap:
+            c = state.merge(*heapq.heappop(heap))
+            rc = comps[c].range_km
+            for x, d in store.neighbor_items(c):
+                if d < rc and d < comps[x].range_km:
+                    heapq.heappush(heap, (x, c))  # c is the largest live id
+            unchecked.add(c)
+            continue
+        isolated.update(x for x in unchecked if x in active and state.is_isolated(x))
+        unchecked.clear()
+        if not isolated:
+            raise RuntimeError("no merges possible yet no component is isolated")
+        a = min(isolated)
+        cap = _future_range_cap(state, isolated) if prune else None
+        # a shortcut sum is never below either leg, so a leg at or beyond its
+        # own range can gain no partner; relay path lengths are summed in
+        # another order, so there every live leg is re-checked
+        legs = sorted(x for x, d in store.neighbor_items(a)
+                      if x not in isolated and (relay or d < comps[x].range_km))
+        state.reduce_and_remove(a, future_cap=cap)
+        isolated.discard(a)
+        for i, b in enumerate(legs):
+            # a relay distance costs a path search: one per leg, not per pair
+            row = dict(store.neighbor_items(b)) if relay else None
+            for c in legs[i + 1:]:
+                d = row.get(c, INF) if relay else store.distance(b, c)
+                if d < comps[b].range_km and d < comps[c].range_km:
+                    heapq.heappush(heap, (b, c))
+        unchecked.update(legs)
+
+
 def run(state: PercolationState, policy: str = "lexicographic",
         seed: int | None = None, prune: bool = True) -> RunReport:
     """Drive the state to its fixed point and report the final partition.
 
     Merge while any pair satisfies the connection criterion; when none does,
     reduce-and-remove isolated components; repeat until no active component
-    remains.  The merge selection policy ("lexicographic", "random", "batch")
-    changes only the event order, never the final partition.  prune enables
-    the provably-partition-preserving shortcut cap.
+    remains.  The merge selection policy changes only the event order, never
+    the final partition:
+
+    - "lexicographic" always merges the smallest connectable id pair and
+      reduces the smallest isolated id.  It is scheduled incrementally: one
+      pair scan up front, then only the pairs and isolation states a rule
+      can have changed are re-checked.
+    - "random" picks uniformly among all connectable pairs, then among all
+      isolated components, seeded by seed; "batch" folds every connectable
+      pair in one sweep and reduces every isolated component at once.  Both
+      rescan all pairs after every step.
+
+    prune enables the provably-partition-preserving shortcut cap.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
+    if policy == "lexicographic":
+        _run_lexicographic(state, prune)
+        return state.report()
     rng = random.Random(seed)
     guard = 4 * state.n_nodes + 16
     steps = 0
@@ -553,11 +611,8 @@ def run(state: PercolationState, policy: str = "lexicographic",
         if pairs:
             if policy == "batch":
                 _batch_merge(state, pairs)
-            elif policy == "random":
-                a, b, _ = rng.choice(pairs)
-                state.merge(a, b)
             else:
-                a, b, _ = pairs[0]
+                a, b, _ = rng.choice(pairs)
                 state.merge(a, b)
             continue
         isolated = [a for a in state.active_ids() if state.is_isolated(a)]
@@ -567,10 +622,8 @@ def run(state: PercolationState, policy: str = "lexicographic",
         if policy == "batch":
             for a in isolated:
                 state.reduce_and_remove(a, future_cap=cap)
-        elif policy == "random":
-            state.reduce_and_remove(rng.choice(isolated), future_cap=cap)
         else:
-            state.reduce_and_remove(isolated[0], future_cap=cap)
+            state.reduce_and_remove(rng.choice(isolated), future_cap=cap)
     return state.report()
 
 

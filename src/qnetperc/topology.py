@@ -284,7 +284,6 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
     edge order.
     """
     have_pos = net.positions is not None
-    idx = net.index_of()
     rate = 1.0 / cfg.mean_segment_km
     new_edges: list[tuple[str, str, float]] = []
     kinds = {nid: net.kinds[i] for i, nid in enumerate(net.node_ids)}
@@ -315,7 +314,6 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
         degree[u] += 1
         degree[v] += 1
     isolated = [nid for nid, d in degree.items() if d == 0]
-    _ = idx  # canonical order only matters through edge_index above
     return build_network(new_edges, kinds=kinds, extra_nodes=isolated,
                          positions=positions)
 

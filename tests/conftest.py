@@ -81,6 +81,29 @@ def disk_percolation_oracle(network, r0: float) -> set[frozenset]:
     return {frozenset(b) for b in blocks.values()}
 
 
+def reference_lexicographic(state, prune: bool = True):
+    """Lexicographic schedule by brute force: rescan everything before each rule.
+
+    Merges the smallest connectable id pair; when none is left, reduces the
+    smallest isolated id with the pruning cap taken from the pool of
+    non-isolated components.
+    """
+    while state.active:
+        pairs = state.connectable_pairs()
+        if pairs:
+            a, b, _ = pairs[0]
+            state.merge(a, b)
+            continue
+        isolated = [a for a in state.active_ids() if state.is_isolated(a)]
+        assert isolated, "no merges possible yet no component is isolated"
+        cap = None
+        if prune:
+            pool = sum(c.size for c in state.comps.values() if c.id not in isolated)
+            cap = state.params.component_range_km(pool) if pool else 0.0
+        state.reduce_and_remove(isolated[0], future_cap=cap)
+    return state.report()
+
+
 def is_refinement(fine: set[frozenset], coarse: set[frozenset]) -> bool:
     """Every fine block is contained in some coarse block."""
     return all(any(f <= c for c in coarse) for f in fine)

@@ -241,7 +241,8 @@ def test_c11_monotonicity_and_conservation():
         for ev in report.events:
             if isinstance(ev, MergeEvent):
                 assert ev.new_range >= max(ev.range_a, ev.range_b) * (1 - 1e-12)
-        # distances never increase: replay a full run probing one pair per step
+        # distances never increase: checked per rule step, on one tracked node
+        # pair, by test_engine_properties.py::test_tracked_pair_distance_never_increases
         checked_runs += 1
     ok(11, f"range growth, distance shrinkage, conservation and isolation "
            f"permanence verified on {checked_runs} instrumented runs "

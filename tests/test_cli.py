@@ -140,6 +140,26 @@ class TestRun:
         assert events[0]["type"] == "merge"
         assert events[-1]["type"] == "reduce"
 
+    def test_random_policy_draws_from_policy_stream(self, tmp_path):
+        from qnetperc import engine
+        from qnetperc.config import STREAM_POLICY, RunConfig, subseed
+        from qnetperc.topology import generate_uniform_points, save_point_cloud
+        cpath, ev = tmp_path / "cloud.csv", tmp_path / "events.json"
+        save_point_cloud(generate_uniform_points(25, seed=9), cpath)
+        assert invoke("run", "--network", str(cpath), "--d0", "1.0",
+                      "--epsilon", "0.15", "--m", "1", "--policy", "random",
+                      "--seed", "5", "--out", str(tmp_path / "r.json"),
+                      "--events", str(ev)) == 0
+        params = RunConfig(d0_km=1.0, epsilon=0.15, m=1).model_params()
+
+        def events(seed):
+            state = engine.init_state(load_point_cloud(cpath), params)
+            return engine.events_to_dicts(engine.run(state, policy="random",
+                                                     seed=seed))
+        got = json.loads(ev.read_text())
+        assert got == events(subseed(5, STREAM_POLICY))
+        assert got != events(5), "instance too small to tell the seeds apart"
+
 
 class TestSweepThresholdCli:
     def test_sweep_csv(self, tmp_path):

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (disk_percolation_oracle, is_refinement, params_for_r0,
-                      random_instance, random_params)
-from qnetperc.engine import init_state, run, verify_report
-from qnetperc.topology import build_network
+                      random_instance, random_params, reference_lexicographic)
+from qnetperc.engine import (ReduceEvent, events_to_dicts, init_state, run,
+                             verify_report)
+from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
+from qnetperc.topology import (RepeaterConfig, build_network,
+                               generate_fiber_network, insert_repeaters)
 
 
 def run_variant(network, params, *, policy="lexicographic", seed=None,
@@ -50,6 +53,105 @@ class TestOrderInvariance:
                                        seed=k).partition_sets())
                  for k in range(6)}
         assert len(parts) == 1
+
+
+# every store and reduction pairing the engine accepts, pruning on and off
+ENGINE_MODES = [dict(store=store, reduction=reduction, prune=prune)
+                for store, reduction in (("dense", "shortcut"),
+                                         ("sparse", "shortcut"),
+                                         ("sparse", "dijkstra"))
+                for prune in (True, False)]
+
+
+def assert_lexicographic_matches_reference(network, params):
+    for mode in ENGINE_MODES:
+        def fresh():
+            return init_state(network, params, store=mode["store"],
+                              reduction=mode["reduction"])
+        expected = events_to_dicts(reference_lexicographic(fresh(), mode["prune"]))
+        got = events_to_dicts(run(fresh(), policy="lexicographic",
+                                  prune=mode["prune"]))
+        assert got == expected, f"event logs differ under {mode}"
+
+
+def relay_chain_instance(seed: int, max_n: int = 30):
+    """Tight clusters joined by chains of long relay edges, and its params.
+
+    Base range 1: cluster edges lie well inside it and relay edges at or
+    beyond it, so a relay is isolated while the grown clusters on either side
+    can still connect through its reduction shortcut.
+    """
+    rng = np.random.default_rng(seed)
+    names: list[str] = []
+    edges = []
+
+    def new_node():
+        names.append(f"v{len(names):02d}")
+        return names[-1]
+
+    reachable: list[str] = []
+    while len(names) < max_n - 8:
+        cluster = [new_node()]
+        for _ in range(int(rng.integers(0, 6))):
+            v = new_node()
+            edges.append((v, cluster[int(rng.integers(len(cluster)))],
+                          float(rng.uniform(0.05, 0.6))))
+            cluster.append(v)
+        if reachable:
+            hook = reachable[int(rng.integers(len(reachable)))]
+            for _ in range(int(rng.integers(1, 3))):
+                relay = new_node()
+                edges.append((hook, relay, float(rng.uniform(0.9, 2.5))))
+                hook = relay
+            edges.append((hook, cluster[int(rng.integers(len(cluster)))],
+                          float(rng.uniform(0.9, 2.5))))
+        reachable = cluster if rng.random() < 0.7 else reachable + cluster
+    network = build_network(edges, extra_nodes=names)
+    return network, params_for_r0(1.0, float(rng.choice([0.585, 1.0])))
+
+
+def reduction_borne_merges(report) -> int:
+    """Merges that directly follow a reduction.
+
+    A reduction only happens when no pair connects, so such a merge uses a
+    pair that the reduction's shortcuts created.
+    """
+    ev = report.events
+    return sum(isinstance(x, ReduceEvent) and not isinstance(y, ReduceEvent)
+               for x, y in zip(ev, ev[1:]))
+
+
+class TestLexicographicSchedule:
+    """The incremental lexicographic schedule fires the brute-force rule order."""
+
+    @given(seed=st.integers(0, 40_000), relay_chains=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_event_log_matches_rescan_reference(self, seed, relay_chains):
+        if relay_chains:
+            network, params = relay_chain_instance(seed)
+        else:
+            network = random_instance(seed + 123_000, max_n=30)
+            params = random_params(seed + 123_000, network)
+        assert_lexicographic_matches_reference(network, params)
+
+    def test_relay_chains_exercise_reduction_borne_merges(self):
+        # the generator behind half of the examples above reaches the case
+        # where a reduction creates the next connectable pair
+        hits = sum(reduction_borne_merges(run(init_state(*relay_chain_instance(s)))) > 0
+                   for s in range(40))
+        assert hits >= 5
+
+    def test_fiber_with_repeaters(self):
+        fiber = generate_fiber_network(40, 44, mean_length_km=500.0, seed=1)
+        network = insert_repeaters(fiber, RepeaterConfig(mean_segment_km=150.0,
+                                                         seed=3))
+        assert network.n_nodes == 182
+        params = ModelParams(channel=ChannelModel(d0_km=700.0, epsilon=0.01),
+                             distill=DistillationParams(m=102, alpha=0.585))
+        report = run(init_state(network, params))
+        assert report.merge_count > 100 and report.reduce_count > 20
+        assert reduction_borne_merges(report) >= 1
+        assert_lexicographic_matches_reference(network, params)
 
 
 def _is_edge_list(network):
