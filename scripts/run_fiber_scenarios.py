@@ -45,7 +45,7 @@ def main():
 
     grid = (100.0, 200.0, 300.0, 450.0, 700.0, 1000.0, 1500.0, 2500.0,
             4000.0, 8000.0, 16000.0, 32000.0, 64000.0)
-    spec = SweepSpec(d0_grid_km=grid, seeds=seeds, target=args.target)
+    spec = SweepSpec(d0_grid_km=grid, seeds=seeds)
     rows, agg = sweep_connectivity(factory, base, spec)
     write_curve_csv(rows, args.out / "curves.csv")
     write_aggregate_csv(agg, args.out / "curves_aggregate.csv")

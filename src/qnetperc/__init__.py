@@ -7,7 +7,7 @@ from .topology import (EdgeListNetwork, PointCloud, RepeaterConfig,
                        generate_fiber_network, generate_uniform_points,
                        insert_repeaters, load_edge_list, save_edge_list)
 from .engine import (Component, MergeEvent, PercolationState, ReduceEvent,
-                     RunReport, giant_fraction, init_state, run, verify_report)
+                     RunReport, init_state, run, verify_report)
 from .analysis import (ComplexityParams, Scenario, SweepSpec, ThresholdEstimate,
                        coherence_time, complexity_f, find_threshold, interpolate_f,
                        min_d0_for_target, scenario_params, sweep_connectivity,

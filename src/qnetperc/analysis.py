@@ -10,10 +10,26 @@ Three memory-utilization scenarios are compared throughout:
 Threshold searches exploit a monotone-coupling property of the engine:
 scaling every range up (through eps or d0) never splits a final block, so
 the mean giant fraction is monotone and bisection is valid.
+
+Fixed ranges.  When the params give a network's largest possible component
+the same range as a single node (size_growth=False, eta*alpha = 0, or a
+base range already at the beta cap), every component keeps the range r0
+for the whole run.  An isolated component then has every leg at or beyond
+r0, so each shortcut it leaves is at least 2*r0 and never connects: the
+engine's fixed point is the single-linkage cut d < r0, whose blocks are the
+connected components of the graph of strictly shorter edges.  Every probe
+asks for the largest of them, at its own r0.  One Kruskal pass over the
+edges sorted by length (an edge list's own edges, a point cloud's minimum
+spanning tree, which has the same components at every cut) records the
+largest block against the cut, once per network, and each probe becomes a
+binary search on that curve instead of an engine run (after Newman & Ziff,
+PRL 85, 4104, 2000).  The lengths are the floats the engine compares and
+p_inf is the same integer over N, so the values are bit-identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -22,6 +38,7 @@ import numpy as np
 
 from .engine import init_state, run
 from .quantum import ModelParams
+from .topology import PointCloud
 
 __all__ = [
     "Scenario", "SweepSpec", "SweepRow", "ThresholdEstimate", "ComplexityParams",
@@ -59,7 +76,6 @@ class SweepSpec:
     d0_grid_km: tuple[float, ...]
     scenarios: tuple[Scenario, ...] = tuple(Scenario)
     seeds: tuple[int, ...] = (0,)
-    target: float = 0.9
 
     def __post_init__(self):
         if len(self.d0_grid_km) == 0 or any(d <= 0 for d in self.d0_grid_km):
@@ -89,14 +105,123 @@ def _run_p_inf(network, params: ModelParams, policy: str) -> float:
     return run(state, policy=policy).p_inf
 
 
+@dataclass(frozen=True)
+class _GiantCurve:
+    """Largest block of the single-linkage cut d < r0, for every r0 at once.
+
+    lengths are the join lengths at which the largest block grows, ascending;
+    largest[bisect_left(lengths, r0)] is the largest block joined by the
+    edges strictly shorter than r0.
+    """
+
+    n_nodes: int
+    lengths: tuple[float, ...]
+    largest: tuple[int, ...]
+
+    def p_inf(self, r0: float) -> float:
+        return self.largest[bisect.bisect_left(self.lengths, r0)] / self.n_nodes
+
+
+def _mst_edges(mat: np.ndarray) -> list[tuple[float, int, int]]:
+    """Prim's minimum spanning tree of a dense distance matrix, as (d, i, j).
+
+    Every length is an entry of mat, and zero distances (coincident points)
+    are edges like any other.
+    """
+    n = mat.shape[0]
+    best = mat[0].copy()
+    best[0] = np.inf
+    nearest = np.zeros(n, dtype=np.intp)
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    edges = []
+    for _ in range(n - 1):
+        j = int(np.argmin(best))
+        edges.append((float(best[j]), int(nearest[j]), j))
+        outside[j] = False
+        best[j] = np.inf
+        row = mat[j]
+        closer = outside & (row < best)
+        np.copyto(best, row, where=closer)
+        nearest[closer] = j
+    return edges
+
+
+def _giant_curve(network) -> _GiantCurve:
+    """One Kruskal pass with a union-find that tracks the largest block."""
+    if isinstance(network, PointCloud):
+        edges = _mst_edges(network.distance_matrix())
+    else:
+        index = network.index_of()
+        edges = [(length, index[u], index[v]) for u, v, length in network.edges]
+    parent = list(range(network.n_nodes))
+    size = [1] * network.n_nodes
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    lengths, largest = [], [1]
+    for length, i, j in sorted(edges):
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        parent[ri] = rj
+        size[rj] += size[ri]
+        if size[rj] > largest[-1]:
+            lengths.append(length)
+            largest.append(size[rj])
+    return _GiantCurve(network.n_nodes, tuple(lengths), tuple(largest))
+
+
+class _GiantFractions:
+    """p_inf of each of a fixed list of networks, probe after probe.
+
+    A probe whose params fix every range on a network is answered from that
+    network's Kruskal curve, built on first use; any other probe runs the
+    engine under the given policy.
+    """
+
+    def __init__(self, networks, policy: str):
+        self.networks = list(networks)
+        self.policy = policy
+        self._curves: dict[int, _GiantCurve] = {}
+
+    def fixed_p_inf(self, k: int, params: ModelParams) -> float | None:
+        """p_inf of network k from its curve; None when ranges can grow there.
+
+        r(s) never decreases in s, so equal ranges at sizes 1 and N mean
+        that every component the network can form has the range r0.
+        """
+        network = self.networks[k]
+        r0 = params.component_range_km(1)
+        if r0 != params.component_range_km(network.n_nodes):
+            return None
+        if k not in self._curves:
+            self._curves[k] = _giant_curve(network)
+        return self._curves[k].p_inf(r0)
+
+    def p_infs(self, params: ModelParams) -> list[float]:
+        """p_inf of every network under params, in order."""
+        out = []
+        for k, network in enumerate(self.networks):
+            p = self.fixed_p_inf(k, params)
+            out.append(_run_p_inf(network, params, self.policy) if p is None else p)
+        return out
+
+
 def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
                        policy: str = "batch", jobs: int = 1):
     """Giant fraction over (scenario, d0, seed); returns (rows, aggregates).
 
     network may be a topology object or a seed -> topology factory (use a
-    factory when replicates should re-draw repeater placement).
+    factory when replicates should re-draw repeater placement).  jobs > 1
+    spreads the engine runs over worker processes.
     """
     factory = _as_factory(network)
+    slot = {seed: k for k, seed in enumerate(dict.fromkeys(spec.seeds))}
+    fractions = _GiantFractions([factory(seed) for seed in slot], policy)
     tasks = []
     for scenario in spec.scenarios:
         for d0 in spec.d0_grid_km:
@@ -104,20 +229,19 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
                 replace(params, channel=replace(params.channel, d0_km=d0)), scenario)
             for seed in spec.seeds:
                 tasks.append((scenario, d0, seed, sp))
-    if jobs > 1:
+    p_infs = [fractions.fixed_p_inf(slot[t[2]], t[3]) for t in tasks]
+    pending = [i for i, p in enumerate(p_infs) if p is None]
+    nets = [fractions.networks[slot[tasks[i][2]]] for i in pending]
+    sps = [tasks[i][3] for i in pending]
+    if jobs > 1 and pending:
         from concurrent.futures import ProcessPoolExecutor
-        nets = {seed: factory(seed) for seed in spec.seeds}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            p_infs = list(pool.map(_run_p_inf, [nets[t[2]] for t in tasks],
-                                   [t[3] for t in tasks], [policy] * len(tasks),
-                                   chunksize=1))
+            engine_p_infs = list(pool.map(_run_p_inf, nets, sps, [policy] * len(nets),
+                                          chunksize=1))
     else:
-        nets = {}
-        p_infs = []
-        for scenario, d0, seed, sp in tasks:
-            if seed not in nets:
-                nets[seed] = factory(seed)
-            p_infs.append(_run_p_inf(nets[seed], sp, policy))
+        engine_p_infs = [_run_p_inf(net, sp, policy) for net, sp in zip(nets, sps)]
+    for i, p in zip(pending, engine_p_infs):
+        p_infs[i] = p
     rows = [SweepRow(scenario=t[0].value, d0_km=t[1], seed=t[2], p_inf=p)
             for t, p in zip(tasks, p_infs)]
     aggregates = []
@@ -164,7 +288,8 @@ class ThresholdEstimate:
 
 def threshold_to_json(est: ThresholdEstimate) -> dict:
     return {"alpha": est.alpha, "r0_th": est.r0_th, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "replicates": est.replicates}
+            "ci_high": est.ci_high, "replicates": est.replicates,
+            "probes": [[r0, p] for r0, p in est.probes]}
 
 
 def _crossing(points, target: float) -> float:
@@ -196,7 +321,7 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 < eps_lo < eps_hi < 1:
         raise ValueError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
-    clouds = [cloud_factory(seed) for seed in seeds]
+    fractions = _GiantFractions([cloud_factory(seed) for seed in seeds], policy)
 
     evaluations: dict[float, list[float]] = {}
 
@@ -206,10 +331,7 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
     def evaluate(eps: float) -> float:
         if eps not in evaluations:
             sp = replace(params, channel=replace(params.channel, epsilon=eps))
-            evaluations[eps] = [
-                run(init_state(cloud, sp, record_events=False), policy=policy).p_inf
-                for cloud in clouds
-            ]
+            evaluations[eps] = fractions.p_infs(sp)
         return float(np.mean(evaluations[eps]))
 
     mean_lo, mean_hi = evaluate(eps_lo), evaluate(eps_hi)
@@ -264,16 +386,13 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
     if not 0 < d0_lo < d0_hi:
         raise ValueError(f"need 0 < d0_lo < d0_hi, got ({d0_lo}, {d0_hi})")
     factory = _as_factory(network)
-    nets = [factory(seed) for seed in seeds]
+    fractions = _GiantFractions([factory(seed) for seed in seeds], policy)
     cache: dict[float, float] = {}
 
     def evaluate(d0: float) -> float:
         if d0 not in cache:
             sp = replace(params, channel=replace(params.channel, d0_km=d0))
-            cache[d0] = float(np.mean([
-                run(init_state(net, sp, record_events=False), policy=policy).p_inf
-                for net in nets
-            ]))
+            cache[d0] = float(np.mean(fractions.p_infs(sp)))
         return cache[d0]
 
     if evaluate(d0_lo) >= target:

@@ -181,7 +181,7 @@ def _cmd_sweep(args) -> int:
         return _build_network(replace(base, seed=subseed(cfg.seed, STREAM_REPLICATE, seed)))
 
     spec = analysis.SweepSpec(d0_grid_km=d0_grid, scenarios=scenarios,
-                              seeds=seeds, target=args.target)
+                              seeds=seeds)
     rows, aggregates = analysis.sweep_connectivity(
         factory, base.model_params(), spec, policy=cfg.policy, jobs=args.jobs)
     analysis.write_curve_csv(rows, args.out)
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0-grid", required=True, help="comma-separated km values")
     p.add_argument("--scenarios", default="no_memory,point_to_point,distributed")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--target", type=float, default=0.9)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--aggregate")

@@ -627,11 +627,6 @@ def run(state: PercolationState, policy: str = "lexicographic",
     return state.report()
 
 
-def giant_fraction(report: RunReport) -> float:
-    """Relative size of the largest final block: max |block| / N."""
-    return max(len(block) for block in report.partition) / report.n_nodes
-
-
 # ---------------------------------------------------------------------------
 # Verification and export
 # ---------------------------------------------------------------------------

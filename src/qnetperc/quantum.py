@@ -46,10 +46,6 @@ class ChannelModel:
         """Sudden-death length cap d0*ln(3); never stored, always recomputed."""
         return self.d0_km * math.log(3.0)
 
-    @property
-    def fidelity_threshold(self) -> float:
-        return 1.0 - self.epsilon
-
 
 @dataclass(frozen=True)
 class DistillationParams:

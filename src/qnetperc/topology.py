@@ -44,6 +44,8 @@ class PointCloud:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must be a non-empty (N, 2) array, got {pos.shape}")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("all coordinates must be finite")
         if np.any(pos < 0) or np.any(pos >= self.box_side):
             raise ValueError("all coordinates must lie in [0, box_side)")
         object.__setattr__(self, "positions", pos)
@@ -172,8 +174,8 @@ def build_network(edges, kinds: dict[str, str] | None = None,
                   ) -> EdgeListNetwork:
     """Canonicalize raw (u, v, length) triples into an EdgeListNetwork.
 
-    Duplicate pairs keep the minimum length; self-loops and non-positive
-    lengths are rejected.
+    Duplicate pairs keep the minimum length; self-loops and non-positive or
+    non-finite lengths are rejected.
     """
     best: dict[tuple[str, str], float] = {}
     nodes = set(map(str, extra_nodes))
@@ -182,8 +184,9 @@ def build_network(edges, kinds: dict[str, str] | None = None,
         length = float(length)
         if u == v:
             raise ValueError(f"self-loop on node {u!r}")
-        if not length > 0:
-            raise ValueError(f"edge ({u}, {v}) has non-positive length {length}")
+        if not 0 < length < math.inf:
+            raise ValueError(f"edge ({u}, {v}) has non-positive or non-finite "
+                             f"length {length}")
         key = (u, v) if u < v else (v, u)
         if key not in best or length < best[key]:
             best[key] = length

@@ -65,7 +65,8 @@ def disk_percolation_oracle(network, r0: float) -> set[frozenset]:
     if isinstance(network, PointCloud):
         mat = network.distance_matrix()
         labels = list(range(network.n_nodes))
-        adj = (mat < r0) & (mat > 0)
+        adj = mat < r0
+        np.fill_diagonal(adj, False)  # coincident points (distance 0) do join
     else:
         labels = list(network.node_ids)
         index = {x: i for i, x in enumerate(labels)}

@@ -1,17 +1,26 @@
 """Harness tests: scenarios, sweeps, threshold search, complexity estimates."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import disk_percolation_oracle, random_instance
+from qnetperc import analysis
 from qnetperc.analysis import (ComplexityParams, Scenario, SweepSpec,
                                coherence_time, complexity_f, find_threshold,
                                interpolate_f, min_d0_for_target, scenario_params,
                                sweep_connectivity, threshold_to_json,
                                worst_case_n, write_aggregate_csv, write_curve_csv)
+from qnetperc.engine import init_state, run
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
-from qnetperc.topology import build_network, generate_uniform_points
+from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
+                               generate_fiber_network, generate_uniform_points,
+                               insert_repeaters)
 
 CP = ComplexityParams(m=102, p=0.722)
 
@@ -220,8 +229,11 @@ class TestFindThreshold:
                              target=0.5, tol=5e-3,
                              eps_lo=1e-4, eps_hi=1e-2, seeds=(0, 1, 2))
         doc = threshold_to_json(est)
-        assert set(doc) == {"alpha", "r0_th", "ci_low", "ci_high", "replicates"}
+        assert set(doc) == {"alpha", "r0_th", "ci_low", "ci_high", "replicates",
+                            "probes"}
         assert doc["replicates"] == 3
+        assert doc["probes"] == [[r0, p] for r0, p in est.probes]
+        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestMinD0:
@@ -238,3 +250,148 @@ class TestMinD0:
         with pytest.raises(ValueError, match="unreachable"):
             min_d0_for_target(net, base_params(), target=0.9,
                               d0_lo=1.0, d0_hi=10.0)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-range probes: the Kruskal curve against the engine
+# ---------------------------------------------------------------------------
+
+FIXED_RANGE_KINDS = ("alpha_zero", "no_growth", "beta_capped")
+
+
+def fixed_range_params(kind: str, d0: float, m: int = 1) -> ModelParams:
+    """Params of one fixed-range kind; r0 is d0 itself except when beta-capped.
+
+    (4/3) * 0.75 is exactly 1.0, so alpha_zero and no_growth give r0 = d0.
+    beta_capped has a base range of at least 1.2 d0, above beta, so
+    r0 = d0 ln 3.
+    """
+    if kind == "alpha_zero":
+        return ModelParams(channel=ChannelModel(d0_km=d0, epsilon=0.75),
+                           distill=DistillationParams(m=m, alpha=0.0))
+    if kind == "no_growth":
+        return ModelParams(channel=ChannelModel(d0_km=d0, epsilon=0.75),
+                           distill=DistillationParams(m=1, alpha=0.585),
+                           size_growth=False)
+    return ModelParams(channel=ChannelModel(d0_km=d0, epsilon=0.9),
+                       distill=DistillationParams(m=m, alpha=0.585))
+
+
+def params_at(kind: str, r0: float, m: int) -> ModelParams | None:
+    """Params of the given kind whose range is exactly r0, if a d0 gives it."""
+    d0 = r0 if kind != "beta_capped" else r0 / math.log(3.0)
+    for step in (0, 1, -1, 2, -2, 3, -3):
+        cand = d0
+        for _ in range(abs(step)):
+            cand = math.nextafter(cand, math.copysign(math.inf, step))
+        params = fixed_range_params(kind, cand, m)
+        if params.component_range_km(1) == r0:
+            return params
+    return None
+
+
+def just_above(params: ModelParams) -> ModelParams:
+    """The same kind one d0 ulp further on, until r0 has strictly grown."""
+    r0, out = params.component_range_km(1), params
+    while out.component_range_km(1) <= r0:
+        d0 = math.nextafter(out.channel.d0_km, math.inf)
+        out = dataclasses.replace(out, channel=dataclasses.replace(out.channel,
+                                                                   d0_km=d0))
+    return out
+
+
+def instance_of_kind(seed: int, cloud: bool):
+    """The first random_instance from seed on that is (or is not) a point cloud."""
+    while True:
+        network = random_instance(seed, max_n=30)
+        if isinstance(network, PointCloud) == cloud:
+            return network
+        seed += 1
+
+
+def edge_lengths(network) -> list[float]:
+    """Lengths the cut can fall on: cables, or each point's nearest distance."""
+    if isinstance(network, PointCloud):
+        mat = network.distance_matrix()
+        np.fill_diagonal(mat, np.inf)
+        return sorted(set(mat.min(axis=1).tolist()))
+    return sorted({length for _, _, length in network.edges})
+
+
+def curve_p_inf(network, params) -> float:
+    p = analysis._GiantFractions([network], "batch").fixed_p_inf(0, params)
+    assert p is not None, "the params fix the range, so the curve must answer"
+    return p
+
+
+class TestFixedRangeCurve:
+    @given(seed=st.integers(0, 40_000), cloud=st.booleans(),
+           kind=st.sampled_from(FIXED_RANGE_KINDS), m=st.sampled_from([1, 4, 102]),
+           pick=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_curve_matches_engine_at_and_above_an_edge(self, seed, cloud, kind, m,
+                                                       pick):
+        network = instance_of_kind(seed, cloud)
+        lengths = edge_lengths(network)
+        assume(lengths)
+        length = lengths[min(int(pick * len(lengths)), len(lengths) - 1)]
+        at = params_at(kind, length, m)
+        assume(at is not None)
+        for params in (at, just_above(at)):
+            engine = run(init_state(network, params)).p_inf
+            assert curve_p_inf(network, params) == engine
+
+    def test_growing_ranges_run_the_engine(self):
+        params = base_params(alpha=0.585)
+        fractions = analysis._GiantFractions([generate_uniform_points(20, seed=1)],
+                                             "batch")
+        assert fractions.fixed_p_inf(0, params) is None
+
+    def test_coincident_points_join(self):
+        # points 5..9 twice and 10, 11 three times; none of them is point 0,
+        # where the spanning tree starts
+        base = generate_uniform_points(30, seed=4).positions
+        cloud = PointCloud(positions=np.vstack([base, base[5:10], base[10:12],
+                                                base[10:12]]))
+        for r0 in (1e-6, 0.05, 0.1):
+            params = fixed_range_params("alpha_zero", r0)
+            report = run(init_state(cloud, params))
+            assert report.partition_sets() == disk_percolation_oracle(cloud, r0)
+            assert curve_p_inf(cloud, params) == report.p_inf
+        assert curve_p_inf(cloud, fixed_range_params("alpha_zero", 1e-6)) == 3 / 39
+
+    def test_searches_match_engine_only(self, monkeypatch):
+        def clouds(seed):
+            return generate_uniform_points(80, box_side=1.0, seed=seed)
+
+        fiber = generate_fiber_network(30, 33, mean_length_km=500.0, seed=2)
+
+        def fibers(seed):
+            return insert_repeaters(fiber, RepeaterConfig(mean_segment_km=100.0,
+                                                          seed=seed))
+
+        alpha0 = ModelParams(channel=ChannelModel(d0_km=100.0, epsilon=0.001),
+                             distill=DistillationParams(m=1, alpha=0.0))
+        spec = SweepSpec(d0_grid_km=(300.0, 3000.0, 30000.0), seeds=(3, 4))
+
+        def searches():
+            return (
+                find_threshold(clouds, alpha0, target=0.5, tol=2e-3, eps_lo=1e-4,
+                               eps_hi=5e-3, seeds=(0, 1, 2), n_boot=200),
+                [min_d0_for_target(fibers, scenario_params(base_params(), sc),
+                                   target=0.9, d0_lo=100.0, d0_hi=1e6,
+                                   rel_tol=0.02, seeds=(3, 4))
+                 for sc in (Scenario.NO_MEMORY, Scenario.POINT_TO_POINT)],
+                sweep_connectivity(fibers, base_params(), spec),
+            )
+
+        runs = []
+        engine_run = analysis._run_p_inf
+        monkeypatch.setattr(analysis, "_run_p_inf",
+                            lambda *args: runs.append(args) or engine_run(*args))
+        fast = searches()
+        # only the sweep's distributed scenario grows its ranges
+        assert len(runs) == len(spec.d0_grid_km) * len(spec.seeds)
+        monkeypatch.setattr(analysis._GiantFractions, "fixed_p_inf",
+                            lambda self, k, params: None)
+        assert searches() == fast

@@ -125,6 +125,12 @@ class TestRun:
         assert doc["config"]["d0_km"] == 0.001
         assert doc["p_inf"] == 0.5
 
+    def test_infinite_length_exits_2(self, tmp_path, capsys):
+        net = self.write_two_nodes(tmp_path, d="inf")
+        assert invoke("run", "--network", str(net), "--d0", "300",
+                      "--out", str(tmp_path / "r.json")) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"warp_speed": 9}), encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import D0, disk_percolation_oracle, params_for_r0
 from qnetperc.engine import (INF, MergeEvent, ReduceEvent, events_to_dicts,
-                             giant_fraction, init_state, partition_to_lists,
+                             init_state, partition_to_lists,
                              run, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import build_network, generate_uniform_points
@@ -198,12 +198,12 @@ class TestGiantFraction:
     def test_single_node(self):
         report = run(init_state(generate_uniform_points(1, seed=0),
                                 params_for_r0(1.0, 0.585)))
-        assert giant_fraction(report) == 1.0
+        assert report.p_inf == 1.0
 
     def test_all_singletons(self):
         net = build_network([], extra_nodes=["a", "b", "c", "d"])
         report = run(init_state(net, params_for_r0(1.0, 0.585)))
-        assert giant_fraction(report) == 0.25
+        assert report.p_inf == 0.25
 
     def test_mixed_blocks(self):
         # blocks {3, 2, 1} out of six nodes: giant fraction 0.5
@@ -212,7 +212,7 @@ class TestGiantFraction:
         report = run(init_state(net, params_for_r0(1.0, 0.0)))
         sizes = sorted(len(b) for b in report.partition)
         assert sizes == [1, 2, 3]
-        assert giant_fraction(report) == 0.5
+        assert report.p_inf == 0.5
 
 
 class TestExports:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qnetperc.topology import (RepeaterConfig, build_network,
+from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
                                euclidean_distance, generate_fiber_network,
                                generate_uniform_points, insert_repeaters,
                                load_edge_list, load_point_cloud,
@@ -31,6 +31,11 @@ class TestPointClouds:
         se = (1 / math.sqrt(12)) / 100
         assert abs(cloud.positions[:, 0].mean() - 0.5) <= 3 * se
         assert abs(cloud.positions[:, 1].mean() - 0.5) <= 3 * se
+
+    def test_rejects_non_finite_coordinates(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PointCloud(positions=np.array([[0.1, 0.2], [bad, 0.5]]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -75,6 +80,10 @@ class TestEdgeLists:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             build_network([("a", "b", 0.0)])
+
+    def test_rejects_infinite_length(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_network([("a", "b", 1.0), ("b", "c", float("inf"))])
 
     def test_empty_edge_set_keeps_nodes(self):
         net = build_network([], extra_nodes=["x", "y", "z"])
