@@ -100,9 +100,10 @@ def _as_factory(network):
     return lambda seed: network
 
 
-def _run_p_inf(network, params: ModelParams, policy: str) -> float:
+def _run_p_inf(network, params: ModelParams) -> float:
+    # every policy reaches the same partition; batch gets there fastest
     state = init_state(network, params, record_events=False)
-    return run(state, policy=policy).p_inf
+    return run(state, policy="batch").p_inf
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,11 @@ class _GiantFractions:
 
     A probe whose params fix every range on a network is answered from that
     network's Kruskal curve, built on first use; any other probe runs the
-    engine under the given policy.
+    engine.
     """
 
-    def __init__(self, networks, policy: str):
+    def __init__(self, networks):
         self.networks = list(networks)
-        self.policy = policy
         self._curves: dict[int, _GiantCurve] = {}
 
     def fixed_p_inf(self, k: int, params: ModelParams) -> float | None:
@@ -207,12 +207,12 @@ class _GiantFractions:
         out = []
         for k, network in enumerate(self.networks):
             p = self.fixed_p_inf(k, params)
-            out.append(_run_p_inf(network, params, self.policy) if p is None else p)
+            out.append(_run_p_inf(network, params) if p is None else p)
         return out
 
 
 def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
-                       policy: str = "batch", jobs: int = 1):
+                       jobs: int = 1):
     """Giant fraction over (scenario, d0, seed); returns (rows, aggregates).
 
     network may be a topology object or a seed -> topology factory (use a
@@ -221,7 +221,7 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
     """
     factory = _as_factory(network)
     slot = {seed: k for k, seed in enumerate(dict.fromkeys(spec.seeds))}
-    fractions = _GiantFractions([factory(seed) for seed in slot], policy)
+    fractions = _GiantFractions([factory(seed) for seed in slot])
     tasks = []
     for scenario in spec.scenarios:
         for d0 in spec.d0_grid_km:
@@ -236,10 +236,9 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
     if jobs > 1 and pending:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            engine_p_infs = list(pool.map(_run_p_inf, nets, sps, [policy] * len(nets),
-                                          chunksize=1))
+            engine_p_infs = list(pool.map(_run_p_inf, nets, sps, chunksize=1))
     else:
-        engine_p_infs = [_run_p_inf(net, sp, policy) for net, sp in zip(nets, sps)]
+        engine_p_infs = [_run_p_inf(net, sp) for net, sp in zip(nets, sps)]
     for i, p in zip(pending, engine_p_infs):
         p_infs[i] = p
     rows = [SweepRow(scenario=t[0].value, d0_km=t[1], seed=t[2], p_inf=p)
@@ -309,8 +308,8 @@ def _crossing(points, target: float) -> float:
 
 def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
                    tol: float = 1e-3, eps_lo: float, eps_hi: float,
-                   seeds=(0, 1, 2, 3, 4), policy: str = "batch",
-                   n_boot: int = 1000, boot_seed: int = 0) -> ThresholdEstimate:
+                   seeds=(0, 1, 2, 3, 4), n_boot: int = 1000,
+                   boot_seed: int = 0) -> ThresholdEstimate:
     """Bisection for the range scale at which the mean giant fraction hits target.
 
     Drives eps at fixed d0 (equivalent to scaling r0) and reports the
@@ -321,7 +320,7 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 < eps_lo < eps_hi < 1:
         raise ValueError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
-    fractions = _GiantFractions([cloud_factory(seed) for seed in seeds], policy)
+    fractions = _GiantFractions([cloud_factory(seed) for seed in seeds])
 
     evaluations: dict[float, list[float]] = {}
 
@@ -376,7 +375,7 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
 
 def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
                       d0_lo: float, d0_hi: float, rel_tol: float = 0.02,
-                      seeds=(0,), policy: str = "batch") -> dict:
+                      seeds=(0,)) -> dict:
     """Smallest decoherence distance reaching the target mean giant fraction.
 
     Log-space bisection on d0; all ranges (and the sudden-death cap) scale
@@ -386,7 +385,7 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
     if not 0 < d0_lo < d0_hi:
         raise ValueError(f"need 0 < d0_lo < d0_hi, got ({d0_lo}, {d0_hi})")
     factory = _as_factory(network)
-    fractions = _GiantFractions([factory(seed) for seed in seeds], policy)
+    fractions = _GiantFractions([factory(seed) for seed in seeds])
     cache: dict[float, float] = {}
 
     def evaluate(d0: float) -> float:

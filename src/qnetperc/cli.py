@@ -15,9 +15,8 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import analysis, engine, quantum, topology
-from .config import (STREAM_POLICY, STREAM_REPEATERS, STREAM_REPLICATE,
-                     STREAM_TOPOLOGY, RunConfig, load_config_file, merge_config,
-                     subseed)
+from .config import (STREAM_REPEATERS, STREAM_REPLICATE, STREAM_TOPOLOGY,
+                     RunConfig, load_config_file, merge_config, subseed)
 
 
 def _json_dump(payload: dict, path) -> None:
@@ -87,8 +86,7 @@ _CONFIG_FLAGS = [
     ("--network", "network_path", str), ("--n", "n_points", int),
     ("--box", "box_side", float), ("--source", "source", str),
     ("--mean-segment", "mean_segment_km", float),
-    ("--policy", "policy", str), ("--store", "store", str),
-    ("--reduction", "reduction", str), ("--seed", "seed", int),
+    ("--policy", "policy", str), ("--seed", "seed", int),
 ]
 
 
@@ -144,10 +142,8 @@ def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     network = _build_network(cfg)
     params = cfg.model_params()
-    state = engine.init_state(network, params, store=cfg.store,
-                              reduction=cfg.reduction)
-    report = engine.run(state, policy=cfg.policy,
-                        seed=subseed(cfg.seed, STREAM_POLICY), prune=cfg.prune)
+    state = engine.init_state(network, params)
+    report = engine.run(state, policy=cfg.policy, prune=cfg.prune)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -183,7 +179,7 @@ def _cmd_sweep(args) -> int:
     spec = analysis.SweepSpec(d0_grid_km=d0_grid, scenarios=scenarios,
                               seeds=seeds)
     rows, aggregates = analysis.sweep_connectivity(
-        factory, base.model_params(), spec, policy=cfg.policy, jobs=args.jobs)
+        factory, base.model_params(), spec, jobs=args.jobs)
     analysis.write_curve_csv(rows, args.out)
     if args.aggregate:
         analysis.write_aggregate_csv(aggregates, args.aggregate)
@@ -207,14 +203,9 @@ def _cmd_threshold(args) -> int:
     estimates = []
     for alpha in alphas:
         params = replace(cfg, alpha=alpha, scenario="distributed").model_params()
-        # every policy gives the same partition.  Lexicographic is scheduled
-        # incrementally, but on the dense store each merge still rebuilds the
-        # sorted live-id index, which leaves it several times slower than
-        # batch on bisection-sized clouds, so bisection maps it to batch
         est = analysis.find_threshold(
             factory, params, target=args.target, tol=args.tol,
-            eps_lo=args.eps_lo, eps_hi=args.eps_hi, seeds=seeds,
-            policy=cfg.policy if cfg.policy != "lexicographic" else "batch")
+            eps_lo=args.eps_lo, eps_hi=args.eps_hi, seeds=seeds)
         estimates.append(est)
         print(f"alpha={alpha:g}: r0_th={est.r0_th:.6g} "
               f"[{est.ci_low:.6g}, {est.ci_high:.6g}]")

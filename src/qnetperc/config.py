@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Scenario, scenario_params
 from .quantum import ALPHA_STAR, ChannelModel, DistillationParams, ModelParams
 
 # seed stream tags
 STREAM_TOPOLOGY = 0
 STREAM_REPEATERS = 1
 STREAM_REPLICATE = 2
-STREAM_POLICY = 3
 
 
 def subseed(master: int, *path: int) -> int:
@@ -58,13 +58,22 @@ class RunConfig:
     mean_segment_km: float = 50.0
     # engine
     policy: str = "lexicographic"
-    store: str = "auto"
-    reduction: str = "shortcut"
     prune: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = _FIELD_TYPES[f.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool)
+                                                 and bool not in kinds):
+                raise ValueError(f"config {f.name} must be {f.type}, got {value!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"config {name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
+
     def model_params(self) -> ModelParams:
-        from .analysis import Scenario, scenario_params
         base = ModelParams(
             channel=ChannelModel(d0_km=self.d0_km, epsilon=self.epsilon),
             distill=DistillationParams(m=self.m, alpha=self.alpha, eta=self.eta),
@@ -79,6 +88,18 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+# accepted Python types per annotation; bool is an int subclass, so it is
+# accepted only where named
+_FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,),
+                "str | None": (str, type(None))}
+_CHOICES = {
+    "range_mode": ("asymptotic", "exact"),
+    "scenario": tuple(s.value for s in Scenario),
+    "source": ("file", "points", "fiber"),
+    "policy": ("lexicographic", "batch"),
+}
 
 
 def merge_config(file_values: dict | None, cli_values: dict) -> RunConfig:

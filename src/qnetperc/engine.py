@@ -16,20 +16,18 @@ Distance bookkeeping behind the rules lives in one of two stores:
   choice for point clouds where every pair starts at a finite distance;
 - sparse: dict-of-dicts adjacency; the right choice for fiber edge lists.
 
-Reduction is normally performed by explicit shortcut insertion (O(k^2) per
-removal).  The sparse store also supports a lazy alternative behind the
-reduction="dijkstra" flag: removed components are kept as relay vertices
-and effective distances are shortest paths whose interior vertices are all
-relays.  Both must produce identical partitions; the lazy form bounds
-memory when removed components have many neighbors.
+Reduction inserts explicit shortcuts (O(k^2) per removal).
 
-run() fires the rules under one of three policies.  The default,
+run() fires the rules under one of two policies.  The default,
 lexicographic, always takes the smallest connectable id pair and otherwise
 reduces the smallest isolated id; it is scheduled incrementally from one
 initial pair scan, a heap of candidate pairs and a worklist of components
 whose isolation may have changed, and fires exactly the order a full rescan
-before every rule would.  The random and batch policies rescan every pair
-after each step.
+before every rule would.  The batch policy folds every connectable pair in
+one sweep, then reduces every isolated component, rescanning all pairs in
+between.  Other orders are reachable through the public rules
+(connectable_pairs, merge, is_isolated, reduce_and_remove) and all reach
+the same partition.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +44,7 @@ from .topology import EdgeListNetwork, PointCloud
 
 INF = math.inf
 
-_POLICIES = ("lexicographic", "random", "batch")
+_POLICIES = ("lexicographic", "batch")
 
 
 # ---------------------------------------------------------------------------
@@ -104,37 +101,28 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 class _DenseStore:
-    """Symmetric N x N distance matrix; component ids map to reusable row slots."""
+    """Symmetric N x N distance matrix; component ids map to reusable row slots.
+
+    A slot whose component is gone has an all-INF row and column, as does
+    the diagonal, so a row read in full sees only live partners.
+    """
 
     def __init__(self, matrix: np.ndarray):
         n = matrix.shape[0]
         self.D = matrix
         self.slot = {i: i for i in range(n)}
-        self._cache: tuple[list[int], np.ndarray] | None = None
-
-    def _live(self) -> tuple[list[int], np.ndarray]:
-        if self._cache is None:
-            ids = sorted(self.slot)
-            slots = np.fromiter((self.slot[i] for i in ids), dtype=np.intp,
-                                count=len(ids))
-            self._cache = (ids, slots)
-        return self._cache
+        self.ids = np.arange(n)  # component id held by each slot
 
     def distance(self, a: int, b: int) -> float:
         return float(self.D[self.slot[a], self.slot[b]])
 
     def min_distance(self, a: int) -> float:
-        ids, slots = self._live()
-        if len(ids) < 2:
-            return INF
-        row = self.D[self.slot[a], slots]
-        return float(row.min())  # self-distance is +inf
+        return float(self.D[self.slot[a]].min())
 
     def neighbor_items(self, a: int):
-        ids, slots = self._live()
-        row = self.D[self.slot[a], slots]
-        finite = np.isfinite(row)
-        return [(ids[k], float(row[k])) for k in np.nonzero(finite)[0]]
+        row = self.D[self.slot[a]]
+        finite = np.nonzero(np.isfinite(row))[0]
+        return list(zip(self.ids[finite].tolist(), row[finite].tolist()))
 
     def connectable_pairs(self, ids, ranges):
         slots = np.fromiter((self.slot[i] for i in ids), dtype=np.intp,
@@ -155,7 +143,7 @@ class _DenseStore:
         self.D[sb, :] = INF
         self.D[:, sb] = INF
         self.slot[c] = sa
-        self._cache = None
+        self.ids[sa] = c
 
     def apply_reduction(self, a: int, cap: float, collect: bool):
         """Insert min(d_bc, d_ab + d_ac) shortcuts among a's neighbors, drop a.
@@ -164,75 +152,51 @@ class _DenseStore:
         connection criterion nor shorten a path below cap.
         """
         sa = self.slot.pop(a)
-        self._cache = None
-        other_ids, slots = self._live()
+        row = self.D[sa]
+        legs = np.nonzero(row < cap)[0]
         shortcuts: list[tuple[int, int, float]] = []
-        if other_ids:
-            row = self.D[sa, slots]
-            legs = np.nonzero(row < cap)[0]
-            if len(legs) >= 2:
-                nb_slots = slots[legs]
-                d = row[legs]
-                sums = d[:, None] + d[None, :]
-                ix = np.ix_(nb_slots, nb_slots)
-                sub = self.D[ix]
-                improved = sums < np.minimum(sub, cap)
-                np.fill_diagonal(improved, False)
-                if improved.any():
-                    self.D[ix] = np.where(improved, sums, sub)
-                    if collect:
-                        iu, ju = np.nonzero(np.triu(improved, k=1))
-                        shortcuts = [(other_ids[legs[i]], other_ids[legs[j]],
-                                      float(sums[i, j])) for i, j in zip(iu, ju)]
+        if len(legs) >= 2:
+            leg_ids = self.ids[legs]
+            order = np.argsort(leg_ids)  # shortcuts are listed by id pair
+            legs, leg_ids = legs[order], leg_ids[order]
+            d = row[legs]
+            sums = d[:, None] + d[None, :]
+            ix = np.ix_(legs, legs)
+            sub = self.D[ix]
+            improved = sums < np.minimum(sub, cap)
+            np.fill_diagonal(improved, False)
+            if improved.any():
+                self.D[ix] = np.where(improved, sums, sub)
+                if collect:
+                    iu, ju = np.nonzero(np.triu(improved, k=1))
+                    shortcuts = [(int(leg_ids[i]), int(leg_ids[j]), float(sums[i, j]))
+                                 for i, j in zip(iu, ju)]
         self.D[sa, :] = INF
         self.D[:, sa] = INF
         return shortcuts
 
 
 class _SparseStore:
-    """Dict-of-dicts adjacency; optionally keeps removed components as relays."""
+    """Dict-of-dicts adjacency over the active components."""
 
     def __init__(self, adj: dict[int, dict[int, float]]):
         self.adj = adj
-        self.relay_ids: set[int] = set()
-
-    def _effective_row(self, a: int) -> dict[int, float]:
-        """Distances from a to active vertices; paths run through relays only."""
-        if not self.relay_ids:
-            return self.adj[a]
-        dist = {a: 0.0}
-        out: dict[int, float] = {}
-        heap = [(0.0, a)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > dist.get(x, INF):
-                continue
-            if x != a and x not in self.relay_ids:
-                out[x] = d
-                continue
-            for y, w in self.adj[x].items():
-                nd = d + w
-                if nd < dist.get(y, INF):
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        return out
 
     def distance(self, a: int, b: int) -> float:
-        return self._effective_row(a).get(b, INF)
+        return self.adj[a].get(b, INF)
 
     def min_distance(self, a: int) -> float:
-        row = self._effective_row(a)
-        return min(row.values(), default=INF)
+        return min(self.adj[a].values(), default=INF)
 
     def neighbor_items(self, a: int):
-        return sorted(self._effective_row(a).items())
+        return self.adj[a].items()
 
     def connectable_pairs(self, ids, ranges):
         r = dict(zip(ids, ranges))
         pairs = []
         for a in ids:
             ra = r[a]
-            for b, d in self._effective_row(a).items():
+            for b, d in self.adj[a].items():
                 if b > a and d < ra and d < r[b]:
                     pairs.append((a, b, d))
         pairs.sort()
@@ -273,9 +237,6 @@ class _SparseStore:
                         shortcuts.append((b, c, s))
         return shortcuts
 
-    def mark_relay(self, a: int) -> None:
-        self.relay_ids.add(a)
-
 
 # ---------------------------------------------------------------------------
 # State and rules
@@ -285,17 +246,11 @@ class PercolationState:
     """Single-writer mutable state: active components, distances, event log."""
 
     def __init__(self, store, n_nodes: int, node_labels, params: ModelParams,
-                 reduction: str = "shortcut", record_events: bool = True,
-                 debug_checks: bool = False):
-        if reduction not in ("shortcut", "dijkstra"):
-            raise ValueError(f"unknown reduction mode {reduction!r}")
-        if reduction == "dijkstra" and isinstance(store, _DenseStore):
-            raise ValueError("dijkstra reduction requires the sparse store")
+                 record_events: bool = True, debug_checks: bool = False):
         self.store = store
         self.params = params
         self.node_labels = tuple(node_labels)
         self.n_nodes = n_nodes
-        self.reduction = reduction
         self.record_events = record_events
         self.debug_checks = debug_checks
         r0 = params.component_range_km(1)
@@ -400,11 +355,7 @@ class PercolationState:
             raise ValueError(f"component {a} is not isolated; reduction would be premature")
         comp = self.comps[a]
         cap = INF if future_cap is None else future_cap
-        if self.reduction == "dijkstra":
-            self.store.mark_relay(a)
-            shortcuts: list[tuple[int, int, float]] = []
-        else:
-            shortcuts = self.store.apply_reduction(a, cap, collect=self.record_events)
+        shortcuts = self.store.apply_reduction(a, cap, collect=self.record_events)
         self.active.discard(a)
         del self.comps[a]
         self.removed.append(comp)
@@ -437,8 +388,8 @@ class PercolationState:
 # ---------------------------------------------------------------------------
 
 def init_state(network, params: ModelParams, *, store: str = "auto",
-               reduction: str = "shortcut", record_events: bool = True,
-               debug_checks: bool = False) -> PercolationState:
+               record_events: bool = True, debug_checks: bool = False,
+               ) -> PercolationState:
     """One singleton component per node; distances from the network's metric.
 
     Point clouds default to the dense store, edge lists to the sparse store.
@@ -448,13 +399,12 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     if isinstance(network, PointCloud):
         n = network.n_nodes
         labels = tuple(range(n))
-        if store == "sparse" or (store == "auto" and reduction == "dijkstra"):
-            mat = network.distance_matrix()
+        mat = network.distance_matrix()
+        if store == "sparse":
             adj = {i: {j: float(mat[i, j]) for j in range(n) if j != i}
                    for i in range(n)}
             backend = _SparseStore(adj)
         else:
-            mat = network.distance_matrix()
             np.fill_diagonal(mat, INF)
             backend = _DenseStore(mat)
     elif isinstance(network, EdgeListNetwork):
@@ -477,7 +427,7 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
         raise ValueError(f"unsupported network type {type(network).__name__}")
     if n < 1:
         raise ValueError("network must contain at least one node")
-    return PercolationState(backend, n, labels, params, reduction=reduction,
+    return PercolationState(backend, n, labels, params,
                             record_events=record_events, debug_checks=debug_checks)
 
 
@@ -537,7 +487,6 @@ def _run_lexicographic(state: PercolationState, prune: bool) -> None:
     component within its range is reduced, so only those are re-checked.
     """
     active, comps, store = state.active, state.comps, state.store
-    relay = state.reduction == "dijkstra"
     heap = [(a, b) for a, b, _ in state.connectable_pairs()]  # sorted: a heap
     isolated: set[int] = set()
     unchecked = set(active)
@@ -559,39 +508,34 @@ def _run_lexicographic(state: PercolationState, prune: bool) -> None:
         a = min(isolated)
         cap = _future_range_cap(state, isolated) if prune else None
         # a shortcut sum is never below either leg, so a leg at or beyond its
-        # own range can gain no partner; relay path lengths are summed in
-        # another order, so there every live leg is re-checked
+        # own range can gain no partner
         legs = sorted(x for x, d in store.neighbor_items(a)
-                      if x not in isolated and (relay or d < comps[x].range_km))
+                      if x not in isolated and d < comps[x].range_km)
         state.reduce_and_remove(a, future_cap=cap)
         isolated.discard(a)
         for i, b in enumerate(legs):
-            # a relay distance costs a path search: one per leg, not per pair
-            row = dict(store.neighbor_items(b)) if relay else None
             for c in legs[i + 1:]:
-                d = row.get(c, INF) if relay else store.distance(b, c)
+                d = store.distance(b, c)
                 if d < comps[b].range_km and d < comps[c].range_km:
                     heapq.heappush(heap, (b, c))
         unchecked.update(legs)
 
 
 def run(state: PercolationState, policy: str = "lexicographic",
-        seed: int | None = None, prune: bool = True) -> RunReport:
+        prune: bool = True) -> RunReport:
     """Drive the state to its fixed point and report the final partition.
 
     Merge while any pair satisfies the connection criterion; when none does,
     reduce-and-remove isolated components; repeat until no active component
-    remains.  The merge selection policy changes only the event order, never
-    the final partition:
+    remains.  The policy changes only the event order, never the final
+    partition:
 
     - "lexicographic" always merges the smallest connectable id pair and
       reduces the smallest isolated id.  It is scheduled incrementally: one
       pair scan up front, then only the pairs and isolation states a rule
       can have changed are re-checked.
-    - "random" picks uniformly among all connectable pairs, then among all
-      isolated components, seeded by seed; "batch" folds every connectable
-      pair in one sweep and reduces every isolated component at once.  Both
-      rescan all pairs after every step.
+    - "batch" folds every connectable pair in one sweep and reduces every
+      isolated component at once, rescanning all pairs in between.
 
     prune enables the provably-partition-preserving shortcut cap.
     """
@@ -600,7 +544,6 @@ def run(state: PercolationState, policy: str = "lexicographic",
     if policy == "lexicographic":
         _run_lexicographic(state, prune)
         return state.report()
-    rng = random.Random(seed)
     guard = 4 * state.n_nodes + 16
     steps = 0
     while state.active:
@@ -609,21 +552,14 @@ def run(state: PercolationState, policy: str = "lexicographic",
             raise RuntimeError("run loop failed to terminate")
         pairs = state.connectable_pairs()
         if pairs:
-            if policy == "batch":
-                _batch_merge(state, pairs)
-            else:
-                a, b, _ = rng.choice(pairs)
-                state.merge(a, b)
+            _batch_merge(state, pairs)
             continue
         isolated = [a for a in state.active_ids() if state.is_isolated(a)]
         if not isolated:
             raise RuntimeError("no merges possible yet no component is isolated")
         cap = _future_range_cap(state, set(isolated)) if prune else None
-        if policy == "batch":
-            for a in isolated:
-                state.reduce_and_remove(a, future_cap=cap)
-        else:
-            state.reduce_and_remove(rng.choice(isolated), future_cap=cap)
+        for a in isolated:
+            state.reduce_and_remove(a, future_cap=cap)
     return state.report()
 
 

@@ -55,9 +55,18 @@ class PointCloud:
         return self.positions.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense pairwise Euclidean distances, diagonal zero."""
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
+        """Dense pairwise Euclidean distances, diagonal zero.
+
+        Built one axis at a time in place, so at most two N x N arrays are
+        alive; each entry is sqrt(dx*dx + dy*dy), summed in that order.
+        """
+        x, y = self.positions[:, 0], self.positions[:, 1]
+        out = x[:, None] - x[None, :]
+        out *= out
+        dy = y[:, None] - y[None, :]
+        dy *= dy
+        out += dy
+        return np.sqrt(out, out=out)
 
 
 def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> PointCloud:
@@ -86,6 +95,7 @@ def save_point_cloud(cloud: PointCloud, path) -> None:
 
 
 def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
+    """Parse the point-cloud CSV format: header 'id,x,y', ids exactly 0..N-1."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -98,11 +108,18 @@ def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
             if len(row) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             try:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
+                rows.append((int(row[0]), float(row[1]), float(row[2]), lineno))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    seen: set[int] = set()
+    for i, _, _, lineno in rows:
+        if not 0 <= i < len(rows):
+            raise ValueError(f"{path}:{lineno}: id {i} outside 0..{len(rows) - 1}")
+        if i in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate id {i}")
+        seen.add(i)
     rows.sort()
-    pos = np.array([(x, y) for _, x, y in rows], dtype=float)
+    pos = np.array([(x, y) for _, x, y, _ in rows], dtype=float)
     if box_side is None:
         box_side = float(np.nextafter(pos.max(), np.inf)) if len(pos) else 1.0
     return PointCloud(positions=pos, box_side=box_side)
@@ -236,10 +253,12 @@ def load_edge_list(path) -> EdgeListNetwork:
 
 
 def save_edge_list(net: EdgeListNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("u,v,length_km\n")
+    """Write the edge-list CSV; ids holding commas or quotes are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("u", "v", "length_km"))
         for u, v, length in net.edges:
-            fh.write(f"{u},{v},{length!r}\n")
+            writer.writerow((u, v, repr(length)))
 
 
 def network_to_json(net: EdgeListNetwork) -> dict:

@@ -82,17 +82,19 @@ def disk_percolation_oracle(network, r0: float) -> set[frozenset]:
     return {frozenset(b) for b in blocks.values()}
 
 
-def reference_lexicographic(state, prune: bool = True):
-    """Lexicographic schedule by brute force: rescan everything before each rule.
+def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):
+    """Any rule order by brute force: rescan everything before each rule.
 
-    Merges the smallest connectable id pair; when none is left, reduces the
-    smallest isolated id with the pruning cap taken from the pool of
-    non-isolated components.
+    choose picks the next rule from a sorted list: a connectable (a, b, d)
+    pair while one exists, else an isolated id, reduced with the pruning cap
+    taken from the pool of non-isolated components.  The default takes the
+    first of each, which is the lexicographic order; random.Random(k).choice
+    gives a seeded random order.
     """
     while state.active:
         pairs = state.connectable_pairs()
         if pairs:
-            a, b, _ = pairs[0]
+            a, b, _ = choose(pairs)
             state.merge(a, b)
             continue
         isolated = [a for a in state.active_ids() if state.is_isolated(a)]
@@ -101,7 +103,7 @@ def reference_lexicographic(state, prune: bool = True):
         if prune:
             pool = sum(c.size for c in state.comps.values() if c.id not in isolated)
             cap = state.params.component_range_km(pool) if pool else 0.0
-        state.reduce_and_remove(isolated[0], future_cap=cap)
+        state.reduce_and_remove(choose(isolated), future_cap=cap)
     return state.report()
 
 

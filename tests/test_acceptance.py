@@ -7,11 +7,13 @@ laptop-class machine.
 """
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
-from conftest import disk_percolation_oracle, random_instance, random_params
+from conftest import (disk_percolation_oracle, random_instance, random_params,
+                      reference_schedule)
 from qnetperc.analysis import (ComplexityParams, Scenario, coherence_time,
                                complexity_f, find_threshold, interpolate_f,
                                min_d0_for_target, scenario_params, worst_case_n)
@@ -95,10 +97,13 @@ def test_c06_order_invariance():
         reference = None
         for k in range(20):
             state = init_state(network, params,
-                               store="sparse" if k % 3 == 2 else "auto",
-                               reduction="dijkstra" if k % 5 == 4 else "shortcut")
-            report = run(state, policy=("batch" if k % 4 == 3 else "random"),
-                         seed=k, prune=(k % 2 == 0))
+                               store="sparse" if k % 3 == 2 else "auto")
+            prune = k % 2 == 0
+            if k % 4 == 3:
+                report = run(state, policy="batch", prune=prune)
+            else:
+                report = reference_schedule(state, prune,
+                                            choose=random.Random(k).choice)
             verify_report(report)
             parts = report.partition_sets()
             if reference is None:
@@ -236,7 +241,7 @@ def test_c11_monotonicity_and_conservation():
         network = random_instance(seed + 600_000, max_n=50)
         params = random_params(seed + 600_000, network)
         state = init_state(network, params, debug_checks=True)
-        report = run(state, policy="random", seed=seed)
+        report = reference_schedule(state, choose=random.Random(seed).choice)
         verify_report(report)  # coverage, criterion validity, no post-isolation merges
         for ev in report.events:
             if isinstance(ev, MergeEvent):

@@ -319,7 +319,7 @@ def edge_lengths(network) -> list[float]:
 
 
 def curve_p_inf(network, params) -> float:
-    p = analysis._GiantFractions([network], "batch").fixed_p_inf(0, params)
+    p = analysis._GiantFractions([network]).fixed_p_inf(0, params)
     assert p is not None, "the params fix the range, so the curve must answer"
     return p
 
@@ -343,8 +343,7 @@ class TestFixedRangeCurve:
 
     def test_growing_ranges_run_the_engine(self):
         params = base_params(alpha=0.585)
-        fractions = analysis._GiantFractions([generate_uniform_points(20, seed=1)],
-                                             "batch")
+        fractions = analysis._GiantFractions([generate_uniform_points(20, seed=1)])
         assert fractions.fixed_p_inf(0, params) is None
 
     def test_coincident_points_join(self):

@@ -53,6 +53,16 @@ class TestIngestAndRepeaters:
         doc = json.loads(jout.read_text())
         assert {n["id"] for n in doc["nodes"]} == {"a", "b"}
 
+    def test_ingest_round_trips_quoted_ids(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text('u,v,length_km\n"a,b",c,5.0\n"say ""hi""",c,2.5\n',
+                       encoding="utf-8")
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert invoke("ingest", "--in", str(raw), "--out", str(once)) == 0
+        assert invoke("ingest", "--in", str(once), "--out", str(twice)) == 0
+        assert once.read_bytes() == twice.read_bytes()
+        assert load_edge_list(twice).node_ids == ("a,b", "c", 'say "hi"')
+
     def test_ingest_bad_file_exits_2(self, tmp_path):
         raw = tmp_path / "raw.csv"
         raw.write_text("u,v,length_km\na,b,zero\n", encoding="utf-8")
@@ -146,25 +156,54 @@ class TestRun:
         assert events[0]["type"] == "merge"
         assert events[-1]["type"] == "reduce"
 
-    def test_random_policy_draws_from_policy_stream(self, tmp_path):
-        from qnetperc import engine
-        from qnetperc.config import STREAM_POLICY, RunConfig, subseed
-        from qnetperc.topology import generate_uniform_points, save_point_cloud
-        cpath, ev = tmp_path / "cloud.csv", tmp_path / "events.json"
-        save_point_cloud(generate_uniform_points(25, seed=9), cpath)
-        assert invoke("run", "--network", str(cpath), "--d0", "1.0",
-                      "--epsilon", "0.15", "--m", "1", "--policy", "random",
-                      "--seed", "5", "--out", str(tmp_path / "r.json"),
-                      "--events", str(ev)) == 0
-        params = RunConfig(d0_km=1.0, epsilon=0.15, m=1).model_params()
+    @pytest.mark.parametrize("extra", [("--store", "dense"),
+                                       ("--reduction", "dijkstra"),
+                                       ("--policy", "random")])
+    def test_removed_engine_options_exit_2(self, tmp_path, extra):
+        net = self.write_two_nodes(tmp_path)
+        assert invoke("run", "--network", str(net), "--d0", "300", *extra,
+                      "--out", str(tmp_path / "r.json")) == 2
 
-        def events(seed):
-            state = engine.init_state(load_point_cloud(cpath), params)
-            return engine.events_to_dicts(engine.run(state, policy="random",
-                                                     seed=seed))
-        got = json.loads(ev.read_text())
-        assert got == events(subseed(5, STREAM_POLICY))
-        assert got != events(5), "instance too small to tell the seeds apart"
+    def test_both_policies_write_the_same_partition(self, tmp_path):
+        net = self.write_two_nodes(tmp_path)
+        parts = []
+        for policy in ("lexicographic", "batch"):
+            part = tmp_path / f"{policy}.json"
+            assert invoke("run", "--network", str(net), "--d0", "300",
+                          "--policy", policy, "--out", str(tmp_path / "r.json"),
+                          "--partition", str(part)) == 0
+            parts.append(part.read_bytes())
+        assert parts[0] == parts[1]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("values", [
+        {"beta_cap": "false"}, {"prune": "no"}, {"add_repeaters": 1},
+        {"m": 1.5}, {"m": True}, {"seed": "5"}, {"d0_km": "300"},
+        {"network_path": 7}, {"policy": "random"}, {"scenario": "shared"},
+        {"source": "http"}, {"range_mode": "linear"}, {"reduction": "dijkstra"},
+        {"store": "dense"},
+    ])
+    def test_bad_config_file_exits_2_before_any_network(self, tmp_path, monkeypatch,
+                                                        values):
+        from qnetperc import cli
+        built = []
+        monkeypatch.setattr(cli, "_build_network", built.append)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"network_path": "net.csv", **values}),
+                       encoding="utf-8")
+        assert invoke("run", "--config", str(cfg),
+                      "--out", str(tmp_path / "r.json")) == 2
+        assert built == []
+
+    def test_run_config_checks_types_and_choices(self):
+        from qnetperc.config import RunConfig
+        with pytest.raises(ValueError, match="beta_cap"):
+            RunConfig(beta_cap="false")
+        with pytest.raises(ValueError, match="policy"):
+            RunConfig(policy="random")
+        cfg = RunConfig(d0_km=300, beta_cap=False, prune=False, policy="batch")
+        assert cfg.model_params().beta_cap is False
 
 
 class TestSweepThresholdCli:

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (disk_percolation_oracle, is_refinement, params_for_r0,
-                      random_instance, random_params, reference_lexicographic)
+                      random_instance, random_params, reference_schedule)
 from qnetperc.engine import (ReduceEvent, events_to_dicts, init_state, run,
                              verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
@@ -16,10 +17,14 @@ from qnetperc.topology import (RepeaterConfig, build_network,
                                generate_fiber_network, insert_repeaters)
 
 
-def run_variant(network, params, *, policy="lexicographic", seed=None,
-                store="auto", reduction="shortcut", prune=True):
-    state = init_state(network, params, store=store, reduction=reduction)
-    report = run(state, policy=policy, seed=seed, prune=prune)
+def run_variant(network, params, *, policy="lexicographic", order=None,
+                store="auto", prune=True):
+    """One run; an order seed fires the rules in that seeded random order."""
+    state = init_state(network, params, store=store)
+    if order is not None:
+        report = reference_schedule(state, prune, choose=random.Random(order).choice)
+    else:
+        report = run(state, policy=policy, prune=prune)
     verify_report(report)
     return report
 
@@ -28,8 +33,10 @@ class TestOrderInvariance:
     @given(seed=st.integers(0, 40_000), relay_chains=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_policies_stores_reductions_agree(self, seed, relay_chains):
-        # relay chains reach merges that exist only through a reduction's
-        # shortcuts, which random instances almost never do
+        # policies, random rule orders, both stores, and reductions with and
+        # without the pruning cap; relay chains reach merges that exist only
+        # through a reduction's shortcuts, which random instances almost
+        # never do
         if relay_chains:
             network, params = relay_chain_instance(seed)
         else:
@@ -37,12 +44,12 @@ class TestOrderInvariance:
             params = random_params(seed, network)
         reference = run_variant(network, params).partition_sets()
         variants = [
-            dict(policy="random", seed=seed),
-            dict(policy="random", seed=seed + 1),
+            dict(order=seed),
+            dict(order=seed + 1),
             dict(policy="batch"),
             dict(policy="batch", prune=False),
-            dict(store="sparse", reduction="dijkstra"),
-            dict(store="sparse", policy="random", seed=seed + 2),
+            dict(order=seed + 3, prune=False),
+            dict(store="sparse", order=seed + 2),
             dict(store="dense", policy="batch") if not _is_edge_list(network)
             else dict(store="dense"),
         ]
@@ -54,29 +61,31 @@ class TestOrderInvariance:
     def test_random_orders_share_partition(self, seed):
         network = random_instance(seed + 70_000, max_n=25)
         params = random_params(seed + 70_000, network)
-        parts = {frozenset(run_variant(network, params, policy="random",
-                                       seed=k).partition_sets())
+        parts = {frozenset(run_variant(network, params, order=k).partition_sets())
                  for k in range(6)}
         assert len(parts) == 1
 
 
-# every store and reduction pairing the engine accepts, pruning on and off
-ENGINE_MODES = [dict(store=store, reduction=reduction, prune=prune)
-                for store, reduction in (("dense", "shortcut"),
-                                         ("sparse", "shortcut"),
-                                         ("sparse", "dijkstra"))
-                for prune in (True, False)]
+# both stores, pruning on and off
+ENGINE_MODES = [dict(store=store, prune=prune)
+                for store in ("dense", "sparse") for prune in (True, False)]
 
 
 def assert_lexicographic_matches_reference(network, params):
+    logs = {}
     for mode in ENGINE_MODES:
         def fresh():
-            return init_state(network, params, store=mode["store"],
-                              reduction=mode["reduction"])
-        expected = events_to_dicts(reference_lexicographic(fresh(), mode["prune"]))
+            return init_state(network, params, store=mode["store"])
+        expected = events_to_dicts(reference_schedule(fresh(), mode["prune"]))
         got = events_to_dicts(run(fresh(), policy="lexicographic",
                                   prune=mode["prune"]))
         assert got == expected, f"event logs differ under {mode}"
+        logs[mode["store"], mode["prune"]] = got
+    # the reference shares the store, so only the other store can tell
+    # whether a store lists its shortcuts in id order
+    for prune in (True, False):
+        assert logs["dense", prune] == logs["sparse", prune], \
+            f"stores disagree with prune={prune}"
 
 
 def relay_chain_instance(seed: int, max_n: int = 30):

@@ -67,6 +67,35 @@ class TestPointClouds:
         back = load_point_cloud(path, box_side=cloud.box_side)
         assert np.array_equal(back.positions, cloud.positions)
 
+    @pytest.mark.parametrize("ids, line, message", [
+        ((10, 3, 7, 7), 2, "outside 0..3"),
+        ((0, 2, 1, 2), 5, "duplicate id 2"),
+        ((1, 2, 3, 0, -1), 6, "outside 0..4"),
+    ])
+    def test_ids_must_be_zero_to_n_minus_one(self, tmp_path, ids, line, message):
+        path = tmp_path / "cloud.csv"
+        path.write_text("id,x,y\n" + "".join(f"{i},0.{k + 1},0.5\n"
+                                             for k, i in enumerate(ids)),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f":{line}: .*{message}"):
+            load_point_cloud(path)
+
+    def test_ids_in_any_order_load_by_id(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("id,x,y\n2,0.3,0.1\n0,0.1,0.1\n1,0.2,0.1\n",
+                        encoding="utf-8")
+        assert load_point_cloud(path).positions[:, 0].tolist() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 800])
+    def test_distance_matrix_bytes_match_the_stacked_form(self, n):
+        # the stacked (N, N, 2) form is the reference: the engine, the
+        # Kruskal curve and the oracles must all compare the same floats
+        base = generate_uniform_points(n, seed=n).positions
+        cloud = PointCloud(positions=np.vstack([base, base[: n // 2], base[:1]]))
+        diff = cloud.positions[:, None, :] - cloud.positions[None, :, :]
+        stacked = np.sqrt((diff * diff).sum(axis=2))
+        assert cloud.distance_matrix().tobytes() == stacked.tobytes()
+
 
 class TestEdgeLists:
     def test_min_collapse(self):
