@@ -186,6 +186,8 @@ class _GiantFractions:
 
     def __init__(self, networks):
         self.networks = list(networks)
+        if not self.networks:
+            raise ValueError("at least one network (replicate seed) is required")
         self._curves: dict[int, _GiantCurve] = {}
 
     def fixed_p_inf(self, k: int, params: ModelParams) -> float | None:
@@ -219,6 +221,8 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
     factory when replicates should re-draw repeater placement).  jobs > 1
     spreads the engine runs over worker processes.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     factory = _as_factory(network)
     slot = {seed: k for k, seed in enumerate(dict.fromkeys(spec.seeds))}
     fractions = _GiantFractions([factory(seed) for seed in slot])
@@ -291,6 +295,32 @@ def threshold_to_json(est: ThresholdEstimate) -> dict:
             "probes": [[r0, p] for r0, p in est.probes]}
 
 
+def _bisect(p_infs_at, lo: float, hi: float, target: float, midpoint, narrow):
+    """Halve [lo, hi] at midpoint(lo, hi) while narrow(lo, hi) holds.
+
+    The mean of p_infs_at(x), the per-network giant fractions, is monotone in
+    x.  Returns (lo, hi, {x: fractions}) with the target missed at lo and met
+    at hi, or (lo, lo, ...) when it already holds at lo.
+    """
+    evaluations: dict[float, list[float]] = {}
+
+    def mean_at(x: float) -> float:
+        if x not in evaluations:
+            evaluations[x] = p_infs_at(x)
+        return float(np.mean(evaluations[x]))
+
+    if mean_at(lo) >= target:
+        return lo, lo, evaluations
+    if mean_at(hi) < target:
+        raise ValueError(
+            f"target {target} unreachable in the bracket [{lo}, {hi}]: mean p_inf "
+            f"is {mean_at(lo):.4f} at {lo} and {mean_at(hi):.4f} at {hi}")
+    while narrow(lo, hi):
+        mid = midpoint(lo, hi)
+        lo, hi = (lo, mid) if mean_at(mid) >= target else (mid, hi)
+    return lo, hi, evaluations
+
+
 def _crossing(points, target: float) -> float:
     """First crossing of a monotone piecewise-linear curve with the target level.
 
@@ -314,7 +344,8 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
 
     Drives eps at fixed d0 (equivalent to scaling r0) and reports the
     crossing as r0 with a bootstrap confidence interval over the replicate
-    clouds.  tol is the absolute bisection width on r0, in km.
+    clouds.  tol is the absolute bisection width on r0, in km.  A target
+    already met at eps_lo gives 0 from that single probe.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -322,51 +353,31 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
         raise ValueError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
     fractions = _GiantFractions([cloud_factory(seed) for seed in seeds])
 
-    evaluations: dict[float, list[float]] = {}
+    def at_eps(eps: float) -> ModelParams:
+        return replace(params, channel=replace(params.channel, epsilon=eps))
 
-    def r0_of(eps: float) -> float:
-        return replace(params, channel=replace(params.channel, epsilon=eps)).base_range_km()
-
-    def evaluate(eps: float) -> float:
-        if eps not in evaluations:
-            sp = replace(params, channel=replace(params.channel, epsilon=eps))
-            evaluations[eps] = fractions.p_infs(sp)
-        return float(np.mean(evaluations[eps]))
-
-    mean_lo, mean_hi = evaluate(eps_lo), evaluate(eps_hi)
-    if mean_lo >= target:
-        # already above target at the bottom of the bracket: threshold is 0
-        probes = tuple(sorted((r0_of(e), float(np.mean(v)))
-                              for e, v in evaluations.items()))
-        return ThresholdEstimate(alpha=params.distill.alpha, r0_th=0.0, ci_low=0.0,
-                                 ci_high=0.0, replicates=len(seeds), target=target,
-                                 probes=probes)
-    if mean_hi < target:
-        raise ValueError(
-            f"bracket does not contain the threshold: mean p_inf is {mean_lo:.4f} "
-            f"at eps={eps_lo} and {mean_hi:.4f} at eps={eps_hi}, target {target}")
-    lo, hi = eps_lo, eps_hi
-    while r0_of(hi) - r0_of(lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, evaluations = _bisect(
+        lambda eps: fractions.p_infs(at_eps(eps)), eps_lo, eps_hi, target,
+        midpoint=lambda a, b: 0.5 * (a + b),
+        narrow=lambda a, b: at_eps(b).base_range_km() - at_eps(a).base_range_km() > tol)
     probe_eps = sorted(evaluations)
-    probe_r0 = [r0_of(e) for e in probe_eps]
+    probe_r0 = [at_eps(e).base_range_km() for e in probe_eps]
     mean_curve = [(r0, float(np.mean(evaluations[e])))
                   for r0, e in zip(probe_r0, probe_eps)]
-    estimate = _crossing(mean_curve, target)
-    # bootstrap over replicates; per-seed curves are monotone by coupling
-    per_seed = np.array([evaluations[e] for e in probe_eps])  # (probes, seeds)
-    rng = np.random.default_rng(boot_seed)
-    boots = []
-    k = len(seeds)
-    for _ in range(n_boot):
-        pick = rng.integers(0, k, size=k)
-        curve = per_seed[:, pick].mean(axis=1)
-        boots.append(_crossing(list(zip(probe_r0, curve)), target))
-    ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
+    if hi == lo:  # the target already holds at eps_lo
+        estimate = ci_low = ci_high = 0.0
+    else:
+        estimate = _crossing(mean_curve, target)
+        # bootstrap over replicates; per-seed curves are monotone by coupling
+        per_seed = np.array([evaluations[e] for e in probe_eps])  # (probes, seeds)
+        rng = np.random.default_rng(boot_seed)
+        boots = []
+        k = len(seeds)
+        for _ in range(n_boot):
+            pick = rng.integers(0, k, size=k)
+            curve = per_seed[:, pick].mean(axis=1)
+            boots.append(_crossing(list(zip(probe_r0, curve)), target))
+        ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
     return ThresholdEstimate(alpha=params.distill.alpha, r0_th=float(estimate),
                              ci_low=float(ci_low), ci_high=float(ci_high),
                              replicates=len(seeds), target=target,
@@ -386,27 +397,14 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
         raise ValueError(f"need 0 < d0_lo < d0_hi, got ({d0_lo}, {d0_hi})")
     factory = _as_factory(network)
     fractions = _GiantFractions([factory(seed) for seed in seeds])
-    cache: dict[float, float] = {}
-
-    def evaluate(d0: float) -> float:
-        if d0 not in cache:
-            sp = replace(params, channel=replace(params.channel, d0_km=d0))
-            cache[d0] = float(np.mean(fractions.p_infs(sp)))
-        return cache[d0]
-
-    if evaluate(d0_lo) >= target:
-        return {"d0_km": d0_lo, "bracket": (d0_lo, d0_lo), "probes": sorted(cache.items())}
-    if evaluate(d0_hi) < target:
-        raise ValueError(f"target {target} unreachable below d0={d0_hi} km "
-                         f"(mean p_inf {evaluate(d0_hi):.4f})")
-    lo, hi = d0_lo, d0_hi
-    while hi / lo > 1.0 + rel_tol:
-        mid = math.sqrt(lo * hi)
-        if evaluate(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return {"d0_km": hi, "bracket": (lo, hi), "probes": sorted(cache.items())}
+    lo, hi, evaluations = _bisect(
+        lambda d0: fractions.p_infs(
+            replace(params, channel=replace(params.channel, d0_km=d0))),
+        d0_lo, d0_hi, target,
+        midpoint=lambda a, b: math.sqrt(a * b),
+        narrow=lambda a, b: b / a > 1.0 + rel_tol)
+    probes = [(d0, float(np.mean(v))) for d0, v in sorted(evaluations.items())]
+    return {"d0_km": hi, "bracket": (lo, hi), "probes": probes}
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,7 @@ _CONFIG_FLAGS = [
     ("--range-mode", "range_mode", str), ("--scenario", "scenario", str),
     ("--network", "network_path", str), ("--n", "n_points", int),
     ("--box", "box_side", float), ("--source", "source", str),
-    ("--mean-segment", "mean_segment_km", float),
-    ("--policy", "policy", str), ("--seed", "seed", int),
+    ("--mean-segment", "mean_segment_km", float), ("--seed", "seed", int),
 ]
 
 
@@ -98,16 +97,18 @@ def _add_config_flags(sub) -> None:
                      const=False, default=None)
     sub.add_argument("--repeaters", dest="add_repeaters", action="store_const",
                      const=True, default=None)
-    sub.add_argument("--no-prune", dest="prune", action="store_const",
-                     const=False, default=None)
 
 
-def _resolve_config(args) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else None
+def _resolve_config(args, unread=()) -> RunConfig:
+    """Defaults < --config file < flags; a value for a key in unread is an error."""
+    file_values = load_config_file(args.config) if args.config else {}
     cli_values = {dest: getattr(args, dest, None) for _, dest, _ in _CONFIG_FLAGS}
     cli_values["beta_cap"] = args.beta_cap
     cli_values["add_repeaters"] = args.add_repeaters
-    cli_values["prune"] = args.prune
+    for flag, dest, _ in _CONFIG_FLAGS:
+        if dest in unread and (dest in file_values or cli_values[dest] is not None):
+            raise ValueError(f"{args.command} does not read {flag} "
+                             f"(config key {dest!r}); {unread[dest]}")
     return merge_config(file_values, cli_values)
 
 
@@ -143,7 +144,7 @@ def _cmd_run(args) -> int:
     network = _build_network(cfg)
     params = cfg.model_params()
     state = engine.init_state(network, params)
-    report = engine.run(state, policy=cfg.policy, prune=cfg.prune)
+    report = engine.run(state)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -167,19 +168,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, {"scenario": "use --scenarios", "d0_km": "use --d0-grid"})
     d0_grid = tuple(float(x) for x in args.d0_grid.split(","))
     scenarios = tuple(analysis.Scenario(s) for s in args.scenarios.split(","))
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    base = replace(cfg, scenario="distributed")
 
     def factory(seed: int):
-        return _build_network(replace(base, seed=subseed(cfg.seed, STREAM_REPLICATE, seed)))
+        return _build_network(replace(cfg, seed=subseed(cfg.seed, STREAM_REPLICATE, seed)))
 
     spec = analysis.SweepSpec(d0_grid_km=d0_grid, scenarios=scenarios,
                               seeds=seeds)
     rows, aggregates = analysis.sweep_connectivity(
-        factory, base.model_params(), spec, jobs=args.jobs)
+        factory, cfg.model_params(), spec, jobs=args.jobs)
     analysis.write_curve_csv(rows, args.out)
     if args.aggregate:
         analysis.write_aggregate_csv(aggregates, args.aggregate)
@@ -192,7 +192,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, {"scenario": "thresholds are for the distributed scenario",
+                                 "epsilon": "use --eps-lo and --eps-hi"})
     alphas = args.alphas or [cfg.alpha]
     seeds = tuple(subseed(cfg.seed, STREAM_REPLICATE, k) for k in range(args.replicates))
 
@@ -202,7 +203,7 @@ def _cmd_threshold(args) -> int:
 
     estimates = []
     for alpha in alphas:
-        params = replace(cfg, alpha=alpha, scenario="distributed").model_params()
+        params = replace(cfg, alpha=alpha).model_params()
         est = analysis.find_threshold(
             factory, params, target=args.target, tol=args.tol,
             eps_lo=args.eps_lo, eps_hi=args.eps_hi, seeds=seeds)

@@ -1,9 +1,11 @@
 """Declarative run configuration, provenance hashing, and seed splitting.
 
 A RunConfig is a flat, JSON-serializable description of one experiment:
-physics parameters, topology source, engine flags.  Every output file embeds
-the sha256 hash of the resolved config plus the master seed, so a result can
-always be traced back to the exact inputs that produced it.
+physics parameters, topology source and master seed.  It holds no engine
+settings: every rule order reaches the same partition, and `run` always
+writes the lexicographic event log.  Every output file embeds the sha256
+hash of the resolved config plus the master seed, so a result can always be
+traced back to the exact inputs that produced it.
 
 All randomness flows from one 64-bit master seed.  Sub-streams are derived
 with numpy's SeedSequence from (master, stream, index) tuples; the stream
@@ -56,9 +58,7 @@ class RunConfig:
     fiber_mean_length_km: float = 500.0
     add_repeaters: bool = False
     mean_segment_km: float = 50.0
-    # engine
-    policy: str = "lexicographic"
-    prune: bool = True
+    # master seed of every random stream
     seed: int = 0
 
     def __post_init__(self):
@@ -98,7 +98,6 @@ _CHOICES = {
     "range_mode": ("asymptotic", "exact"),
     "scenario": tuple(s.value for s in Scenario),
     "source": ("file", "points", "fiber"),
-    "policy": ("lexicographic", "batch"),
 }
 
 

@@ -25,9 +25,9 @@ initial pair scan, a heap of candidate pairs and a worklist of components
 whose isolation may have changed, and fires exactly the order a full rescan
 before every rule would.  The batch policy folds every connectable pair in
 one sweep, then reduces every isolated component, rescanning all pairs in
-between.  Other orders are reachable through the public rules
-(connectable_pairs, merge, is_isolated, reduce_and_remove) and all reach
-the same partition.
+between.  Both skip shortcut sums that no future merge can use.  Other orders
+are reachable through the public rules (connectable_pairs, merge,
+is_isolated, reduce_and_remove) and all reach the same partition.
 """
 
 from __future__ import annotations
@@ -474,7 +474,7 @@ def _batch_merge(state: PercolationState, pairs) -> None:
         current[rb] = merged
 
 
-def _run_lexicographic(state: PercolationState, prune: bool) -> None:
+def _run_lexicographic(state: PercolationState) -> None:
     """Merge the smallest connectable (a, b); else reduce the smallest isolated id.
 
     One full pair scan seeds a heap of connectable pairs.  A pair stays
@@ -506,7 +506,7 @@ def _run_lexicographic(state: PercolationState, prune: bool) -> None:
         if not isolated:
             raise RuntimeError("no merges possible yet no component is isolated")
         a = min(isolated)
-        cap = _future_range_cap(state, isolated) if prune else None
+        cap = _future_range_cap(state, isolated)
         # a shortcut sum is never below either leg, so a leg at or beyond its
         # own range can gain no partner
         legs = sorted(x for x, d in store.neighbor_items(a)
@@ -521,8 +521,7 @@ def _run_lexicographic(state: PercolationState, prune: bool) -> None:
         unchecked.update(legs)
 
 
-def run(state: PercolationState, policy: str = "lexicographic",
-        prune: bool = True) -> RunReport:
+def run(state: PercolationState, policy: str = "lexicographic") -> RunReport:
     """Drive the state to its fixed point and report the final partition.
 
     Merge while any pair satisfies the connection criterion; when none does,
@@ -537,12 +536,13 @@ def run(state: PercolationState, policy: str = "lexicographic",
     - "batch" folds every connectable pair in one sweep and reduces every
       isolated component at once, rescanning all pairs in between.
 
-    prune enables the provably-partition-preserving shortcut cap.
+    Reductions skip shortcut sums at or above _future_range_cap, unusable by
+    any merge to come, so they are neither stored nor logged.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     if policy == "lexicographic":
-        _run_lexicographic(state, prune)
+        _run_lexicographic(state)
         return state.report()
     guard = 4 * state.n_nodes + 16
     steps = 0
@@ -557,7 +557,7 @@ def run(state: PercolationState, policy: str = "lexicographic",
         isolated = [a for a in state.active_ids() if state.is_isolated(a)]
         if not isolated:
             raise RuntimeError("no merges possible yet no component is isolated")
-        cap = _future_range_cap(state, set(isolated)) if prune else None
+        cap = _future_range_cap(state, set(isolated))
         for a in isolated:
             state.reduce_and_remove(a, future_cap=cap)
     return state.report()

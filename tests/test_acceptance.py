@@ -98,11 +98,10 @@ def test_c06_order_invariance():
         for k in range(20):
             state = init_state(network, params,
                                store="sparse" if k % 3 == 2 else "auto")
-            prune = k % 2 == 0
             if k % 4 == 3:
-                report = run(state, policy="batch", prune=prune)
+                report = run(state, policy="batch")
             else:
-                report = reference_schedule(state, prune,
+                report = reference_schedule(state, prune=k % 2 == 0,
                                             choose=random.Random(k).choice)
             verify_report(report)
             parts = report.partition_sets()

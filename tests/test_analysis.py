@@ -172,6 +172,11 @@ class TestSweep:
         assert len(lines) == 3
         assert aggregate.read_text().splitlines()[0] == "scenario,d0_km,mean,std,n"
 
+    def test_jobs_below_one_rejected(self):
+        spec = SweepSpec(d0_grid_km=(100.0,), seeds=(0,))
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_connectivity(self.net(), base_params(), spec, jobs=0)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(d0_grid_km=(2.0, 1.0))
@@ -199,6 +204,30 @@ class TestFindThreshold:
                              target=1 / 120, tol=0.01,
                              eps_lo=1e-6, eps_hi=1e-2, seeds=(0, 1))
         assert est.r0_th == 0.0
+
+    def test_target_met_at_eps_lo_probes_only_eps_lo(self):
+        params = self.alpha_params(0.0)
+        est = find_threshold(self.factory(), params, target=1 / 120, tol=0.01,
+                             eps_lo=1e-6, eps_hi=1e-2, seeds=(0, 1))
+        r0_lo = dataclasses.replace(
+            params, channel=dataclasses.replace(params.channel, epsilon=1e-6)).base_range_km()
+        assert (est.r0_th, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
+        assert est.probes == ((r0_lo, pytest.approx(1 / 120)),)
+
+    def test_unreachable_message_names_bracket_means_and_target(self):
+        with pytest.raises(ValueError) as info:
+            find_threshold(self.factory(), self.alpha_params(0.0),
+                           target=0.99, tol=0.01,
+                           eps_lo=1e-7, eps_hi=2e-7, seeds=(0,))
+        msg = str(info.value)
+        assert "bracket" in msg and "unreachable" in msg
+        assert "1e-07" in msg and "2e-07" in msg and "0.99" in msg
+        assert msg.count("0.0083") == 2  # one node of 120 at both ends
+
+    def test_no_replicates_raises(self):
+        with pytest.raises(ValueError, match="network"):
+            find_threshold(self.factory(), self.alpha_params(0.0), target=0.5,
+                           eps_lo=1e-4, eps_hi=1e-2, seeds=())
 
     def test_non_bracketing_raises(self):
         with pytest.raises(ValueError, match="bracket"):
@@ -250,6 +279,90 @@ class TestMinD0:
         with pytest.raises(ValueError, match="unreachable"):
             min_d0_for_target(net, base_params(), target=0.9,
                               d0_lo=1.0, d0_hi=10.0)
+
+    def test_target_met_at_d0_lo(self):
+        net = build_network([("a", "b", 30.0)])
+        params = scenario_params(base_params(), Scenario.NO_MEMORY)
+        res = min_d0_for_target(net, params, target=0.5, d0_lo=1e6, d0_hi=1e7)
+        assert res == {"d0_km": 1e6, "bracket": (1e6, 1e6), "probes": [(1e6, 1.0)]}
+
+    def test_no_replicates_raises(self):
+        net = build_network([("a", "b", 30.0)])
+        with pytest.raises(ValueError, match="network"):
+            min_d0_for_target(net, base_params(), target=0.9,
+                              d0_lo=1.0, d0_hi=1e4, seeds=())
+
+
+# ---------------------------------------------------------------------------
+# Bisection pins: small instances, every probe, values as first recorded
+# ---------------------------------------------------------------------------
+
+def assert_pairs_equal(got, expected):
+    assert len(got) == len(expected)
+    for (x, y), (x_ref, y_ref) in zip(got, expected):
+        assert x == pytest.approx(x_ref, rel=1e-12)
+        assert y == pytest.approx(y_ref, rel=1e-12)
+
+
+class TestBisectionPins:
+    FT_PINS = {
+        # alpha: (r0_th, ci_low, ci_high, probes as (r0, mean p_inf))
+        0.0: (0.12677083333333333, 0.12495659722222222, 0.13053886217948718, [
+            (0.013333333333333334, 0.018750000000000003),
+            (0.09583333333333333, 0.26875000000000004), (0.11645833333333332, 0.2875),
+            (0.12161458333333332, 0.29374999999999996), (0.12419270833333332, 0.31875),
+            (0.12677083333333333, 0.5), (0.13708333333333333, 0.95),
+            (0.17833333333333332, 0.9875), (0.3433333333333333, 1.0),
+            (0.6733333333333332, 1.0), (1.3333333333333333, 1.0)]),
+        0.585: (0.08130779979674796, 0.06994237588652483, 0.08231559684684683, [
+            (0.013333333333333334, 0.018750000000000003),
+            (0.05458333333333333, 0.06875), (0.07520833333333334, 0.39375000000000004),
+            (0.08036458333333332, 0.40625), (0.08294270833333332, 0.6625000000000001),
+            (0.08552083333333334, 0.71875), (0.09583333333333333, 0.85625),
+            (0.17833333333333332, 1.0), (0.3433333333333333, 1.0),
+            (0.6733333333333332, 1.0), (1.3333333333333333, 1.0)]),
+    }
+    MD_PINS = {
+        # scenario: (d0_km, bracket, probes as (d0, mean p_inf))
+        Scenario.DISTRIBUTED: (654.982579561603, (642.4351578655237, 654.982579561603), [
+            (50.0, 0.021980676328502417), (594.6035575013606, 0.8510869565217392),
+            (642.4351578655237, 0.864855072463768), (654.982579561603, 0.9204106280193236),
+            (667.7750653537106, 0.9204106280193236), (694.1144681273723, 0.9204106280193236),
+            (810.2791999569268, 0.9833937198067633), (1104.1850887031314, 0.9889492753623188),
+            (2050.4833762477992, 1.0), (7071.067811865475, 1.0), (1000000.0, 1.0)]),
+        Scenario.NO_MEMORY: (28465.40356216519, (27920.095284679974, 28465.40356216519), [
+            (50.0, 0.008272946859903381), (7071.067811865475, 0.14565217391304347),
+            (24384.49420228684, 0.8833333333333333), (26346.05223040773, 0.8972222222222221),
+            (27385.233411611418, 0.8972222222222221), (27920.095284679974, 0.8972222222222221),
+            (28465.40356216519, 1.0), (33229.28059262089, 1.0), (45282.263373729445, 1.0),
+            (84089.64152537145, 1.0), (1000000.0, 1.0)]),
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(FT_PINS))
+    def test_find_threshold(self, alpha):
+        params = ModelParams(channel=ChannelModel(d0_km=100.0, epsilon=0.001),
+                             distill=DistillationParams(m=1, alpha=alpha))
+        est = find_threshold(
+            lambda seed: generate_uniform_points(80, box_side=1.0, seed=seed), params,
+            target=0.5, tol=5e-3, eps_lo=1e-4, eps_hi=1e-2, seeds=(0, 1), n_boot=200)
+        r0_th, ci_low, ci_high, probes = self.FT_PINS[alpha]
+        assert est.r0_th == pytest.approx(r0_th, rel=1e-12)
+        assert (est.ci_low, est.ci_high) == pytest.approx((ci_low, ci_high), rel=1e-12)
+        assert_pairs_equal(est.probes, probes)
+
+    @pytest.mark.parametrize("scenario", list(MD_PINS), ids=lambda s: s.value)
+    def test_min_d0_for_target(self, scenario):
+        fiber = generate_fiber_network(n_nodes=40, n_edges=48, mean_length_km=300.0,
+                                       seed=2)
+        res = min_d0_for_target(
+            lambda seed: insert_repeaters(fiber, RepeaterConfig(mean_segment_km=100.0,
+                                                                seed=seed)),
+            scenario_params(base_params(), scenario), target=0.9,
+            d0_lo=50.0, d0_hi=1e6, rel_tol=0.02, seeds=(0, 1))
+        d0_km, bracket, probes = self.MD_PINS[scenario]
+        assert res["d0_km"] == pytest.approx(d0_km, rel=1e-12)
+        assert res["bracket"] == pytest.approx(bracket, rel=1e-12)
+        assert_pairs_equal(res["probes"], probes)
 
 
 # ---------------------------------------------------------------------------

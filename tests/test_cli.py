@@ -158,22 +158,13 @@ class TestRun:
 
     @pytest.mark.parametrize("extra", [("--store", "dense"),
                                        ("--reduction", "dijkstra"),
-                                       ("--policy", "random")])
+                                       ("--policy", "random"),
+                                       ("--policy", "batch"),
+                                       ("--no-prune",)])
     def test_removed_engine_options_exit_2(self, tmp_path, extra):
         net = self.write_two_nodes(tmp_path)
         assert invoke("run", "--network", str(net), "--d0", "300", *extra,
                       "--out", str(tmp_path / "r.json")) == 2
-
-    def test_both_policies_write_the_same_partition(self, tmp_path):
-        net = self.write_two_nodes(tmp_path)
-        parts = []
-        for policy in ("lexicographic", "batch"):
-            part = tmp_path / f"{policy}.json"
-            assert invoke("run", "--network", str(net), "--d0", "300",
-                          "--policy", policy, "--out", str(tmp_path / "r.json"),
-                          "--partition", str(part)) == 0
-            parts.append(part.read_bytes())
-        assert parts[0] == parts[1]
 
 
 class TestConfigValidation:
@@ -182,7 +173,7 @@ class TestConfigValidation:
         {"m": 1.5}, {"m": True}, {"seed": "5"}, {"d0_km": "300"},
         {"network_path": 7}, {"policy": "random"}, {"scenario": "shared"},
         {"source": "http"}, {"range_mode": "linear"}, {"reduction": "dijkstra"},
-        {"store": "dense"},
+        {"store": "dense"}, {"policy": "lexicographic"}, {"prune": True},
     ])
     def test_bad_config_file_exits_2_before_any_network(self, tmp_path, monkeypatch,
                                                         values):
@@ -200,9 +191,9 @@ class TestConfigValidation:
         from qnetperc.config import RunConfig
         with pytest.raises(ValueError, match="beta_cap"):
             RunConfig(beta_cap="false")
-        with pytest.raises(ValueError, match="policy"):
-            RunConfig(policy="random")
-        cfg = RunConfig(d0_km=300, beta_cap=False, prune=False, policy="batch")
+        with pytest.raises(ValueError, match="scenario"):
+            RunConfig(scenario="shared")
+        cfg = RunConfig(d0_km=300, beta_cap=False)
         assert cfg.model_params().beta_cap is False
 
 
@@ -218,6 +209,64 @@ class TestSweepThresholdCli:
         assert lines[0] == "scenario,d0_km,seed,p_inf"
         assert len(lines) == 1 + 3 * 2 * 2
         assert agg.read_text().splitlines()[0] == "scenario,d0_km,mean,std,n"
+
+    def write_net(self, tmp_path):
+        net = tmp_path / "net.csv"
+        net.write_text("u,v,length_km\na,b,30\nb,c,35\n", encoding="utf-8")
+        return net
+
+    def sweep_argv(self, tmp_path, *extra):
+        return ("sweep", "--network", str(self.write_net(tmp_path)),
+                "--d0-grid", "10,10000", "--out", str(tmp_path / "curves.csv"), *extra)
+
+    def threshold_argv(self, tmp_path, *extra):
+        return ("threshold", "--source", "points", "--n", "20", "--eps-lo", "1e-4",
+                "--eps-hi", "0.5", "--target", "0.5", "--replicates", "2",
+                "--out", str(tmp_path / "th.json"), *extra)
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    def test_base_invocations_succeed(self, tmp_path, command):
+        # the control for the exit-2 cases below
+        assert invoke(*getattr(self, f"{command}_argv")(tmp_path)) == 0
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    @pytest.mark.parametrize("extra", [("--policy", "batch"), ("--no-prune",)])
+    def test_removed_engine_options_exit_2(self, tmp_path, command, extra):
+        argv = getattr(self, f"{command}_argv")(tmp_path, *extra)
+        assert invoke(*argv) == 2
+
+    @pytest.mark.parametrize("command, flag, key, value, instead", [
+        ("sweep", "--scenario", "scenario", "no_memory", "--scenarios"),
+        ("sweep", "--d0", "d0_km", 5.0, "--d0-grid"),
+        ("threshold", "--scenario", "scenario", "no_memory", "distributed"),
+        ("threshold", "--epsilon", "epsilon", 0.01, "--eps-lo"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unread_settings_exit_2(self, tmp_path, capsys, command, flag, key,
+                                    value, instead, source):
+        # the command would ignore the value yet hash it into config_hash
+        if source == "flag":
+            extra = (flag, str(value))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            extra = ("--config", str(cfg))
+        assert invoke(*getattr(self, f"{command}_argv")(tmp_path, *extra)) == 2
+        err = capsys.readouterr().err
+        assert flag in err and instead in err
+        assert not (tmp_path / "curves.csv").exists()
+        assert not (tmp_path / "th.json").exists()
+
+    @pytest.mark.parametrize("replicates", ["0", "-1"])
+    def test_threshold_without_replicates_exits_2(self, tmp_path, replicates):
+        argv = self.threshold_argv(tmp_path, "--replicates", replicates)
+        assert invoke(*argv) == 2
+        assert not (tmp_path / "th.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_jobs_below_one_exits_2(self, tmp_path, jobs):
+        assert invoke(*self.sweep_argv(tmp_path, "--jobs", jobs)) == 2
+        assert not (tmp_path / "curves.csv").exists()
 
     def test_threshold_ordering_smoke(self, tmp_path):
         out = tmp_path / "th.json"

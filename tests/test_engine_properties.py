@@ -19,12 +19,15 @@ from qnetperc.topology import (RepeaterConfig, build_network,
 
 def run_variant(network, params, *, policy="lexicographic", order=None,
                 store="auto", prune=True):
-    """One run; an order seed fires the rules in that seeded random order."""
+    """One run; an order seed fires the rules in that seeded random order.
+
+    prune applies to the random orders only: run() always prunes.
+    """
     state = init_state(network, params, store=store)
     if order is not None:
         report = reference_schedule(state, prune, choose=random.Random(order).choice)
     else:
-        report = run(state, policy=policy, prune=prune)
+        report = run(state, policy=policy)
     verify_report(report)
     return report
 
@@ -47,7 +50,6 @@ class TestOrderInvariance:
             dict(order=seed),
             dict(order=seed + 1),
             dict(policy="batch"),
-            dict(policy="batch", prune=False),
             dict(order=seed + 3, prune=False),
             dict(store="sparse", order=seed + 2),
             dict(store="dense", policy="batch") if not _is_edge_list(network)
@@ -66,26 +68,18 @@ class TestOrderInvariance:
         assert len(parts) == 1
 
 
-# both stores, pruning on and off
-ENGINE_MODES = [dict(store=store, prune=prune)
-                for store in ("dense", "sparse") for prune in (True, False)]
-
-
 def assert_lexicographic_matches_reference(network, params):
     logs = {}
-    for mode in ENGINE_MODES:
+    for store in ("dense", "sparse"):
         def fresh():
-            return init_state(network, params, store=mode["store"])
-        expected = events_to_dicts(reference_schedule(fresh(), mode["prune"]))
-        got = events_to_dicts(run(fresh(), policy="lexicographic",
-                                  prune=mode["prune"]))
-        assert got == expected, f"event logs differ under {mode}"
-        logs[mode["store"], mode["prune"]] = got
+            return init_state(network, params, store=store)
+        expected = events_to_dicts(reference_schedule(fresh()))
+        got = events_to_dicts(run(fresh(), policy="lexicographic"))
+        assert got == expected, f"event logs differ on the {store} store"
+        logs[store] = got
     # the reference shares the store, so only the other store can tell
     # whether a store lists its shortcuts in id order
-    for prune in (True, False):
-        assert logs["dense", prune] == logs["sparse", prune], \
-            f"stores disagree with prune={prune}"
+    assert logs["dense"] == logs["sparse"], "stores disagree"
 
 
 def relay_chain_instance(seed: int, max_n: int = 30):
