@@ -89,27 +89,39 @@ _CONFIG_FLAGS = [
 ]
 
 
+_SWITCHES = [("--no-beta-cap", "beta_cap", False), ("--repeaters", "add_repeaters", True)]
+
+
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags win")
     for flag, dest, typ in _CONFIG_FLAGS:
         sub.add_argument(flag, dest=dest, type=typ, default=None)
-    sub.add_argument("--no-beta-cap", dest="beta_cap", action="store_const",
-                     const=False, default=None)
-    sub.add_argument("--repeaters", dest="add_repeaters", action="store_const",
-                     const=True, default=None)
+    for flag, dest, const in _SWITCHES:
+        sub.add_argument(flag, dest=dest, action="store_const", const=const,
+                         default=None)
 
 
-def _resolve_config(args, unread=()) -> RunConfig:
-    """Defaults < --config file < flags; a value for a key in unread is an error."""
+def _resolve_config(args, unread=(), only=()) -> RunConfig:
+    """Defaults < --config file < flags.
+
+    unread maps a key the command never reads to what to use instead; any
+    value for it is an error.  only maps a key to the one value the command
+    runs with; any other value is an error, and the config records that one.
+    """
     file_values = load_config_file(args.config) if args.config else {}
-    cli_values = {dest: getattr(args, dest, None) for _, dest, _ in _CONFIG_FLAGS}
-    cli_values["beta_cap"] = args.beta_cap
-    cli_values["add_repeaters"] = args.add_repeaters
-    for flag, dest, _ in _CONFIG_FLAGS:
-        if dest in unread and (dest in file_values or cli_values[dest] is not None):
+    flags = _CONFIG_FLAGS + _SWITCHES
+    cli_values = {dest: getattr(args, dest) for _, dest, _ in flags}
+    for flag, dest, _ in flags:
+        if cli_values[dest] is None and dest not in file_values:
+            continue
+        if dest in unread:
             raise ValueError(f"{args.command} does not read {flag} "
                              f"(config key {dest!r}); {unread[dest]}")
-    return merge_config(file_values, cli_values)
+        value = file_values[dest] if cli_values[dest] is None else cli_values[dest]
+        if dest in only and value != only[dest]:
+            raise ValueError(f"{args.command} runs only with {flag} {only[dest]} "
+                             f"(config key {dest!r}), got {value!r}")
+    return replace(merge_config(file_values, cli_values), **dict(only))
 
 
 def _build_network(cfg: RunConfig):
@@ -192,8 +204,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    cfg = _resolve_config(args, {"scenario": "thresholds are for the distributed scenario",
-                                 "epsilon": "use --eps-lo and --eps-hi"})
+    clouds = "threshold always draws uniform point clouds (--n, --box)"
+    unread = {"scenario": "thresholds are for the distributed scenario",
+              "epsilon": "use --eps-lo and --eps-hi",
+              "network_path": clouds, "mean_segment_km": clouds, "add_repeaters": clouds}
+    if args.alphas:
+        unread["alpha"] = "--alpha-value sets the alphas"
+    cfg = _resolve_config(args, unread, only={"source": "points"})
     alphas = args.alphas or [cfg.alpha]
     seeds = tuple(subseed(cfg.seed, STREAM_REPLICATE, k) for k in range(args.replicates))
 

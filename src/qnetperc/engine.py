@@ -16,7 +16,11 @@ Distance bookkeeping behind the rules lives in one of two stores:
   choice for point clouds where every pair starts at a finite distance;
 - sparse: dict-of-dicts adjacency; the right choice for fiber edge lists.
 
-Reduction inserts explicit shortcuts (O(k^2) per removal).
+Reduction inserts explicit shortcuts (O(k^2) per removal).  On a point
+cloud a one-point relay inserts none: the plane's triangle inequality gives
+d_bc <= d_ab + d_ac at the point, so such a removal only drops its row.  On
+an edge list a single node (a repeater) is the relay path and keeps its
+shortcuts.
 
 run() fires the rules under one of two policies.  The default,
 lexicographic, always takes the smallest connectable id pair and otherwise
@@ -246,8 +250,10 @@ class PercolationState:
     """Single-writer mutable state: active components, distances, event log."""
 
     def __init__(self, store, n_nodes: int, node_labels, params: ModelParams,
-                 record_events: bool = True, debug_checks: bool = False):
+                 record_events: bool = True, debug_checks: bool = False,
+                 point_cloud: bool = False):
         self.store = store
+        self.point_cloud = point_cloud  # nodes are points of the plane
         self.params = params
         self.node_labels = tuple(node_labels)
         self.n_nodes = n_nodes
@@ -350,11 +356,18 @@ class PercolationState:
         future_cap, when given, must be an upper bound on every range any
         active component can ever reach; shortcut sums at or above it are
         provably unusable and are skipped.  None keeps the full contract.
+
+        On a point cloud a size-1 component inserts no shortcuts: a one-point
+        relay can shorten no path in the plane (d_bc <= d_ab + d_ac), so its
+        row is only dropped.  Sums that rounding puts an ulp below d_bc on
+        near-collinear points are dropped with it.
         """
         if not self.is_isolated(a):
             raise ValueError(f"component {a} is not isolated; reduction would be premature")
         comp = self.comps[a]
         cap = INF if future_cap is None else future_cap
+        if self.point_cloud and comp.size == 1:
+            cap = 0.0  # no leg is below 0
         shortcuts = self.store.apply_reduction(a, cap, collect=self.record_events)
         self.active.discard(a)
         del self.comps[a]
@@ -428,7 +441,8 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     if n < 1:
         raise ValueError("network must contain at least one node")
     return PercolationState(backend, n, labels, params,
-                            record_events=record_events, debug_checks=debug_checks)
+                            record_events=record_events, debug_checks=debug_checks,
+                            point_cloud=isinstance(network, PointCloud))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +551,8 @@ def run(state: PercolationState, policy: str = "lexicographic") -> RunReport:
       isolated component at once, rescanning all pairs in between.
 
     Reductions skip shortcut sums at or above _future_range_cap, unusable by
-    any merge to come, so they are neither stored nor logged.
+    any merge to come, so they are neither stored nor logged; on a point
+    cloud a one-point relay writes none at all (see reduce_and_remove).
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")

@@ -220,7 +220,7 @@ class TestSweepThresholdCli:
                 "--d0-grid", "10,10000", "--out", str(tmp_path / "curves.csv"), *extra)
 
     def threshold_argv(self, tmp_path, *extra):
-        return ("threshold", "--source", "points", "--n", "20", "--eps-lo", "1e-4",
+        return ("threshold", "--n", "20", "--eps-lo", "1e-4",
                 "--eps-hi", "0.5", "--target", "0.5", "--replicates", "2",
                 "--out", str(tmp_path / "th.json"), *extra)
 
@@ -256,6 +256,40 @@ class TestSweepThresholdCli:
         assert flag in err and instead in err
         assert not (tmp_path / "curves.csv").exists()
         assert not (tmp_path / "th.json").exists()
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--source", "source", "file"), ("--source", "source", "fiber"),
+        ("--network", "network_path", "net.csv"),
+        ("--mean-segment", "mean_segment_km", 5.0),
+        ("--repeaters", "add_repeaters", True), ("--alpha", "alpha", 0.3),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_threshold_rejects_settings_it_never_reads(self, tmp_path, capsys, flag,
+                                                        key, value, via):
+        # threshold draws uniform clouds and, given --alpha-value, reads no
+        # --alpha, so each of these would only change config_hash
+        if via == "flag":
+            extra = (flag,) if value is True else (flag, str(value))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            extra = ("--config", str(cfg))
+        argv = self.threshold_argv(tmp_path, "--alpha-value", "0.585", *extra)
+        assert invoke(*argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "th.json").exists()
+
+    def test_threshold_reads_alpha_without_alpha_value(self, tmp_path):
+        assert invoke(*self.threshold_argv(tmp_path, "--alpha", "0.3")) == 0
+        doc = json.loads((tmp_path / "th.json").read_text())
+        assert [e["alpha"] for e in doc["estimates"]] == [0.3]
+
+    def test_threshold_hashes_the_clouds_it_draws(self, tmp_path):
+        hashes = set()
+        for extra in ((), ("--source", "points")):
+            assert invoke(*self.threshold_argv(tmp_path, *extra)) == 0
+            hashes.add(json.loads((tmp_path / "th.json").read_text())["config_hash"])
+        assert len(hashes) == 1
 
     @pytest.mark.parametrize("replicates", ["0", "-1"])
     def test_threshold_without_replicates_exits_2(self, tmp_path, replicates):
