@@ -156,15 +156,11 @@ def test_engine_matches_relay_path_oracle(seed, family, alpha, mode, cap):
 class TestSingletonRelays:
     """On a point cloud a one-point relay inserts no shortcut; elsewhere it does."""
 
-    @staticmethod
-    def near_collinear_cloud():
+    def test_near_collinear_cloud_singletons_write_nothing(self):
         # on y = 0.3 x + 0.1 rounding puts some d_ab + d_ac an ulp below d_bc
         x = np.sort(np.random.default_rng(18).uniform(0.0, 1.0, 14))
-        return PointCloud(np.column_stack([x, 0.3 * x + 0.1])), float(np.median(np.diff(x)))
-
-    def test_near_collinear_cloud_singletons_write_nothing(self):
-        cloud, gap = self.near_collinear_cloud()
-        params = params_for_r0(1.04 * gap, 1.0)
+        cloud = PointCloud(np.column_stack([x, 0.3 * x + 0.1]))
+        params = params_for_r0(1.04 * float(np.median(np.diff(x))), 1.0)
         mat = cloud.distance_matrix()
         complete = build_network([(f"{i:02d}", f"{j:02d}", mat[i, j])
                                   for i, j in itertools.combinations(range(14), 2)])
@@ -174,6 +170,10 @@ class TestSingletonRelays:
                          if isinstance(ev, ReduceEvent) and ev.size == 1
                          for s in ev.shortcuts]
         assert ulp_shortcuts
+        members = replay_members(as_edges)  # ids 00..13 sort like the indices
+        for b, c, s in ulp_shortcuts:
+            raw = mat[np.ix_(sorted(members[b]), sorted(members[c]))].min()
+            assert 0 < raw - s <= 4 * np.spacing(raw)
         relabel = {frozenset(map(int, block)) for block in as_edges.partition_sets()}
         for store, policy in itertools.product(("dense", "sparse"), ("lexicographic", "batch")):
             report = run(init_state(cloud, params, store=store), policy=policy)
