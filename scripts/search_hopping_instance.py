@@ -81,7 +81,7 @@ def scan_seed(seed, n_points=20):
                         distill=DistillationParams(m=1, alpha=alpha),
                         range_mode="exact", beta_cap=True)
 
-                report = run(init_state(cloud, params(ALPHA)), policy="batch")
+                report = run(init_state(cloud, params(ALPHA)))
                 members = replay_members(report)
                 for ev in report.events:
                     if not isinstance(ev, MergeEvent):

@@ -101,9 +101,8 @@ def _as_factory(network):
 
 
 def _run_p_inf(network, params: ModelParams) -> float:
-    # every policy reaches the same partition; batch gets there fastest
     state = init_state(network, params, record_events=False)
-    return run(state, policy="batch").p_inf
+    return run(state).p_inf
 
 
 @dataclass(frozen=True)

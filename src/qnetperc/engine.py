@@ -22,16 +22,14 @@ d_bc <= d_ab + d_ac at the point, so such a removal only drops its row.  On
 an edge list a single node (a repeater) is the relay path and keeps its
 shortcuts.
 
-run() fires the rules under one of two policies.  The default,
-lexicographic, always takes the smallest connectable id pair and otherwise
-reduces the smallest isolated id; it is scheduled incrementally from one
-initial pair scan, a heap of candidate pairs and a worklist of components
-whose isolation may have changed, and fires exactly the order a full rescan
-before every rule would.  The batch policy folds every connectable pair in
-one sweep, then reduces every isolated component, rescanning all pairs in
-between.  Both skip shortcut sums that no future merge can use.  Other orders
-are reachable through the public rules (connectable_pairs, merge,
-is_isolated, reduce_and_remove) and all reach the same partition.
+run() fires the rules in lexicographic order: it always takes the smallest
+connectable id pair and otherwise reduces the smallest isolated id.  It is
+scheduled incrementally from a heap of ids that may have a connectable
+partner above them and a worklist of components whose isolation may have
+changed, fires exactly the order a full rescan before every rule would, and
+skips shortcut sums that no future merge can use.  Other orders are reachable through the
+public rules (connectable_pairs, merge, is_isolated, reduce_and_remove) and
+all reach the same partition.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,15 +47,12 @@ from .topology import EdgeListNetwork, PointCloud
 
 INF = math.inf
 
-_POLICIES = ("lexicographic", "batch")
-
 
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: int
     members: frozenset[int]
     size: int
@@ -111,11 +107,12 @@ class _DenseStore:
     the diagonal, so a row read in full sees only live partners.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, r0: float):
         n = matrix.shape[0]
         self.D = matrix
         self.slot = {i: i for i in range(n)}
         self.ids = np.arange(n)  # component id held by each slot
+        self.reach = np.full(n, r0)  # range of the component held by each slot
 
     def distance(self, a: int, b: int) -> float:
         return float(self.D[self.slot[a], self.slot[b]])
@@ -123,21 +120,21 @@ class _DenseStore:
     def min_distance(self, a: int) -> float:
         return float(self.D[self.slot[a]].min())
 
-    def neighbor_items(self, a: int):
+    def partners(self, a: int, radius: float = INF) -> list[int]:
+        """Live x with d_ax < radius and d_ax < r_x, in no particular order."""
         row = self.D[self.slot[a]]
-        finite = np.nonzero(np.isfinite(row))[0]
-        return list(zip(self.ids[finite].tolist(), row[finite].tolist()))
+        return self.ids[(row < radius) & (row < self.reach)].tolist()
 
-    def connectable_pairs(self, ids, ranges):
+    def connectable_pairs(self, ids):
         slots = np.fromiter((self.slot[i] for i in ids), dtype=np.intp,
                             count=len(ids))
         sub = self.D[np.ix_(slots, slots)]
-        r = np.asarray(ranges)
+        r = self.reach[slots]
         mask = sub < np.minimum(r[:, None], r[None, :])
         iu, ju = np.nonzero(np.triu(mask, k=1))
         return [(ids[i], ids[j], float(sub[i, j])) for i, j in zip(iu, ju)]
 
-    def merge(self, a: int, b: int, c: int) -> None:
+    def merge(self, a: int, b: int, c: int, range_c: float) -> None:
         sa, sb = self.slot.pop(a), self.slot.pop(b)
         row = np.minimum(self.D[sa], self.D[sb])
         row[sa] = INF
@@ -148,12 +145,14 @@ class _DenseStore:
         self.D[:, sb] = INF
         self.slot[c] = sa
         self.ids[sa] = c
+        self.reach[sa] = range_c
 
-    def apply_reduction(self, a: int, cap: float, collect: bool):
+    def apply_reduction(self, a: int, cap: float):
         """Insert min(d_bc, d_ab + d_ac) shortcuts among a's neighbors, drop a.
 
         Sums at or above cap are skipped: they can never satisfy a strict
-        connection criterion nor shorten a path below cap.
+        connection criterion nor shorten a path below cap.  Returns the
+        shortcuts written, as (b, c, d) with b < c, in id order.
         """
         sa = self.slot.pop(a)
         row = self.D[sa]
@@ -171,10 +170,9 @@ class _DenseStore:
             np.fill_diagonal(improved, False)
             if improved.any():
                 self.D[ix] = np.where(improved, sums, sub)
-                if collect:
-                    iu, ju = np.nonzero(np.triu(improved, k=1))
-                    shortcuts = [(int(leg_ids[i]), int(leg_ids[j]), float(sums[i, j]))
-                                 for i, j in zip(iu, ju)]
+                iu, ju = np.nonzero(np.triu(improved, k=1))
+                shortcuts = list(zip(leg_ids[iu].tolist(), leg_ids[ju].tolist(),
+                                     sums[iu, ju].tolist()))
         self.D[sa, :] = INF
         self.D[:, sa] = INF
         return shortcuts
@@ -183,8 +181,10 @@ class _DenseStore:
 class _SparseStore:
     """Dict-of-dicts adjacency over the active components."""
 
-    def __init__(self, adj: dict[int, dict[int, float]]):
+    def __init__(self, adj: dict[int, dict[int, float]], r0: float):
         self.adj = adj
+        # range of each component; a dead id is never read, so never dropped
+        self.reach = dict.fromkeys(adj, r0)
 
     def distance(self, a: int, b: int) -> float:
         return self.adj[a].get(b, INF)
@@ -192,11 +192,13 @@ class _SparseStore:
     def min_distance(self, a: int) -> float:
         return min(self.adj[a].values(), default=INF)
 
-    def neighbor_items(self, a: int):
-        return self.adj[a].items()
+    def partners(self, a: int, radius: float = INF) -> list[int]:
+        """Live x with d_ax < radius and d_ax < r_x, in no particular order."""
+        reach = self.reach
+        return [x for x, d in self.adj[a].items() if d < radius and d < reach[x]]
 
-    def connectable_pairs(self, ids, ranges):
-        r = dict(zip(ids, ranges))
+    def connectable_pairs(self, ids):
+        r = self.reach
         pairs = []
         for a in ids:
             ra = r[a]
@@ -206,7 +208,7 @@ class _SparseStore:
         pairs.sort()
         return pairs
 
-    def merge(self, a: int, b: int, c: int) -> None:
+    def merge(self, a: int, b: int, c: int, range_c: float) -> None:
         da, db = self.adj.pop(a), self.adj.pop(b)
         if len(da) < len(db):
             da, db = db, da
@@ -222,8 +224,9 @@ class _SparseStore:
             row.pop(b, None)
             row[c] = d
         self.adj[c] = base
+        self.reach[c] = range_c
 
-    def apply_reduction(self, a: int, cap: float, collect: bool):
+    def apply_reduction(self, a: int, cap: float):
         row = self.adj.pop(a)
         for x in row:
             self.adj[x].pop(a, None)
@@ -237,8 +240,7 @@ class _SparseStore:
                 if s < self.adj[b].get(c, INF):
                     self.adj[b][c] = s
                     self.adj[c][b] = s
-                    if collect:
-                        shortcuts.append((b, c, s))
+                    shortcuts.append((b, c, s))
         return shortcuts
 
 
@@ -259,7 +261,8 @@ class PercolationState:
         self.n_nodes = n_nodes
         self.record_events = record_events
         self.debug_checks = debug_checks
-        r0 = params.component_range_km(1)
+        self._ranges: dict[int, float] = {}  # component_range_km by size
+        r0 = self._range_of_size(1)
         self.comps: dict[int, Component] = {
             i: Component(id=i, members=frozenset((i,)), size=1, range_km=r0)
             for i in range(n_nodes)
@@ -272,6 +275,12 @@ class PercolationState:
         self._next_id = n_nodes
 
     # -- queries ------------------------------------------------------------
+
+    def _range_of_size(self, size: int) -> float:
+        r = self._ranges.get(size)
+        if r is None:
+            r = self._ranges[size] = self.params.component_range_km(size)
+        return r
 
     def active_ids(self) -> list[int]:
         return sorted(self.active)
@@ -286,9 +295,7 @@ class PercolationState:
         return self.store.distance(a, b)
 
     def connectable_pairs(self) -> list[tuple[int, int, float]]:
-        ids = self.active_ids()
-        ranges = [self.comps[a].range_km for a in ids]
-        return self.store.connectable_pairs(ids, ranges)
+        return self.store.connectable_pairs(self.active_ids())
 
     # -- rules --------------------------------------------------------------
 
@@ -309,10 +316,10 @@ class PercolationState:
         c = self._next_id
         self._next_id += 1
         size = ca.size + cb.size
-        new_range = self.params.component_range_km(size)
+        new_range = self._range_of_size(size)
         if self.debug_checks:
             self._check_merge(ca, cb, new_range)
-        self.store.merge(a, b, c)
+        self.store.merge(a, b, c, new_range)
         self.active.discard(a)
         self.active.discard(b)
         del self.comps[a], self.comps[b]
@@ -368,7 +375,7 @@ class PercolationState:
         cap = INF if future_cap is None else future_cap
         if self.point_cloud and comp.size == 1:
             cap = 0.0  # no leg is below 0
-        shortcuts = self.store.apply_reduction(a, cap, collect=self.record_events)
+        shortcuts = self.store.apply_reduction(a, cap)
         self.active.discard(a)
         del self.comps[a]
         self.removed.append(comp)
@@ -409,6 +416,7 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     """
     if store not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown store {store!r}")
+    r0 = params.component_range_km(1)
     if isinstance(network, PointCloud):
         n = network.n_nodes
         labels = tuple(range(n))
@@ -416,10 +424,10 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
         if store == "sparse":
             adj = {i: {j: float(mat[i, j]) for j in range(n) if j != i}
                    for i in range(n)}
-            backend = _SparseStore(adj)
+            backend = _SparseStore(adj, r0)
         else:
             np.fill_diagonal(mat, INF)
-            backend = _DenseStore(mat)
+            backend = _DenseStore(mat, r0)
     elif isinstance(network, EdgeListNetwork):
         n = network.n_nodes
         labels = network.node_ids
@@ -429,13 +437,13 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
             for u, v, length in network.edges:
                 i, j = index[u], index[v]
                 mat[i, j] = mat[j, i] = length
-            backend = _DenseStore(mat)
+            backend = _DenseStore(mat, r0)
         else:
             adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
             for u, v, length in network.edges:
                 i, j = index[u], index[v]
                 adj[i][j] = adj[j][i] = length
-            backend = _SparseStore(adj)
+            backend = _SparseStore(adj, r0)
     else:
         raise ValueError(f"unsupported network type {type(network).__name__}")
     if n < 1:
@@ -449,132 +457,72 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
 # The run loop
 # ---------------------------------------------------------------------------
 
-def _future_range_cap(state: PercolationState, isolated: set[int]) -> float:
-    """Largest range any active component can ever reach from here.
+def run(state: PercolationState) -> RunReport:
+    """Drive the state to its fixed point and report the final partition.
 
-    Isolated components never merge again, so only the remaining pool of
-    non-isolated components bounds future growth.
-    """
-    pool = sum(state.comps[a].size for a in state.active if a not in isolated)
-    if pool == 0:
-        return 0.0
-    return state.params.component_range_km(pool)
+    Merge the smallest connectable id pair (a, b) while one exists; else
+    reduce-and-remove the smallest isolated id; repeat until no active
+    component remains.  Any other order reaches the same partition.
 
+    The smallest connectable pair is (a, b) with a the smallest id that has
+    a connectable partner above it, and b the smallest such partner.  A heap
+    holds every live id that may have one; an id popped without one is
+    dropped until it can gain one again.  A partner above x appears only
+    when a merge forms a new (largest) id within x's reach, or when a
+    reduction writes a shortcut from x, so the new component's partners and
+    the lower end of each connectable shortcut are queued.  Ranges of live
+    components never change and distances only shrink, so nothing else can
+    create a pair.  Isolation is permanent, and a live component can become
+    isolated only when it is new or when a component within its range is
+    reduced, so only those are re-checked.
 
-def _batch_merge(state: PercolationState, pairs) -> None:
-    """Fold every currently-connectable pair in one sweep.
-
-    Merging along a spanning forest of the connectable-pair graph keeps each
-    individual fold valid: ranges only grow and distances only shrink, so a
-    pair that connected at sweep start still connects when its turn comes.
-    """
-    parent: dict[int, int] = {}
-    current: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b, _ in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        merged = state.merge(current.get(ra, ra), current.get(rb, rb))
-        parent[ra] = rb
-        current[rb] = merged
-
-
-def _run_lexicographic(state: PercolationState) -> None:
-    """Merge the smallest connectable (a, b); else reduce the smallest isolated id.
-
-    One full pair scan seeds a heap of connectable pairs.  A pair stays
-    connectable while both ends are active (distances never grow, a live
-    component's range never changes), so dead pairs are dropped lazily and
-    the first live pair popped is the lexicographic minimum.  Afterwards a
-    merge can only create pairs on the new component's row, and a reduction
-    only among the reduced component's legs.  Isolation is permanent, and a
-    live component can become isolated only when it is new or when a
-    component within its range is reduced, so only those are re-checked.
+    Isolated components never merge again, so the range of the pooled size
+    of the others bounds every range still to come.  Reductions skip shortcut
+    sums at or above that cap, unusable by any merge to come, so they are
+    neither stored nor logged; on a point cloud a one-point relay writes none
+    at all (see reduce_and_remove).
     """
     active, comps, store = state.active, state.comps, state.store
-    heap = [(a, b) for a, b, _ in state.connectable_pairs()]  # sorted: a heap
+    firsts = sorted(active)  # ids that may have a partner above them; sorted: a heap
+    queued = set(firsts)
     isolated: set[int] = set()
+    isolated_heap: list[int] = []
+    pool = state.n_nodes  # summed size of the components not isolated
     unchecked = set(active)
+    push, pop = heapq.heappush, heapq.heappop
     while active:
-        while heap and not (heap[0][0] in active and heap[0][1] in active):
-            heapq.heappop(heap)
-        if heap:
-            c = state.merge(*heapq.heappop(heap))
-            rc = comps[c].range_km
-            for x, d in store.neighbor_items(c):
-                if d < rc and d < comps[x].range_km:
-                    heapq.heappush(heap, (x, c))  # c is the largest live id
+        if firsts:
+            a = pop(firsts)
+            queued.discard(a)
+            if a not in active:
+                continue
+            above = [x for x in store.partners(a, comps[a].range_km) if x > a]
+            if not above:
+                continue
+            c = state.merge(a, min(above))
+            for x in store.partners(c, comps[c].range_km):
+                if x not in queued:  # c is the largest live id: a partner above x
+                    queued.add(x)
+                    push(firsts, x)
             unchecked.add(c)
             continue
-        isolated.update(x for x in unchecked if x in active and state.is_isolated(x))
+        for x in unchecked:
+            if x in active and state.is_isolated(x):
+                isolated.add(x)
+                push(isolated_heap, x)
+                pool -= comps[x].size
         unchecked.clear()
         if not isolated:
             raise RuntimeError("no merges possible yet no component is isolated")
-        a = min(isolated)
-        cap = _future_range_cap(state, isolated)
-        # a shortcut sum is never below either leg, so a leg at or beyond its
-        # own range can gain no partner
-        legs = sorted(x for x, d in store.neighbor_items(a)
-                      if x not in isolated and d < comps[x].range_km)
-        state.reduce_and_remove(a, future_cap=cap)
+        a = pop(isolated_heap)
         isolated.discard(a)
-        for i, b in enumerate(legs):
-            for c in legs[i + 1:]:
-                d = store.distance(b, c)
-                if d < comps[b].range_km and d < comps[c].range_km:
-                    heapq.heappush(heap, (b, c))
-        unchecked.update(legs)
-
-
-def run(state: PercolationState, policy: str = "lexicographic") -> RunReport:
-    """Drive the state to its fixed point and report the final partition.
-
-    Merge while any pair satisfies the connection criterion; when none does,
-    reduce-and-remove isolated components; repeat until no active component
-    remains.  The policy changes only the event order, never the final
-    partition:
-
-    - "lexicographic" always merges the smallest connectable id pair and
-      reduces the smallest isolated id.  It is scheduled incrementally: one
-      pair scan up front, then only the pairs and isolation states a rule
-      can have changed are re-checked.
-    - "batch" folds every connectable pair in one sweep and reduces every
-      isolated component at once, rescanning all pairs in between.
-
-    Reductions skip shortcut sums at or above _future_range_cap, unusable by
-    any merge to come, so they are neither stored nor logged; on a point
-    cloud a one-point relay writes none at all (see reduce_and_remove).
-    """
-    if policy not in _POLICIES:
-        raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
-    if policy == "lexicographic":
-        _run_lexicographic(state)
-        return state.report()
-    guard = 4 * state.n_nodes + 16
-    steps = 0
-    while state.active:
-        steps += 1
-        if steps > guard:
-            raise RuntimeError("run loop failed to terminate")
-        pairs = state.connectable_pairs()
-        if pairs:
-            _batch_merge(state, pairs)
-            continue
-        isolated = [a for a in state.active_ids() if state.is_isolated(a)]
-        if not isolated:
-            raise RuntimeError("no merges possible yet no component is isolated")
-        cap = _future_range_cap(state, set(isolated))
-        for a in isolated:
-            state.reduce_and_remove(a, future_cap=cap)
+        cap = state._range_of_size(pool) if pool else 0.0
+        unchecked.update(x for x in store.partners(a) if x not in isolated)
+        # only a written shortcut can make a pair connectable
+        for b, c, d in state.reduce_and_remove(a, future_cap=cap):
+            if d < comps[b].range_km and d < comps[c].range_km and b not in queued:
+                queued.add(b)
+                push(firsts, b)
     return state.report()
 
 

@@ -36,8 +36,8 @@ class ChannelModel:
     epsilon: float
 
     def __post_init__(self):
-        if not self.d0_km > 0:
-            raise ValueError(f"d0_km must be positive, got {self.d0_km}")
+        if not (math.isfinite(self.d0_km) and self.d0_km > 0):
+            raise ValueError(f"d0_km must be finite and positive, got {self.d0_km}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
@@ -58,8 +58,8 @@ class DistillationParams:
     def __post_init__(self):
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
 

@@ -73,8 +73,8 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
     """N i.i.d. uniform points in [0, box_side)^2, bit-reproducible per seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if box_side <= 0:
-        raise ValueError(f"box_side must be positive, got {box_side}")
+    if not (math.isfinite(box_side) and box_side > 0):
+        raise ValueError(f"box_side must be finite and positive, got {box_side}")
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, box_side, size=(n, 2))
     return PointCloud(positions=pos, box_side=box_side, seed=seed)
@@ -291,8 +291,9 @@ class RepeaterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.mean_segment_km > 0:
-            raise ValueError(f"mean_segment_km must be positive, got {self.mean_segment_km}")
+        if not (math.isfinite(self.mean_segment_km) and self.mean_segment_km > 0):
+            raise ValueError(f"mean_segment_km must be finite and positive, "
+                             f"got {self.mean_segment_km}")
 
 
 def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwork:

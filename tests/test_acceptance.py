@@ -99,7 +99,7 @@ def test_c06_order_invariance():
             state = init_state(network, params,
                                store="sparse" if k % 3 == 2 else "auto")
             if k % 4 == 3:
-                report = run(state, policy="batch")
+                report = run(state)
             else:
                 report = reference_schedule(state, prune=k % 2 == 0,
                                             choose=random.Random(k).choice)

@@ -40,6 +40,12 @@ class TestGenerate:
     def test_missing_required_flag_exits_2(self):
         assert invoke("generate", "points", "--n", "5") == 2
 
+    @pytest.mark.parametrize("box", ["nan", "inf"])
+    def test_non_finite_box_exits_2(self, tmp_path, capsys, box):
+        assert invoke("generate", "points", "--n", "5", "--box", box,
+                      "--out", str(tmp_path / "x.csv")) == 2
+        assert "box_side" in capsys.readouterr().err
+
 
 class TestIngestAndRepeaters:
     def test_ingest_canonicalizes(self, tmp_path):
@@ -67,6 +73,13 @@ class TestIngestAndRepeaters:
         raw = tmp_path / "raw.csv"
         raw.write_text("u,v,length_km\na,b,zero\n", encoding="utf-8")
         assert invoke("ingest", "--in", str(raw), "--out", str(tmp_path / "o.csv")) == 2
+
+    def test_infinite_mean_segment_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("u,v,length_km\na,b,500.0\n", encoding="utf-8")
+        assert invoke("repeaters", "--in", str(raw), "--mean-segment", "inf",
+                      "--out", str(tmp_path / "o.csv")) == 2
+        assert "mean_segment_km" in capsys.readouterr().err
 
     def test_repeaters(self, tmp_path):
         raw = tmp_path / "net.csv"
@@ -134,6 +147,17 @@ class TestRun:
         doc = json.loads(out.read_text())
         assert doc["config"]["d0_km"] == 0.001
         assert doc["p_inf"] == 0.5
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+        ("--d0", "inf", "d0_km"), ("--box", "nan", "box_side")])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag, value, name):
+        args = {"--d0": "1", "--epsilon": "0.1", "--alpha": "0.585", "--box": "1.0"}
+        args[flag] = value
+        assert invoke("run", "--source", "points", "--n", "5",
+                      *(x for kv in args.items() for x in kv),
+                      "--out", str(tmp_path / "r.json")) == 2
+        assert name in capsys.readouterr().err
 
     def test_infinite_length_exits_2(self, tmp_path, capsys):
         net = self.write_two_nodes(tmp_path, d="inf")

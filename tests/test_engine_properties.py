@@ -17,8 +17,7 @@ from qnetperc.topology import (RepeaterConfig, build_network,
                                generate_fiber_network, insert_repeaters)
 
 
-def run_variant(network, params, *, policy="lexicographic", order=None,
-                store="auto", prune=True):
+def run_variant(network, params, *, order=None, store="auto", prune=True):
     """One run; an order seed fires the rules in that seeded random order.
 
     prune applies to the random orders only: run() always prunes.
@@ -27,7 +26,7 @@ def run_variant(network, params, *, policy="lexicographic", order=None,
     if order is not None:
         report = reference_schedule(state, prune, choose=random.Random(order).choice)
     else:
-        report = run(state, policy=policy)
+        report = run(state)
     verify_report(report)
     return report
 
@@ -36,8 +35,8 @@ class TestOrderInvariance:
     @given(seed=st.integers(0, 40_000), relay_chains=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_policies_stores_reductions_agree(self, seed, relay_chains):
-        # policies, random rule orders, both stores, and reductions with and
-        # without the pruning cap; relay chains reach merges that exist only
+        # the lexicographic run, random rule orders, both stores, and
+        # reductions with and without the pruning cap; relay chains reach merges that exist only
         # through a reduction's shortcuts, which random instances almost
         # never do
         if relay_chains:
@@ -49,11 +48,9 @@ class TestOrderInvariance:
         variants = [
             dict(order=seed),
             dict(order=seed + 1),
-            dict(policy="batch"),
             dict(order=seed + 3, prune=False),
             dict(store="sparse", order=seed + 2),
-            dict(store="dense", policy="batch") if not _is_edge_list(network)
-            else dict(store="dense"),
+            dict(store="dense"),
         ]
         for kwargs in variants:
             assert run_variant(network, params, **kwargs).partition_sets() == reference
@@ -74,7 +71,7 @@ def assert_lexicographic_matches_reference(network, params):
         def fresh():
             return init_state(network, params, store=store)
         expected = events_to_dicts(reference_schedule(fresh()))
-        got = events_to_dicts(run(fresh(), policy="lexicographic"))
+        got = events_to_dicts(run(fresh()))
         assert got == expected, f"event logs differ on the {store} store"
         logs[store] = got
     # the reference shares the store, so only the other store can tell
@@ -160,10 +157,6 @@ class TestLexicographicSchedule:
         assert report.merge_count > 100 and report.reduce_count > 20
         assert reduction_borne_merges(report) >= 1
         assert_lexicographic_matches_reference(network, params)
-
-
-def _is_edge_list(network):
-    return hasattr(network, "edges")
 
 
 class TestMonotoneCoupling:

@@ -240,16 +240,18 @@ class TestContractionIdentity:
 
 class TestParamValidation:
     def test_channel_model(self):
-        with pytest.raises(ValueError):
-            ChannelModel(d0_km=0.0, epsilon=0.01)
+        for d0 in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ChannelModel(d0_km=d0, epsilon=0.01)
         with pytest.raises(ValueError):
             ChannelModel(d0_km=10.0, epsilon=1.0)
 
     def test_distill_params(self):
         with pytest.raises(ValueError):
             DistillationParams(m=0)
-        with pytest.raises(ValueError):
-            DistillationParams(m=1, alpha=-0.1)
+        for alpha in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                DistillationParams(m=1, alpha=alpha)
         with pytest.raises(ValueError):
             DistillationParams(m=1, eta=0.0)
 

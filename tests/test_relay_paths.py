@@ -175,8 +175,8 @@ class TestSingletonRelays:
             raw = mat[np.ix_(sorted(members[b]), sorted(members[c]))].min()
             assert 0 < raw - s <= 4 * np.spacing(raw)
         relabel = {frozenset(map(int, block)) for block in as_edges.partition_sets()}
-        for store, policy in itertools.product(("dense", "sparse"), ("lexicographic", "batch")):
-            report = run(init_state(cloud, params, store=store), policy=policy)
+        for store in ("dense", "sparse"):
+            report = run(init_state(cloud, params, store=store))
             singles = [ev for ev in report.events if isinstance(ev, ReduceEvent)
                        and ev.size == 1]
             assert singles and all(ev.shortcuts == () for ev in singles)

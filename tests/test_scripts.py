@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts at tiny sizes, each in a subprocess."""
 
+import ast
 import json
 import os
 import subprocess
@@ -45,3 +46,15 @@ def test_hopping_search_help():
     proc = run_script("search_hopping_instance.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def test_hopping_search_finds_the_c10_instance():
+    from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_SEED
+    proc = run_script("search_hopping_instance.py", "--seeds", str(HOP_SEED),
+                      str(HOP_SEED + 1), "--jobs", "1")
+    assert proc.returncode == 0, proc.stderr
+    hits = [ast.literal_eval(line[len("HIT "):]) for line in proc.stdout.splitlines()
+            if line.startswith("HIT ")]
+    assert any(seed == HOP_SEED and {frozenset(a), frozenset(b)} == {HOP_BLOCK_A, HOP_BLOCK_B}
+               and separate is True
+               for seed, _, _, _, _, a, b, separate in hits)

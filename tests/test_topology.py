@@ -41,6 +41,11 @@ class TestPointClouds:
         with pytest.raises(ValueError):
             generate_uniform_points(0)
 
+    @pytest.mark.parametrize("box", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_box_side(self, box):
+        with pytest.raises(ValueError, match="box_side"):
+            generate_uniform_points(5, box_side=box)
+
     def test_distance_basics(self):
         cloud = generate_uniform_points(10, seed=1)
         assert euclidean_distance(cloud, 3, 3) == 0.0
@@ -159,6 +164,11 @@ class TestRepeaters:
         net = build_network([("a", "b", 1.0)])
         out = insert_repeaters(net, RepeaterConfig(mean_segment_km=1e6, seed=0))
         assert out.edges == net.edges
+
+    @pytest.mark.parametrize("mean", [0.0, math.nan, math.inf])
+    def test_rejects_bad_mean_segment(self, mean):
+        with pytest.raises(ValueError, match="mean_segment_km"):
+            RepeaterConfig(mean_segment_km=mean)
 
     def test_length_conservation(self):
         net = generate_fiber_network(60, 80, mean_length_km=400.0, seed=5)
