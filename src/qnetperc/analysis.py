@@ -344,16 +344,21 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
     Drives eps at fixed d0 (equivalent to scaling r0) and reports the
     crossing as r0 with a bootstrap confidence interval over the replicate
     clouds.  tol is the absolute bisection width on r0, in km.  A target
-    already met at eps_lo gives 0 from that single probe.
+    already met at eps_lo gives 0 from that single probe.  The base range at
+    eps_hi must be finite: an uncapped exact range is infinite past the fall.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 < eps_lo < eps_hi < 1:
         raise ValueError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
-    fractions = _GiantFractions([cloud_factory(seed) for seed in seeds])
 
     def at_eps(eps: float) -> ModelParams:
         return replace(params, channel=replace(params.channel, epsilon=eps))
+
+    if not math.isfinite(at_eps(eps_hi).base_range_km()):
+        raise ValueError(f"eps_hi {eps_hi} gives an infinite base range; "
+                         f"lower it or keep the beta cap")
+    fractions = _GiantFractions([cloud_factory(seed) for seed in seeds])
 
     lo, hi, evaluations = _bisect(
         lambda eps: fractions.p_infs(at_eps(eps)), eps_lo, eps_hi, target,

@@ -27,9 +27,13 @@ connectable id pair and otherwise reduces the smallest isolated id.  It is
 scheduled incrementally from a heap of ids that may have a connectable
 partner above them and a worklist of components whose isolation may have
 changed, fires exactly the order a full rescan before every rule would, and
-skips shortcut sums that no future merge can use.  Other orders are reachable through the
-public rules (connectable_pairs, merge, is_isolated, reduce_and_remove) and
-all reach the same partition.
+skips shortcut sums that no future merge can use.  Other orders are
+reachable through the public rules of PercolationState, and all reach the
+same partition:
+
+- connectable_pairs(): every pair (a, b, d) that meets the criterion now;
+- connection_ok(a, b) and merge(a, b): the criterion and contraction;
+- is_isolated(a) and reduce_and_remove(a): isolation and reduction.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 class Component(NamedTuple):
-    id: int
     members: frozenset[int]
     size: int
     range_km: float
@@ -125,15 +128,6 @@ class _DenseStore:
         row = self.D[self.slot[a]]
         return self.ids[(row < radius) & (row < self.reach)].tolist()
 
-    def connectable_pairs(self, ids):
-        slots = np.fromiter((self.slot[i] for i in ids), dtype=np.intp,
-                            count=len(ids))
-        sub = self.D[np.ix_(slots, slots)]
-        r = self.reach[slots]
-        mask = sub < np.minimum(r[:, None], r[None, :])
-        iu, ju = np.nonzero(np.triu(mask, k=1))
-        return [(ids[i], ids[j], float(sub[i, j])) for i, j in zip(iu, ju)]
-
     def merge(self, a: int, b: int, c: int, range_c: float) -> None:
         sa, sb = self.slot.pop(a), self.slot.pop(b)
         row = np.minimum(self.D[sa], self.D[sb])
@@ -197,17 +191,6 @@ class _SparseStore:
         reach = self.reach
         return [x for x, d in self.adj[a].items() if d < radius and d < reach[x]]
 
-    def connectable_pairs(self, ids):
-        r = self.reach
-        pairs = []
-        for a in ids:
-            ra = r[a]
-            for b, d in self.adj[a].items():
-                if b > a and d < ra and d < r[b]:
-                    pairs.append((a, b, d))
-        pairs.sort()
-        return pairs
-
     def merge(self, a: int, b: int, c: int, range_c: float) -> None:
         da, db = self.adj.pop(a), self.adj.pop(b)
         if len(da) < len(db):
@@ -249,29 +232,24 @@ class _SparseStore:
 # ---------------------------------------------------------------------------
 
 class PercolationState:
-    """Single-writer mutable state: active components, distances, event log."""
+    """Single-writer mutable state: active components by id, distances, event log."""
 
     def __init__(self, store, n_nodes: int, node_labels, params: ModelParams,
-                 record_events: bool = True, debug_checks: bool = False,
-                 point_cloud: bool = False):
+                 record_events: bool = True, point_cloud: bool = False):
         self.store = store
         self.point_cloud = point_cloud  # nodes are points of the plane
         self.params = params
         self.node_labels = tuple(node_labels)
         self.n_nodes = n_nodes
         self.record_events = record_events
-        self.debug_checks = debug_checks
         self._ranges: dict[int, float] = {}  # component_range_km by size
         r0 = self._range_of_size(1)
         self.comps: dict[int, Component] = {
-            i: Component(id=i, members=frozenset((i,)), size=1, range_km=r0)
+            i: Component(members=frozenset((i,)), size=1, range_km=r0)
             for i in range(n_nodes)
         }
-        self.active: set[int] = set(range(n_nodes))
         self.removed: list[Component] = []
         self.events: list = []
-        self.merge_count = 0
-        self.reduce_count = 0
         self._next_id = n_nodes
 
     # -- queries ------------------------------------------------------------
@@ -283,11 +261,11 @@ class PercolationState:
         return r
 
     def active_ids(self) -> list[int]:
-        return sorted(self.active)
+        return sorted(self.comps)
 
     def _require_active(self, *ids) -> None:
         for a in ids:
-            if a not in self.active:
+            if a not in self.comps:
                 raise ValueError(f"component {a} is not active")
 
     def distance(self, a: int, b: int) -> float:
@@ -295,7 +273,10 @@ class PercolationState:
         return self.store.distance(a, b)
 
     def connectable_pairs(self) -> list[tuple[int, int, float]]:
-        return self.store.connectable_pairs(self.active_ids())
+        """Every (a, b, d_ab) with a < b that meets the criterion, sorted by id pair."""
+        comps, store = self.comps, self.store
+        return sorted((a, b, store.distance(a, b)) for a in comps
+                      for b in store.partners(a, comps[a].range_km) if b > a)
 
     # -- rules --------------------------------------------------------------
 
@@ -317,35 +298,15 @@ class PercolationState:
         self._next_id += 1
         size = ca.size + cb.size
         new_range = self._range_of_size(size)
-        if self.debug_checks:
-            self._check_merge(ca, cb, new_range)
         self.store.merge(a, b, c, new_range)
-        self.active.discard(a)
-        self.active.discard(b)
         del self.comps[a], self.comps[b]
-        self.comps[c] = Component(id=c, members=ca.members | cb.members,
-                                  size=size, range_km=new_range)
-        self.active.add(c)
-        self.merge_count += 1
+        self.comps[c] = Component(members=ca.members | cb.members, size=size,
+                                  range_km=new_range)
         if self.record_events:
             self.events.append(MergeEvent(a=a, b=b, new_id=c, size=size,
                                           new_range=new_range, range_a=ca.range_km,
                                           range_b=cb.range_km, distance=d_ab))
         return c
-
-    def _check_merge(self, ca: Component, cb: Component, new_range: float) -> None:
-        slack = 1e-12 * max(ca.range_km, cb.range_km, 1.0)
-        assert new_range + slack >= max(ca.range_km, cb.range_km), \
-            "range decreased on merge"
-        p = self.params
-        e = p.distill.effective_exponent
-        if (p.range_mode == "asymptotic" and p.size_growth and e > 0):
-            beta = p.channel.beta_km
-            ranges = (ca.range_km, cb.range_km, new_range)
-            if not (p.beta_cap and any(r >= beta * (1 - 1e-12) for r in ranges)):
-                folded = (ca.range_km ** (1 / e) + cb.range_km ** (1 / e)) ** e
-                assert abs(folded - new_range) <= 8 * np.spacing(new_range), \
-                    "contraction identity violated beyond 8 ulps"
 
     def is_isolated(self, a: int) -> bool:
         """True iff no active partner lies strictly within a's range.
@@ -376,10 +337,8 @@ class PercolationState:
         if self.point_cloud and comp.size == 1:
             cap = 0.0  # no leg is below 0
         shortcuts = self.store.apply_reduction(a, cap)
-        self.active.discard(a)
         del self.comps[a]
         self.removed.append(comp)
-        self.reduce_count += 1
         if self.record_events:
             self.events.append(ReduceEvent(comp=a, size=comp.size,
                                            range_km=comp.range_km,
@@ -389,7 +348,7 @@ class PercolationState:
     # -- bookkeeping --------------------------------------------------------
 
     def report(self) -> RunReport:
-        if self.active:
+        if self.comps:
             raise ValueError("run has not finished; active components remain")
         blocks = []
         for comp in self.removed:
@@ -399,8 +358,9 @@ class PercolationState:
         p_inf = max(len(b) for b in blocks) / self.n_nodes
         return RunReport(n_nodes=self.n_nodes, node_labels=self.node_labels,
                          partition=tuple(blocks), p_inf=p_inf,
-                         events=tuple(self.events), merge_count=self.merge_count,
-                         reduce_count=self.reduce_count, params=self.params)
+                         events=tuple(self.events),
+                         merge_count=self.n_nodes - len(self.removed),
+                         reduce_count=len(self.removed), params=self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +368,7 @@ class PercolationState:
 # ---------------------------------------------------------------------------
 
 def init_state(network, params: ModelParams, *, store: str = "auto",
-               record_events: bool = True, debug_checks: bool = False,
-               ) -> PercolationState:
+               record_events: bool = True) -> PercolationState:
     """One singleton component per node; distances from the network's metric.
 
     Point clouds default to the dense store, edge lists to the sparse store.
@@ -449,7 +408,7 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     if n < 1:
         raise ValueError("network must contain at least one node")
     return PercolationState(backend, n, labels, params,
-                            record_events=record_events, debug_checks=debug_checks,
+                            record_events=record_events,
                             point_cloud=isinstance(network, PointCloud))
 
 
@@ -482,19 +441,19 @@ def run(state: PercolationState) -> RunReport:
     neither stored nor logged; on a point cloud a one-point relay writes none
     at all (see reduce_and_remove).
     """
-    active, comps, store = state.active, state.comps, state.store
-    firsts = sorted(active)  # ids that may have a partner above them; sorted: a heap
+    comps, store = state.comps, state.store
+    firsts = sorted(comps)  # ids that may have a partner above them; sorted: a heap
     queued = set(firsts)
     isolated: set[int] = set()
     isolated_heap: list[int] = []
     pool = state.n_nodes  # summed size of the components not isolated
-    unchecked = set(active)
+    unchecked = set(comps)
     push, pop = heapq.heappush, heapq.heappop
-    while active:
+    while comps:
         if firsts:
             a = pop(firsts)
             queued.discard(a)
-            if a not in active:
+            if a not in comps:
                 continue
             above = [x for x in store.partners(a, comps[a].range_km) if x > a]
             if not above:
@@ -507,7 +466,7 @@ def run(state: PercolationState) -> RunReport:
             unchecked.add(c)
             continue
         for x in unchecked:
-            if x in active and state.is_isolated(x):
+            if x in comps and state.is_isolated(x):
                 isolated.add(x)
                 push(isolated_heap, x)
                 pool -= comps[x].size

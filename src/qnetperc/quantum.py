@@ -169,9 +169,9 @@ def base_range(channel: ChannelModel, distill: DistillationParams,
     asymptotic: r0 = (4/3) eps m^(eta*alpha) d0
     exact:      r0 = -d0 ln[1 - (4/3) eps m^(eta*alpha)]
 
-    If the exact-mode log argument is <= 0 the channel is past the
-    separability boundary for any m, and beta = d0*ln(3) is returned.
-    With beta_cap the result never exceeds beta.
+    If the exact-mode log argument is <= 0 the range is infinite, the limit
+    of the formula as the argument falls to 0, so r(s) never decreases in s
+    in either mode.  With beta_cap the result never exceeds beta.
     """
     return component_range(1, channel, distill, mode=mode, beta_cap=beta_cap)
 
@@ -190,7 +190,7 @@ def component_range(s: int, channel: ChannelModel, distill: DistillationParams,
     if mode == "asymptotic":
         r = x * channel.d0_km
     else:
-        r = channel.beta_km if x >= 1.0 else -channel.d0_km * math.log1p(-x)
+        r = math.inf if x >= 1.0 else -channel.d0_km * math.log1p(-x)
     if beta_cap:
         r = min(r, channel.beta_km)
     return r

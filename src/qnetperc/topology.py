@@ -32,6 +32,11 @@ REPEATER = "repeater"
 # Point clouds
 # ---------------------------------------------------------------------------
 
+def _check_box_side(box_side: float) -> None:
+    if not (math.isfinite(box_side) and box_side > 0):
+        raise ValueError(f"box_side must be finite and positive, got {box_side}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Uniform 2D point set; positions is an (N, 2) float array."""
@@ -41,6 +46,7 @@ class PointCloud:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_box_side(self.box_side)
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must be a non-empty (N, 2) array, got {pos.shape}")
@@ -73,8 +79,7 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
     """N i.i.d. uniform points in [0, box_side)^2, bit-reproducible per seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(box_side) and box_side > 0):
-        raise ValueError(f"box_side must be finite and positive, got {box_side}")
+    _check_box_side(box_side)  # before the draw, which cannot span a bad box
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, box_side, size=(n, 2))
     return PointCloud(positions=pos, box_side=box_side, seed=seed)

@@ -91,7 +91,7 @@ def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):
     first of each, which is the lexicographic order; random.Random(k).choice
     gives a seeded random order.
     """
-    while state.active:
+    while state.comps:
         pairs = state.connectable_pairs()
         if pairs:
             a, b, _ = choose(pairs)
@@ -101,7 +101,7 @@ def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):
         assert isolated, "no merges possible yet no component is isolated"
         cap = None
         if prune:
-            pool = sum(c.size for c in state.comps.values() if c.id not in isolated)
+            pool = sum(c.size for a, c in state.comps.items() if a not in isolated)
             cap = state.params.component_range_km(pool) if pool else 0.0
         state.reduce_and_remove(choose(isolated), future_cap=cap)
     return state.report()

@@ -321,6 +321,15 @@ class TestSweepThresholdCli:
         assert invoke(*argv) == 2
         assert not (tmp_path / "th.json").exists()
 
+    def test_threshold_rejects_an_infinite_base_range(self, tmp_path, capsys):
+        # uncapped exact ranges are infinite once (4/3) eps m^alpha reaches 1
+        assert invoke("threshold", "--range-mode", "exact", "--no-beta-cap",
+                      "--eps-lo", "1e-4", "--eps-hi", "0.9", "--n", "20",
+                      "--target", "0.5", "--replicates", "2",
+                      "--out", str(tmp_path / "th.json")) == 2
+        assert "eps_hi" in capsys.readouterr().err
+        assert not (tmp_path / "th.json").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_sweep_jobs_below_one_exits_2(self, tmp_path, jobs):
         assert invoke(*self.sweep_argv(tmp_path, "--jobs", jobs)) == 2

@@ -71,18 +71,32 @@ class TestConnectionCriterion:
             state.connection_ok(0, c)
 
 
+class TestConnectablePairs:
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_every_pair_meeting_the_criterion_once_by_id(self, store):
+        cloud = generate_uniform_points(30, seed=5)
+        state = init_state(cloud, params_for_r0(0.15, 0.585), store=store)
+        for _ in range(6):
+            ids = state.active_ids()
+            expected = [(a, b, state.distance(a, b)) for i, a in enumerate(ids)
+                        for b in ids[i + 1:] if state.connection_ok(a, b)]
+            assert len(expected) >= 2
+            assert state.connectable_pairs() == expected
+            # a merged id takes a's row slot: slot order stops being id order
+            state.merge(*expected[0][:2])
+
+
 class TestMerge:
     def test_additive_alpha_one(self):
         # r(s) = s with alpha=1, r0=1: merging sizes 1 and 2 gives range 3
         net = build_network([("a", "b", 0.5), ("b", "c", 0.9)])
-        state = init_state(net, params_for_r0(1.0, 1.0, cap=False), debug_checks=True)
+        state = init_state(net, params_for_r0(1.0, 1.0, cap=False))
         ab = state.merge(0, 1)
         abc = state.merge(ab, 2)
         assert state.comps[abc].range_km == pytest.approx(3.0, rel=1e-12)
 
     def test_sqrt2_alpha_half(self):
-        state = init_state(two_nodes(0.5), params_for_r0(1.0, 0.5, cap=False),
-                           debug_checks=True)
+        state = init_state(two_nodes(0.5), params_for_r0(1.0, 0.5, cap=False))
         c = state.merge(0, 1)
         assert state.comps[c].range_km == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
@@ -91,7 +105,7 @@ class TestMerge:
         params = ModelParams(channel=ChannelModel(d0_km=D0, epsilon=0.01),
                              distill=DistillationParams(m=102, alpha=0.585),
                              beta_cap=False)
-        state = init_state(two_nodes(1.0), params, debug_checks=True)
+        state = init_state(two_nodes(1.0), params)
         c = state.merge(0, 1)
         expected = (4 / 3) * 0.01 * 204 ** 0.585 * D0
         assert state.comps[c].range_km == pytest.approx(expected, rel=1e-12)

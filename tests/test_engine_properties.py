@@ -264,7 +264,7 @@ class TestEventMonotonicity:
         last = math.inf
         guard = 4 * state.n_nodes + 16
         for _ in range(guard):
-            if not state.active:
+            if not state.comps:
                 break
             holders = {}
             for cid, comp in state.comps.items():

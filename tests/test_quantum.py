@@ -157,7 +157,7 @@ class TestRanges:
         d = DistillationParams(m=4, alpha=0.585)
         assert (4 / 3) * 0.5 * 4 ** 0.585 >= 1.0
         assert base_range(ch, d, mode="exact") == ch.beta_km
-        assert base_range(ch, d, mode="exact", beta_cap=False) == ch.beta_km
+        assert base_range(ch, d, mode="exact", beta_cap=False) == math.inf
 
     def test_component_range_reduces_to_base(self):
         d = DistillationParams(m=7, alpha=0.7)

@@ -84,8 +84,8 @@ def oracle_partition(network, params, seed):
 def oracle_params(r0, alpha, mode, cap):
     """Base range r0, where components of up to 14 nodes can reach beta = d0 ln 3.
 
-    Exact ranges fall back to beta once x s^alpha reaches 1, so without the
-    cap r(s) would drop there; x keeps 14 nodes below that point.
+    Exact ranges become infinite once x s^alpha reaches 1; x keeps 14 nodes
+    below that point, so uncapped ranges stay finite.
     """
     x = math.log(3.0) / 8 if mode == "asymptotic" else 0.9 / 14 ** alpha
     d0 = r0 / x if mode == "asymptotic" else -r0 / math.log1p(-x)
@@ -151,6 +151,22 @@ def test_engine_matches_relay_path_oracle(seed, family, alpha, mode, cap):
     for store in ("dense", "sparse"):
         report = run(init_state(network, params, store=store))
         assert report.partition_sets() == expected, f"{store} store"
+
+
+@pytest.mark.parametrize("store", ["dense", "sparse"])
+def test_uncapped_exact_ranges_past_the_fall(store):
+    # x = 1 - 3^(-1/4) gives r0 = 1, beta = 4, r(4) ~ 11.78 and r(5) past the
+    # fall; a range that fell back to beta there would let the engine's
+    # future-range cap prune the shortcut that joins v00-v02 to v03-v05
+    network, _ = relay_chain_instance(11956, max_n=14)
+    x = 1 - 3 ** -0.25
+    params = ModelParams(channel=ChannelModel(d0_km=4 / math.log(3), epsilon=0.75 * x),
+                         distill=DistillationParams(m=1, alpha=1.0),
+                         range_mode="exact", beta_cap=False)
+    assert params.component_range_km(4) == pytest.approx(11.78, abs=0.01)
+    assert params.component_range_km(5) == math.inf
+    report = run(init_state(network, params, store=store))
+    assert report.partition_sets() == oracle_partition(network, params, 0)
 
 
 class TestSingletonRelays:

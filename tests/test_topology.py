@@ -42,9 +42,16 @@ class TestPointClouds:
             generate_uniform_points(0)
 
     @pytest.mark.parametrize("box", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_box_side(self, box):
+    def test_rejects_bad_box_side(self, tmp_path, box):
+        from qnetperc.topology import PointCloud
         with pytest.raises(ValueError, match="box_side"):
             generate_uniform_points(5, box_side=box)
+        with pytest.raises(ValueError, match="box_side"):
+            PointCloud(np.array([[0.1, 0.2]]), box_side=box)
+        path = tmp_path / "cloud.csv"
+        path.write_text("id,x,y\n0,0.1,0.2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="box_side"):
+            load_point_cloud(path, box_side=box)
 
     def test_distance_basics(self):
         cloud = generate_uniform_points(10, seed=1)
