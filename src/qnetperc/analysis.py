@@ -24,7 +24,9 @@ spanning tree, which has the same components at every cut) records the
 largest block against the cut, once per network, and each probe becomes a
 binary search on that curve instead of an engine run (after Newman & Ziff,
 PRL 85, 4104, 2000).  The lengths are the floats the engine compares and
-p_inf is the same integer over N, so the values are bit-identical.
+p_inf is the same integer over N, so the values are bit-identical.  A probe
+whose ranges can grow runs the engine, which starts from this same cut
+(init_state without an event log) and adds only what growing ranges join.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ def _as_factory(network):
 
 
 def _run_p_inf(network, params: ModelParams) -> float:
+    # no event log, so the engine starts from the single-linkage cut at r0
     state = init_state(network, params, record_events=False)
     return run(state).p_inf
 

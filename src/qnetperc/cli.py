@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -21,7 +22,7 @@ from .config import (STREAM_REPEATERS, STREAM_REPLICATE, STREAM_TOPOLOGY,
 
 def _json_dump(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -155,6 +156,10 @@ def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     network = _build_network(cfg)
     params = cfg.model_params()
+    if not math.isfinite(params.component_range_km(network.n_nodes)):
+        # an uncapped exact range is infinite past its fall, and JSON has no inf
+        raise ValueError(f"a component of {network.n_nodes} nodes has an infinite "
+                         f"range; lower --epsilon or keep the beta cap")
     state = engine.init_state(network, params)
     report = engine.run(state)
     payload = {

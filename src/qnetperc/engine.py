@@ -22,6 +22,13 @@ d_bc <= d_ab + d_ac at the point, so such a removal only drops its row.  On
 an edge list a single node (a repeater) is the relay path and keeps its
 shortcuts.
 
+init_state() starts a run that records events from one singleton per node.
+A run without an event log (every harness run) starts from the single-linkage
+cut at the base range r0 = r(1) instead: each connected component of the
+pairs with d < r0 is one component, because every order of the rules merges
+such a pair, and its distance to another is the minimum over member pairs,
+the float the merges would leave.
+
 run() fires the rules in lexicographic order: it always takes the smallest
 connectable id pair and otherwise reduces the smallest isolated id.  It is
 scheduled incrementally from a heap of ids that may have a connectable
@@ -45,6 +52,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .quantum import ModelParams
 from .topology import EdgeListNetwork, PointCloud
@@ -110,12 +119,12 @@ class _DenseStore:
     the diagonal, so a row read in full sees only live partners.
     """
 
-    def __init__(self, matrix: np.ndarray, r0: float):
+    def __init__(self, matrix: np.ndarray, reach):
         n = matrix.shape[0]
         self.D = matrix
         self.slot = {i: i for i in range(n)}
         self.ids = np.arange(n)  # component id held by each slot
-        self.reach = np.full(n, r0)  # range of the component held by each slot
+        self.reach = np.array(reach, dtype=float)  # range of each slot's component
 
     def distance(self, a: int, b: int) -> float:
         return float(self.D[self.slot[a], self.slot[b]])
@@ -175,10 +184,10 @@ class _DenseStore:
 class _SparseStore:
     """Dict-of-dicts adjacency over the active components."""
 
-    def __init__(self, adj: dict[int, dict[int, float]], r0: float):
+    def __init__(self, adj: dict[int, dict[int, float]], reach):
         self.adj = adj
         # range of each component; a dead id is never read, so never dropped
-        self.reach = dict.fromkeys(adj, r0)
+        self.reach = dict(enumerate(reach))
 
     def distance(self, a: int, b: int) -> float:
         return self.adj[a].get(b, INF)
@@ -235,22 +244,19 @@ class PercolationState:
     """Single-writer mutable state: active components by id, distances, event log."""
 
     def __init__(self, store, n_nodes: int, node_labels, params: ModelParams,
-                 record_events: bool = True, point_cloud: bool = False):
+                 comps: dict[int, Component], record_events: bool = True,
+                 point_cloud: bool = False):
         self.store = store
         self.point_cloud = point_cloud  # nodes are points of the plane
         self.params = params
         self.node_labels = tuple(node_labels)
         self.n_nodes = n_nodes
         self.record_events = record_events
-        self._ranges: dict[int, float] = {}  # component_range_km by size
-        r0 = self._range_of_size(1)
-        self.comps: dict[int, Component] = {
-            i: Component(members=frozenset((i,)), size=1, range_km=r0)
-            for i in range(n_nodes)
-        }
+        self.comps = comps  # the starting components, ids 0..K-1
+        self._ranges = {c.size: c.range_km for c in comps.values()}  # by size
         self.removed: list[Component] = []
         self.events: list = []
-        self._next_id = n_nodes
+        self._next_id = len(comps)
 
     # -- queries ------------------------------------------------------------
 
@@ -367,9 +373,75 @@ class PercolationState:
 # Construction
 # ---------------------------------------------------------------------------
 
+def _cut(n: int, pairs) -> list[list[int]]:
+    """Members of each connected component of a graph on n nodes, by id.
+
+    pairs yields the edges as blocks of index arrays (i, j); each block is
+    folded into the components of the blocks before it.  Singletons take the
+    lowest ids in node order, then the other components follow in order of
+    their smallest member; members are ascending.
+    """
+    label = np.arange(n)
+    for i, j in pairs:
+        graph = coo_matrix((np.ones(len(i), dtype=bool), (label[i], label[j])),
+                           shape=(n, n))
+        label = connected_components(graph, directed=False)[1][label]
+    _, first, label = np.unique(label, return_index=True, return_inverse=True)
+    head = first[label]  # each node's smallest fellow member
+    nodes = np.lexsort((head, np.bincount(label)[label] > 1))  # stable: members ascend
+    head = head[nodes]
+    bounds = [0, *(np.flatnonzero(head[1:] != head[:-1]) + 1).tolist(), n]
+    nodes = nodes.tolist()
+    return [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+_CUT_BLOCK = 1 << 17  # entries of the distance matrix scanned per block
+
+
+def _pairs_below(mat: np.ndarray, r0: float):
+    """Index pairs (i, j), j >= i, with mat[i, j] < r0, a block of rows at a time.
+
+    A block covers about _CUT_BLOCK entries, which bounds the index arrays
+    even of a cut that joins every pair.
+    """
+    n = len(mat)
+    rows = max(1, _CUT_BLOCK // n)
+    for s in range(0, n, rows):
+        i, j = np.divmod(np.flatnonzero(mat[s:s + rows, s:] < r0), n - s)
+        yield i + s, j + s
+
+
+def _contract(mat: np.ndarray, clusters: list[list[int]]) -> np.ndarray:
+    """Distances between clusters, the minimum over member pairs; diagonal INF.
+
+    Folds each member's row and column into its cluster's first member in
+    place, then copies out the K x K block of those slots, so no second
+    N x N array is made.  All singletons: mat itself.
+    """
+    heads = [m[0] for m in clusters]
+    if len(heads) < len(mat):
+        for h, *rest in clusters:
+            for x in rest:
+                np.minimum(mat[h], mat[x], out=mat[h])
+                np.minimum(mat[:, h], mat[:, x], out=mat[:, h])
+        mat = mat[np.ix_(heads, heads)]
+    np.fill_diagonal(mat, INF)
+    return mat
+
+
 def init_state(network, params: ModelParams, *, store: str = "auto",
                record_events: bool = True) -> PercolationState:
-    """One singleton component per node; distances from the network's metric.
+    """Starting components and their distances from the network's metric.
+
+    A run that records events starts from one singleton component per node,
+    so its log holds every merge.  Otherwise it starts from the single-linkage
+    cut at the base range r0 = r(1): one component per connected component of
+    the pairs with d < r0, which every order of the rules merges (such a pair
+    is connectable from the start and stays so, since ranges never fall and
+    distances only shrink).  A cluster's distance to another is the minimum
+    over member pairs, the float that merge() would leave, and the final
+    partition is the same by order independence.  Singletons take the lowest
+    ids in node order, then clusters in order of their smallest member.
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
@@ -380,34 +452,49 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
         n = network.n_nodes
         labels = tuple(range(n))
         mat = network.distance_matrix()
-        if store == "sparse":
-            adj = {i: {j: float(mat[i, j]) for j in range(n) if j != i}
-                   for i in range(n)}
-            backend = _SparseStore(adj, r0)
-        else:
-            np.fill_diagonal(mat, INF)
-            backend = _DenseStore(mat, r0)
+        short = None if record_events else _pairs_below(mat, r0)
+        dense = store != "sparse"
     elif isinstance(network, EdgeListNetwork):
         n = network.n_nodes
         labels = network.node_ids
         index = network.index_of()
-        if store == "dense":
+        edges = [(index[u], index[v], length) for u, v, length in network.edges]
+        short = None if record_events else [np.array(
+            [(i, j) for i, j, length in edges if length < r0],
+            dtype=np.intp).reshape(-1, 2).T]
+        dense = store == "dense"
+        if dense:
             mat = np.full((n, n), INF)
-            for u, v, length in network.edges:
-                i, j = index[u], index[v]
+            for i, j, length in edges:
                 mat[i, j] = mat[j, i] = length
-            backend = _DenseStore(mat, r0)
-        else:
-            adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-            for u, v, length in network.edges:
-                i, j = index[u], index[v]
-                adj[i][j] = adj[j][i] = length
-            backend = _SparseStore(adj, r0)
     else:
         raise ValueError(f"unsupported network type {type(network).__name__}")
     if n < 1:
         raise ValueError("network must contain at least one node")
-    return PercolationState(backend, n, labels, params,
+    clusters = [[i] for i in range(n)] if short is None else _cut(n, short)
+    ranges = {size: params.component_range_km(size) for size in set(map(len, clusters))}
+    comps = {c: Component(members=frozenset(m), size=len(m), range_km=ranges[len(m)])
+             for c, m in enumerate(clusters)}
+    reach = [ranges[len(m)] for m in clusters]
+    k = len(clusters)
+    if dense:
+        backend = _DenseStore(_contract(mat, clusters), reach)
+    elif isinstance(network, PointCloud):
+        sub = _contract(mat, clusters)
+        adj = {a: {b: float(sub[a, b]) for b in range(k) if b != a} for a in range(k)}
+        backend = _SparseStore(adj, reach)
+    else:
+        node_id = [0] * n
+        for c, m in enumerate(clusters):
+            for x in m:
+                node_id[x] = c
+        adj = {c: {} for c in range(k)}
+        for i, j, length in edges:
+            a, b = node_id[i], node_id[j]
+            if a != b and length < adj[a].get(b, INF):
+                adj[a][b] = adj[b][a] = length
+        backend = _SparseStore(adj, reach)
+    return PercolationState(backend, n, labels, params, comps,
                             record_events=record_events,
                             point_cloud=isinstance(network, PointCloud))
 
@@ -546,7 +633,7 @@ def events_to_dicts(report: RunReport) -> list[dict]:
 
 def save_event_log(report: RunReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(events_to_dicts(report), fh, indent=2)
+        json.dump(events_to_dicts(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -556,5 +643,5 @@ def partition_to_lists(report: RunReport) -> list[list]:
 
 def save_partition(report: RunReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(partition_to_lists(report), fh, indent=2)
+        json.dump(partition_to_lists(report), fh, indent=2, allow_nan=False)
         fh.write("\n")

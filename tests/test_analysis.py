@@ -507,3 +507,7 @@ class TestFixedRangeCurve:
         monkeypatch.setattr(analysis._GiantFractions, "fixed_p_inf",
                             lambda self, k, params: None)
         assert searches() == fast
+        # engine runs from singletons instead of from the cut at r0
+        monkeypatch.setattr(analysis, "_run_p_inf",
+                            lambda network, params: run(init_state(network, params)).p_inf)
+        assert searches() == fast

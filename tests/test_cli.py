@@ -180,6 +180,18 @@ class TestRun:
         assert events[0]["type"] == "merge"
         assert events[-1]["type"] == "reduce"
 
+    def test_infinite_range_exits_2_before_writing(self, tmp_path, capsys):
+        # exact mode without the beta cap: r(3) is past the fall, so inf;
+        # the event log would hold it as the non-standard token Infinity
+        net = tmp_path / "net.csv"
+        net.write_text("u,v,length_km\na,b,30\nb,c,35\n", encoding="utf-8")
+        out, ev = tmp_path / "r.json", tmp_path / "e.json"
+        assert invoke("run", "--network", str(net), "--d0", "100", "--m", "4",
+                      "--alpha", "1", "--epsilon", "0.2", "--range-mode", "exact",
+                      "--no-beta-cap", "--out", str(out), "--events", str(ev)) == 2
+        assert "infinite range" in capsys.readouterr().err
+        assert not out.exists() and not ev.exists()
+
     @pytest.mark.parametrize("extra", [("--store", "dense"),
                                        ("--reduction", "dijkstra"),
                                        ("--policy", "random"),

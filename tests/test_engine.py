@@ -1,16 +1,20 @@
 """Unit tests of the percolation rules: criterion, contraction, isolation, reduction."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import D0, disk_percolation_oracle, params_for_r0, reference_schedule
+from conftest import (D0, disk_percolation_oracle, nearest_scale, params_for_r0,
+                      random_instance, reference_schedule)
+from qnetperc import engine
 from qnetperc.engine import (INF, MergeEvent, ReduceEvent, events_to_dicts,
                              init_state, partition_to_lists,
                              run, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
-from qnetperc.topology import build_network, generate_uniform_points
+from qnetperc.topology import PointCloud, build_network, generate_uniform_points
 
 
 def two_nodes(d: float):
@@ -43,6 +47,88 @@ class TestInit:
     def test_rejects_unknown_store(self):
         with pytest.raises(ValueError):
             init_state(two_nodes(1.0), params_for_r0(1.0, 0.5), store="magnetic")
+
+
+def merged_below_r0(network, params, store):
+    """Singletons, then state.merge on a pair closer than r0 until none is left."""
+    state = init_state(network, params, store=store)
+    r0 = params.base_range_km()
+    while pairs := [(a, b) for a, b, d in state.connectable_pairs() if d < r0]:
+        state.merge(*pairs[0])
+    return state
+
+
+def _coincident_cloud():
+    # three points twice over and one pair at distance 0.01
+    pos = np.array([[0.2, 0.2], [0.2, 0.2], [0.7, 0.3], [0.7, 0.3], [0.5, 0.8],
+                    [0.5, 0.8], [0.1, 0.9], [0.11, 0.9], [0.9, 0.9]])
+    return PointCloud(pos), 0.05
+
+
+CUT_INSTANCES = {
+    "cloud": lambda: (generate_uniform_points(40, seed=3), None),
+    "coincident_points": _coincident_cloud,
+    "edge_list": lambda: (random_instance(4, max_n=40), None),
+    "edge_list_with_islands": lambda: (random_instance(37, max_n=40), None),
+}
+
+
+class TestCutStart:
+    """Without an event log a run starts from the single-linkage cut at r0."""
+
+    @pytest.mark.parametrize("block", [None, 50])
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
+    def test_cut_holds_the_distances_merges_reach(self, name, store, block, monkeypatch):
+        if block:  # a cloud's pairs below r0 then come in blocks of one row
+            monkeypatch.setattr(engine, "_CUT_BLOCK", block)
+        network, r0 = CUT_INSTANCES[name]()
+        params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
+        cut = init_state(network, params, store=store, record_events=False)
+        merged = merged_below_r0(network, params, store)
+        ids = {comp.members: a for a, comp in merged.comps.items()}
+        assert set(ids) == {c.members for c in cut.comps.values()}
+        assert 1 < len(cut.comps) < network.n_nodes
+        for a, comp in cut.comps.items():
+            assert comp == merged.comps[ids[comp.members]]
+            assert cut.store.min_distance(a) == merged.store.min_distance(ids[comp.members])
+        for a, b in itertools.permutations(cut.comps, 2):
+            d = cut.store.distance(a, b)
+            assert d == merged.store.distance(ids[cut.comps[a].members],
+                                              ids[cut.comps[b].members])
+            assert d >= params.base_range_km()
+
+    @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
+    def test_singletons_take_the_lowest_ids(self, name):
+        network, r0 = CUT_INSTANCES[name]()
+        params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
+        comps = init_state(network, params, record_events=False).comps
+        order = [(comps[a].size > 1, min(comps[a].members)) for a in sorted(comps)]
+        assert order == sorted(order)
+        assert sorted(comps) == list(range(len(comps)))
+
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_exact_tie_with_r0_does_not_join(self, store):
+        params = params_for_r0(0.1875, 0.585)
+        r0 = params.base_range_km()
+        assert r0 == 0.1875
+        # dyadic points: the cloud's distances 0.1875 and 0.125 are exact
+        cloud = PointCloud(np.array([[0.25, 0.5], [0.4375, 0.5], [0.5625, 0.5]]))
+        edges = build_network([("a", "b", r0), ("b", "c", 0.125)])
+        for network in (cloud, edges):
+            state = init_state(network, params, store=store, record_events=False)
+            assert [sorted(c.members) for c in state.comps.values()] == [[0], [1, 2]]
+            assert state.distance(0, 1) == r0
+            from_singletons = run(init_state(network, params))
+            assert run(state).partition_sets() == from_singletons.partition_sets()
+
+    def test_an_event_log_starts_from_singletons(self):
+        cloud = generate_uniform_points(30, seed=5)
+        params = params_for_r0(0.15, 0.585)
+        state = init_state(cloud, params)
+        assert [set(c.members) for c in state.comps.values()] == [{i} for i in range(30)]
+        report = run(state)
+        assert report.merge_count == sum(isinstance(e, MergeEvent) for e in report.events)
 
 
 class TestConnectionCriterion:

@@ -144,13 +144,14 @@ FAMILIES = {
 @settings(max_examples=150, deadline=None)
 @example(seed=3, family="relay_cluster", alpha=1.0, mode="asymptotic", cap=True)
 def test_engine_matches_relay_path_oracle(seed, family, alpha, mode, cap):
+    # without an event log the engine starts from the single-linkage cut at r0
     network, r0 = FAMILIES[family](seed)
     assert network.n_nodes <= 14
     params = oracle_params(r0, alpha, mode, cap)
     expected = oracle_partition(network, params, seed)
-    for store in ("dense", "sparse"):
-        report = run(init_state(network, params, store=store))
-        assert report.partition_sets() == expected, f"{store} store"
+    for store, record_events in itertools.product(("dense", "sparse"), (True, False)):
+        report = run(init_state(network, params, store=store, record_events=record_events))
+        assert report.partition_sets() == expected, f"{store} store, {record_events=}"
 
 
 @pytest.mark.parametrize("store", ["dense", "sparse"])
