@@ -19,14 +19,15 @@ r0, so each shortcut it leaves is at least 2*r0 and never connects: the
 engine's fixed point is the single-linkage cut d < r0, whose blocks are the
 connected components of the graph of strictly shorter edges.  Every probe
 asks for the largest of them, at its own r0.  One Kruskal pass over the
-edges sorted by length (an edge list's own edges, a point cloud's minimum
-spanning tree, which has the same components at every cut) records the
-largest block against the cut, once per network, and each probe becomes a
-binary search on that curve instead of an engine run (after Newman & Ziff,
-PRL 85, 4104, 2000).  The lengths are the floats the engine compares and
-p_inf is the same integer over N, so the values are bit-identical.  A probe
-whose ranges can grow runs the engine, which starts from this same cut
-(init_state without an event log) and adds only what growing ranges join.
+network's linkage edges (topology: an edge list's own edges, a point
+cloud's minimum spanning tree, which has the same components at every cut)
+records the largest block against the cut, once per network, and each
+probe becomes a binary search on that curve instead of an engine run
+(after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the floats the
+engine compares and p_inf is the same integer over N, so the values are
+bit-identical.  A probe whose ranges can grow runs the engine, which starts
+from this same cut, taken from the same linkage edges (init_state without an
+event log), and adds only what growing ranges join.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 
 from .engine import init_state, run
 from .quantum import ModelParams
-from .topology import PointCloud
 
 __all__ = [
     "Scenario", "SweepSpec", "SweepRow", "ThresholdEstimate", "ComplexityParams",
@@ -125,38 +125,8 @@ class _GiantCurve:
         return self.largest[bisect.bisect_left(self.lengths, r0)] / self.n_nodes
 
 
-def _mst_edges(mat: np.ndarray) -> list[tuple[float, int, int]]:
-    """Prim's minimum spanning tree of a dense distance matrix, as (d, i, j).
-
-    Every length is an entry of mat, and zero distances (coincident points)
-    are edges like any other.
-    """
-    n = mat.shape[0]
-    best = mat[0].copy()
-    best[0] = np.inf
-    nearest = np.zeros(n, dtype=np.intp)
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
-    edges = []
-    for _ in range(n - 1):
-        j = int(np.argmin(best))
-        edges.append((float(best[j]), int(nearest[j]), j))
-        outside[j] = False
-        best[j] = np.inf
-        row = mat[j]
-        closer = outside & (row < best)
-        np.copyto(best, row, where=closer)
-        nearest[closer] = j
-    return edges
-
-
 def _giant_curve(network) -> _GiantCurve:
-    """One Kruskal pass with a union-find that tracks the largest block."""
-    if isinstance(network, PointCloud):
-        edges = _mst_edges(network.distance_matrix())
-    else:
-        index = network.index_of()
-        edges = [(length, index[u], index[v]) for u, v, length in network.edges]
+    """One Kruskal pass over the linkage edges, tracking the largest block."""
     parent = list(range(network.n_nodes))
     size = [1] * network.n_nodes
 
@@ -166,7 +136,7 @@ def _giant_curve(network) -> _GiantCurve:
         return x
 
     lengths, largest = [], [1]
-    for length, i, j in sorted(edges):
+    for length, i, j in zip(*(a.tolist() for a in network.linkage_edges)):
         ri, rj = find(i), find(j)
         if ri == rj:
             continue

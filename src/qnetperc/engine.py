@@ -52,11 +52,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .quantum import ModelParams
-from .topology import EdgeListNetwork, PointCloud
+from .topology import EdgeListNetwork, PointCloud, single_linkage_labels
 
 INF = math.inf
 
@@ -373,42 +371,20 @@ class PercolationState:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _cut(n: int, pairs) -> list[list[int]]:
-    """Members of each connected component of a graph on n nodes, by id.
+def _clusters(labels: np.ndarray) -> list[list[int]]:
+    """Members of each block of a node labelling, in the order of their ids.
 
-    pairs yields the edges as blocks of index arrays (i, j); each block is
-    folded into the components of the blocks before it.  Singletons take the
-    lowest ids in node order, then the other components follow in order of
-    their smallest member; members are ascending.
+    Singletons take the lowest ids in node order, then the other blocks
+    follow in order of their smallest member; members are ascending.
     """
-    label = np.arange(n)
-    for i, j in pairs:
-        graph = coo_matrix((np.ones(len(i), dtype=bool), (label[i], label[j])),
-                           shape=(n, n))
-        label = connected_components(graph, directed=False)[1][label]
-    _, first, label = np.unique(label, return_index=True, return_inverse=True)
+    n = len(labels)
+    _, first, label = np.unique(labels, return_index=True, return_inverse=True)
     head = first[label]  # each node's smallest fellow member
     nodes = np.lexsort((head, np.bincount(label)[label] > 1))  # stable: members ascend
     head = head[nodes]
     bounds = [0, *(np.flatnonzero(head[1:] != head[:-1]) + 1).tolist(), n]
     nodes = nodes.tolist()
     return [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-_CUT_BLOCK = 1 << 17  # entries of the distance matrix scanned per block
-
-
-def _pairs_below(mat: np.ndarray, r0: float):
-    """Index pairs (i, j), j >= i, with mat[i, j] < r0, a block of rows at a time.
-
-    A block covers about _CUT_BLOCK entries, which bounds the index arrays
-    even of a cut that joins every pair.
-    """
-    n = len(mat)
-    rows = max(1, _CUT_BLOCK // n)
-    for s in range(0, n, rows):
-        i, j = np.divmod(np.flatnonzero(mat[s:s + rows, s:] < r0), n - s)
-        yield i + s, j + s
 
 
 def _contract(mat: np.ndarray, clusters: list[list[int]]) -> np.ndarray:
@@ -435,43 +411,41 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
 
     A run that records events starts from one singleton component per node,
     so its log holds every merge.  Otherwise it starts from the single-linkage
-    cut at the base range r0 = r(1): one component per connected component of
-    the pairs with d < r0, which every order of the rules merges (such a pair
-    is connectable from the start and stays so, since ranges never fall and
-    distances only shrink).  A cluster's distance to another is the minimum
-    over member pairs, the float that merge() would leave, and the final
-    partition is the same by order independence.  Singletons take the lowest
-    ids in node order, then clusters in order of their smallest member.
+    cut at the base range r0 = r(1) (topology.single_linkage_labels): one
+    component per connected component of the pairs with d < r0, which every
+    order of the rules merges (such a pair is connectable from the start and
+    stays so, since ranges never fall and distances only shrink).  A
+    cluster's distance to another is the minimum over member pairs, the float
+    that merge() would leave, and the final partition is the same by order
+    independence.  Singletons take the lowest ids in node order, then
+    clusters in order of their smallest member.
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
     if store not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown store {store!r}")
-    r0 = params.component_range_km(1)
+    if not isinstance(network, (PointCloud, EdgeListNetwork)):
+        raise ValueError(f"unsupported network type {type(network).__name__}")
+    n = network.n_nodes
+    if n < 1:
+        raise ValueError("network must contain at least one node")
+    if record_events:
+        clusters = [[i] for i in range(n)]
+    else:  # before the distance matrix: a cloud's first cut builds its own
+        clusters = _clusters(single_linkage_labels(network, params.component_range_km(1)))
     if isinstance(network, PointCloud):
-        n = network.n_nodes
         labels = tuple(range(n))
         mat = network.distance_matrix()
-        short = None if record_events else _pairs_below(mat, r0)
         dense = store != "sparse"
-    elif isinstance(network, EdgeListNetwork):
-        n = network.n_nodes
+    else:
         labels = network.node_ids
         index = network.index_of()
         edges = [(index[u], index[v], length) for u, v, length in network.edges]
-        short = None if record_events else [np.array(
-            [(i, j) for i, j, length in edges if length < r0],
-            dtype=np.intp).reshape(-1, 2).T]
         dense = store == "dense"
         if dense:
             mat = np.full((n, n), INF)
             for i, j, length in edges:
                 mat[i, j] = mat[j, i] = length
-    else:
-        raise ValueError(f"unsupported network type {type(network).__name__}")
-    if n < 1:
-        raise ValueError("network must contain at least one node")
-    clusters = [[i] for i in range(n)] if short is None else _cut(n, short)
     ranges = {size: params.component_range_km(size) for size in set(map(len, clusters))}
     comps = {c: Component(members=frozenset(m), size=len(m), range_km=ranges[len(m)])
              for c, m in enumerate(clusters)}

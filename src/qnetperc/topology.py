@@ -7,6 +7,11 @@ Two network flavors feed the percolation engine:
 - EdgeListNetwork: nodes connected by explicit fiber links, every pair
   without a cable at unreachable distance.
 
+Both give their single-linkage cut at a range r0, the blocks of the pairs
+closer than r0, from one cached list of linkage edges (an edge list's own
+edges, a point cloud's minimum spanning tree); the engine starts harness
+runs from it and the harness's Kruskal curves walk the same edges.
+
 Also provides the repeater-insertion transform (cut each cable at the
 points of a Poisson process, mean segment 50 km by default) and a
 synthetic planar fiber-network generator used as a stand-in for
@@ -16,12 +21,14 @@ proprietary operator topologies.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import Delaunay
 
 STATION = "station"
@@ -73,6 +80,14 @@ class PointCloud:
         dy *= dy
         out += dy
         return np.sqrt(out, out=out)
+
+    @functools.cached_property
+    def linkage_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The minimum spanning tree as arrays (lengths, i, j); see single_linkage_labels.
+
+        Cached: the harness cuts one cloud at many r0.
+        """
+        return _sorted_edges(*_mst_edges(self.distance_matrix()))
 
 
 def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> PointCloud:
@@ -131,6 +146,57 @@ def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
+# Single-linkage cuts
+# ---------------------------------------------------------------------------
+
+def _mst_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prim's minimum spanning tree of a dense distance matrix, as (lengths, i, j).
+
+    Every length is an entry of mat, and zero distances (coincident points)
+    are edges like any other.  Only O(N) arrays are allocated besides mat.
+    """
+    n = mat.shape[0]
+    lengths = np.empty(n - 1)
+    ii = np.empty(n - 1, dtype=np.intp)
+    jj = np.empty(n - 1, dtype=np.intp)
+    best = mat[0].copy()
+    best[0] = np.inf
+    nearest = np.zeros(n, dtype=np.intp)
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    for k in range(n - 1):
+        j = int(np.argmin(best))
+        lengths[k], ii[k], jj[k] = best[j], nearest[j], j
+        outside[j] = False
+        best[j] = np.inf
+        row = mat[j]
+        closer = outside & (row < best)
+        np.copyto(best, row, where=closer)
+        nearest[closer] = j
+    return lengths, ii, jj
+
+
+def _sorted_edges(lengths, ii, jj):
+    order = np.lexsort((jj, ii, lengths))  # by length, then by index pair
+    return lengths[order], ii[order], jj[order]
+
+
+def single_linkage_labels(network, r0: float) -> np.ndarray:
+    """Block label of each node in the single-linkage cut at r0.
+
+    The blocks are the connected components of the pairs strictly closer
+    than r0.  At every cut a network's linkage_edges (sorted by length) join
+    the same blocks as all of its pairs: they are an edge list's own edges,
+    or a point cloud's minimum spanning tree.
+    """
+    lengths, ii, jj = network.linkage_edges
+    k = int(np.searchsorted(lengths, r0))  # the edges shorter than r0
+    n = network.n_nodes
+    graph = coo_matrix((np.ones(k, dtype=bool), (ii[:k], jj[:k])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+# ---------------------------------------------------------------------------
 # Edge-list networks
 # ---------------------------------------------------------------------------
 
@@ -170,6 +236,14 @@ class EdgeListNetwork:
 
     def index_of(self) -> dict[str, int]:
         return {nid: i for i, nid in enumerate(self.node_ids)}
+
+    @functools.cached_property
+    def linkage_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as arrays (lengths, i, j) of node indices; see single_linkage_labels."""
+        index = self.index_of()
+        return _sorted_edges(np.array([length for *_, length in self.edges], dtype=float),
+                             np.array([index[u] for u, _, _ in self.edges], dtype=np.intp),
+                             np.array([index[v] for _, v, _ in self.edges], dtype=np.intp))
 
     def is_connected(self) -> bool:
         """Connectivity as a classical graph (ignores lengths)."""
@@ -379,7 +453,6 @@ def generate_fiber_network(n_nodes: int = 692, n_edges: int = 733,
         raise ValueError(f"Delaunay graph has only {len(pairs)} edges, need {n_edges}")
     lengths = np.array([np.hypot(*(pts[i] - pts[j])) for i, j in pairs])
     # MST guarantees connectivity; it is a subgraph of the Delaunay graph.
-    from scipy.sparse import coo_matrix
     rows = [i for i, _ in pairs]
     cols = [j for _, j in pairs]
     graph = coo_matrix((lengths, (rows, cols)), shape=(n_nodes, n_nodes))

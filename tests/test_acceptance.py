@@ -96,10 +96,8 @@ def test_c06_order_invariance():
         params = random_params(seed + 600_000, network)
         reference = None
         for k in range(20):
-            # every fifth order starts from the single-linkage cut at r0
             state = init_state(network, params,
-                               store="sparse" if k % 3 == 2 else "auto",
-                               record_events=k % 5 != 4)
+                               store="sparse" if k % 3 == 2 else "auto")
             if k % 4 == 3:
                 report = run(state)
             else:
@@ -111,8 +109,15 @@ def test_c06_order_invariance():
                 reference = parts
             else:
                 assert parts == reference, f"order dependence at seed {seed}, order {k}"
+        # without an event log the run starts from the single-linkage cut at r0
+        for store in ("dense", "sparse"):
+            report = run(init_state(network, params, store=store, record_events=False))
+            verify_report(report)
+            assert report.partition_sets() == reference, \
+                f"cut start differs at seed {seed}, {store} store"
         instances += 1
-    ok(6, f"{instances} instances x 20 randomized rule orders: identical partitions")
+    ok(6, f"{instances} instances x 20 randomized rule orders and 2 cut starts: "
+          f"identical partitions")
 
 
 def test_c07_contraction_identity():

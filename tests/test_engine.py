@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (D0, disk_percolation_oracle, nearest_scale, params_for_r0,
                       random_instance, reference_schedule)
-from qnetperc import engine
 from qnetperc.engine import (INF, MergeEvent, ReduceEvent, events_to_dicts,
                              init_state, partition_to_lists,
                              run, verify_report)
@@ -76,12 +75,9 @@ CUT_INSTANCES = {
 class TestCutStart:
     """Without an event log a run starts from the single-linkage cut at r0."""
 
-    @pytest.mark.parametrize("block", [None, 50])
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
-    def test_cut_holds_the_distances_merges_reach(self, name, store, block, monkeypatch):
-        if block:  # a cloud's pairs below r0 then come in blocks of one row
-            monkeypatch.setattr(engine, "_CUT_BLOCK", block)
+    def test_cut_holds_the_distances_merges_reach(self, name, store):
         network, r0 = CUT_INSTANCES[name]()
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
         cut = init_state(network, params, store=store, record_events=False)

@@ -10,7 +10,7 @@ from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
                                generate_uniform_points, insert_repeaters,
                                load_edge_list, load_point_cloud,
                                network_to_json, save_edge_list,
-                               save_point_cloud)
+                               save_point_cloud, single_linkage_labels)
 
 
 class TestPointClouds:
@@ -107,6 +107,54 @@ class TestPointClouds:
         diff = cloud.positions[:, None, :] - cloud.positions[None, :, :]
         stacked = np.sqrt((diff * diff).sum(axis=2))
         assert cloud.distance_matrix().tobytes() == stacked.tobytes()
+
+
+def all_pairs_blocks(mat: np.ndarray, r0: float) -> set[frozenset]:
+    """Blocks of the graph of pairs closer than r0, by breadth-first search."""
+    blocks, seen = set(), set()
+    for start in range(len(mat)):
+        if start in seen:
+            continue
+        block, frontier = {start}, [start]
+        while frontier:
+            near = {int(j) for i in frontier for j in np.flatnonzero(mat[i] < r0)}
+            frontier = list(near - block)
+            block |= near
+        seen |= block
+        blocks.add(frozenset(block))
+    return blocks
+
+
+def label_blocks(labels) -> set[frozenset]:
+    return {frozenset(np.flatnonzero(labels == x).tolist()) for x in set(labels.tolist())}
+
+
+class TestSingleLinkage:
+    """The cut from the linkage edges equals the cut of all pairs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_cloud_cut_equals_all_pairs(self, n):
+        base = generate_uniform_points(n, seed=n).positions
+        # coincident points are zero-length pairs like any other
+        cloud = PointCloud(positions=np.vstack([base, base[: n // 3]]))
+        mat = cloud.distance_matrix()
+        lengths = cloud.linkage_edges[0]
+        assert len(lengths) == cloud.n_nodes - 1
+        # at, just above and between the tree's own lengths, and beyond them
+        cuts = [0.0, 1e-300, 0.05, 0.1, 0.2, 2.0, *lengths.tolist(),
+                *np.nextafter(lengths, np.inf).tolist()]
+        for r0 in cuts:
+            labels = single_linkage_labels(cloud, r0)
+            assert label_blocks(labels) == all_pairs_blocks(mat, r0)
+
+    def test_edge_list_cut_is_strict(self):
+        net = build_network([("a", "b", 1.0), ("b", "c", 2.0), ("d", "e", 2.0)],
+                            extra_nodes=["f"])
+        assert label_blocks(single_linkage_labels(net, 2.0)) == {
+            frozenset({0, 1}), frozenset({2}), frozenset({3}), frozenset({4}),
+            frozenset({5})}
+        assert label_blocks(single_linkage_labels(net, np.nextafter(2.0, 3.0))) == {
+            frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5})}
 
 
 class TestEdgeLists:
