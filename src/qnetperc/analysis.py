@@ -27,7 +27,9 @@ probe becomes a binary search on that curve instead of an engine run
 engine compares and p_inf is the same integer over N, so the values are
 bit-identical.  A probe whose ranges can grow runs the engine, which starts
 from this same cut, taken from the same linkage edges (init_state without an
-event log), and adds only what growing ranges join.
+event log), and adds only what growing ranges join.  On a point cloud the
+cut's singletons start retired and only its clusters are run: a lone point
+is isolated at r0 and, as a one-point relay, joins nothing.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ A run without an event log (every harness run) starts from the single-linkage
 cut at the base range r0 = r(1) instead: each connected component of the
 pairs with d < r0 is one component, because every order of the rules merges
 such a pair, and its distance to another is the minimum over member pairs,
-the float the merges would leave.
+the float the merges would leave.  On a point cloud the cut's singletons
+start retired, since each is isolated from the start and writes no shortcut,
+so only the clusters enter the store.
 
 run() fires the rules in lexicographic order: it always takes the smallest
 connectable id pair and otherwise reduces the smallest isolated id.  It is
@@ -371,38 +373,58 @@ class PercolationState:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _clusters(labels: np.ndarray) -> list[list[int]]:
-    """Members of each block of a node labelling, in the order of their ids.
+def _blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of a labelling listed block by block, and where each block starts.
 
-    Singletons take the lowest ids in node order, then the other blocks
-    follow in order of their smallest member; members are ascending.
+    Singletons come first in node order, then the other blocks in order of
+    their smallest member; members ascend.  The starts end with len(labels).
     """
     n = len(labels)
     _, first, label = np.unique(labels, return_index=True, return_inverse=True)
     head = first[label]  # each node's smallest fellow member
     nodes = np.lexsort((head, np.bincount(label)[label] > 1))  # stable: members ascend
     head = head[nodes]
-    bounds = [0, *(np.flatnonzero(head[1:] != head[:-1]) + 1).tolist(), n]
-    nodes = nodes.tolist()
-    return [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+    starts = np.concatenate(([0], np.flatnonzero(head[1:] != head[:-1]) + 1, [n]))
+    return nodes, starts
 
 
-def _contract(mat: np.ndarray, clusters: list[list[int]]) -> np.ndarray:
-    """Distances between clusters, the minimum over member pairs; diagonal INF.
+def _fold_rows(mat: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """Row i is the minimum over the rows bounds[i]:bounds[i + 1] of mat."""
+    out = np.empty((len(bounds) - 1, mat.shape[1]))
+    for row, a, b in zip(out, bounds, bounds[1:]):
+        np.minimum.reduce(mat[a:b], axis=0, out=row)
+    return out
 
-    Folds each member's row and column into its cluster's first member in
-    place, then copies out the K x K block of those slots, so no second
-    N x N array is made.  All singletons: mat itself.
+
+def _cloud_distances(cloud: PointCloud, nodes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Distances between the blocks of a cloud, the minimum over member pairs; diagonal INF.
+
+    Only the distances among the listed nodes are computed.  Members are
+    contiguous per block, so the rows of each block fold with one vectorized
+    reduce, then the rows of the transpose.  (np.minimum.reduceat makes one
+    inner-loop call per block and column, several times slower here.)
     """
-    heads = [m[0] for m in clusters]
-    if len(heads) < len(mat):
-        for h, *rest in clusters:
-            for x in rest:
-                np.minimum(mat[h], mat[x], out=mat[h])
-                np.minimum(mat[:, h], mat[:, x], out=mat[:, h])
-        mat = mat[np.ix_(heads, heads)]
+    k = len(starts) - 1
+    if k == 0:
+        return np.empty((0, 0))
+    mat = PointCloud(cloud.positions[nodes], cloud.box_side).distance_matrix()
+    if k < len(nodes):
+        bounds = starts.tolist()
+        mat = _fold_rows(_fold_rows(mat, bounds).T.copy(), bounds)
     np.fill_diagonal(mat, INF)
     return mat
+
+
+def _edge_distances(network: EdgeListNetwork, block_of: np.ndarray):
+    """Arrays (a, b, d): the shortest edge between each pair of blocks a < b."""
+    lengths, ii, jj = network.linkage_edges
+    a, b = block_of[ii], block_of[jj]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = lo != hi
+    lo, hi, lengths = lo[keep], hi[keep], lengths[keep]
+    # lengths ascend, so each pair's first edge is its shortest
+    _, first = np.unique(lo * len(block_of) + hi, return_index=True)
+    return lo[first], hi[first], lengths[first]
 
 
 def init_state(network, params: ModelParams, *, store: str = "auto",
@@ -420,6 +442,13 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     independence.  Singletons take the lowest ids in node order, then
     clusters in order of their smallest member.
 
+    On a point cloud the cut's singletons start retired, in state.removed,
+    and the live ids 0.. are the clusters alone.  Every distance from such a
+    point is at least r0, its own range, so it is isolated from the start,
+    and a one-point relay writes no shortcut (see reduce_and_remove), so
+    reducing it first is one legal rule order.  On an edge list a singleton
+    (a repeater) is the relay path and stays live.
+
     Point clouds default to the dense store, edge lists to the sparse store.
     """
     if store not in ("auto", "dense", "sparse"):
@@ -429,48 +458,52 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     n = network.n_nodes
     if n < 1:
         raise ValueError("network must contain at least one node")
+    cloud = isinstance(network, PointCloud)
+    r0 = params.component_range_km(1)
     if record_events:
-        clusters = [[i] for i in range(n)]
-    else:  # before the distance matrix: a cloud's first cut builds its own
-        clusters = _clusters(single_linkage_labels(network, params.component_range_km(1)))
-    if isinstance(network, PointCloud):
-        labels = tuple(range(n))
-        mat = network.distance_matrix()
-        dense = store != "sparse"
-    else:
-        labels = network.node_ids
-        index = network.index_of()
-        edges = [(index[u], index[v], length) for u, v, length in network.edges]
-        dense = store == "dense"
-        if dense:
-            mat = np.full((n, n), INF)
-            for i, j, length in edges:
-                mat[i, j] = mat[j, i] = length
+        nodes, starts = np.arange(n), np.arange(n + 1)
+    else:  # before any distance matrix: a cloud's first cut builds its own
+        nodes, starts = _blocks(single_linkage_labels(network, r0))
+    retired = []
+    if cloud and not record_events:  # the singletons are a prefix
+        k1 = int(np.count_nonzero(np.diff(starts) == 1))
+        retired = [Component(members=frozenset((x,)), size=1, range_km=r0)
+                   for x in nodes[:k1].tolist()]
+        nodes, starts = nodes[k1:], starts[k1:] - k1
+    members = nodes.tolist()
+    bounds = starts.tolist()
+    clusters = [members[a:b] for a, b in zip(bounds, bounds[1:])]
     ranges = {size: params.component_range_km(size) for size in set(map(len, clusters))}
     comps = {c: Component(members=frozenset(m), size=len(m), range_km=ranges[len(m)])
              for c, m in enumerate(clusters)}
     reach = [ranges[len(m)] for m in clusters]
     k = len(clusters)
-    if dense:
-        backend = _DenseStore(_contract(mat, clusters), reach)
-    elif isinstance(network, PointCloud):
-        sub = _contract(mat, clusters)
-        adj = {a: {b: float(sub[a, b]) for b in range(k) if b != a} for a in range(k)}
-        backend = _SparseStore(adj, reach)
+    if cloud:
+        labels = tuple(range(n))
+        mat = _cloud_distances(network, nodes, starts)
+        if store != "sparse":
+            backend = _DenseStore(mat, reach)
+        else:
+            adj = {a: {b: float(mat[a, b]) for b in range(k) if b != a} for a in range(k)}
+            backend = _SparseStore(adj, reach)
     else:
-        node_id = [0] * n
-        for c, m in enumerate(clusters):
-            for x in m:
-                node_id[x] = c
-        adj = {c: {} for c in range(k)}
-        for i, j, length in edges:
-            a, b = node_id[i], node_id[j]
-            if a != b and length < adj[a].get(b, INF):
-                adj[a][b] = adj[b][a] = length
-        backend = _SparseStore(adj, reach)
-    return PercolationState(backend, n, labels, params, comps,
-                            record_events=record_events,
-                            point_cloud=isinstance(network, PointCloud))
+        labels = network.node_ids
+        block_of = np.empty(n, dtype=np.intp)
+        block_of[nodes] = np.repeat(np.arange(k), np.diff(starts))
+        lo, hi, dist = _edge_distances(network, block_of)
+        if store == "dense":
+            mat = np.full((k, k), INF)
+            mat[lo, hi] = mat[hi, lo] = dist
+            backend = _DenseStore(mat, reach)
+        else:
+            adj = {c: {} for c in range(k)}
+            for a, b, d in zip(lo.tolist(), hi.tolist(), dist.tolist()):
+                adj[a][b] = adj[b][a] = d
+            backend = _SparseStore(adj, reach)
+    state = PercolationState(backend, n, labels, params, comps,
+                             record_events=record_events, point_cloud=cloud)
+    state.removed.extend(retired)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +540,7 @@ def run(state: PercolationState) -> RunReport:
     queued = set(firsts)
     isolated: set[int] = set()
     isolated_heap: list[int] = []
-    pool = state.n_nodes  # summed size of the components not isolated
+    pool = sum(c.size for c in comps.values())  # summed size of the components not isolated
     unchecked = set(comps)
     push, pop = heapq.heappush, heapq.heappop
     while comps:

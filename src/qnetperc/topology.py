@@ -200,6 +200,10 @@ def single_linkage_labels(network, r0: float) -> np.ndarray:
 # Edge-list networks
 # ---------------------------------------------------------------------------
 
+def _is_length(length: float) -> bool:
+    return 0 < length < math.inf
+
+
 @dataclass(frozen=True)
 class EdgeListNetwork:
     """Sparse fiber network: canonical sorted nodes and (u, v, length_km) edges.
@@ -216,12 +220,26 @@ class EdgeListNetwork:
     positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if len(self.node_ids) < 1:
+        ids = self.node_ids
+        if len(ids) < 1:
             raise ValueError("network must contain at least one node")
-        if len(self.kinds) != len(self.node_ids):
+        if not all(a < b for a, b in zip(ids, ids[1:])):
+            raise ValueError("node_ids must be strictly ascending")
+        if len(self.kinds) != len(ids):
             raise ValueError("kinds must align with node_ids")
-        if self.positions is not None and len(self.positions) != len(self.node_ids):
+        if self.positions is not None and len(self.positions) != len(ids):
             raise ValueError("positions must align with node_ids")
+        known = set(ids)
+        for u, v, length in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop on node {u!r}")
+            if not u < v:
+                raise ValueError(f"edge ({u}, {v}) is not canonical: need u < v")
+            if u not in known or v not in known:
+                raise ValueError(f"edge ({u}, {v}) joins an unknown node")
+            if not _is_length(length):
+                raise ValueError(f"edge ({u}, {v}) has non-positive or non-finite "
+                                 f"length {length}")
 
     @property
     def n_nodes(self) -> int:
@@ -270,22 +288,19 @@ def build_network(edges, kinds: dict[str, str] | None = None,
                   ) -> EdgeListNetwork:
     """Canonicalize raw (u, v, length) triples into an EdgeListNetwork.
 
-    Duplicate pairs keep the minimum length; self-loops and non-positive or
-    non-finite lengths are rejected.
+    Duplicate pairs keep the minimum length.  EdgeListNetwork rejects
+    self-loops and non-positive or non-finite lengths.
     """
     best: dict[tuple[str, str], float] = {}
     nodes = set(map(str, extra_nodes))
     for u, v, length in edges:
         u, v = str(u), str(v)
         length = float(length)
-        if u == v:
-            raise ValueError(f"self-loop on node {u!r}")
-        if not 0 < length < math.inf:
-            raise ValueError(f"edge ({u}, {v}) has non-positive or non-finite "
-                             f"length {length}")
         key = (u, v) if u < v else (v, u)
-        if key not in best or length < best[key]:
+        if key not in best:
             best[key] = length
+        else:  # the shorter length, but an invalid one wins so the network rejects it
+            best[key] = min(best[key], length, key=lambda x: (_is_length(x), x))
         nodes.add(u)
         nodes.add(v)
     node_ids = tuple(sorted(nodes))

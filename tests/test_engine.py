@@ -83,11 +83,19 @@ class TestCutStart:
         cut = init_state(network, params, store=store, record_events=False)
         merged = merged_below_r0(network, params, store)
         ids = {comp.members: a for a, comp in merged.comps.items()}
-        assert set(ids) == {c.members for c in cut.comps.values()}
+        # a cloud's cut singletons start retired; an edge list keeps them live
+        cloud = isinstance(network, PointCloud)
+        live = {m for m in ids if len(m) > 1 or not cloud}
+        assert {c.members for c in cut.comps.values()} == live
+        assert {c.members for c in cut.removed} == set(ids) - live
+        assert bool(cut.removed) == cloud
+        for comp in cut.removed:
+            assert comp == merged.comps[ids[comp.members]]
         assert 1 < len(cut.comps) < network.n_nodes
         for a, comp in cut.comps.items():
             assert comp == merged.comps[ids[comp.members]]
-            assert cut.store.min_distance(a) == merged.store.min_distance(ids[comp.members])
+            assert cut.store.min_distance(a) == min(cut.store.distance(a, b)
+                                                    for b in cut.comps if b != a)
         for a, b in itertools.permutations(cut.comps, 2):
             d = cut.store.distance(a, b)
             assert d == merged.store.distance(ids[cut.comps[a].members],
@@ -102,6 +110,8 @@ class TestCutStart:
         order = [(comps[a].size > 1, min(comps[a].members)) for a in sorted(comps)]
         assert order == sorted(order)
         assert sorted(comps) == list(range(len(comps)))
+        if isinstance(network, PointCloud):  # the cut's singletons start retired
+            assert all(multi for multi, _ in order)
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     def test_exact_tie_with_r0_does_not_join(self, store):
@@ -113,10 +123,56 @@ class TestCutStart:
         edges = build_network([("a", "b", r0), ("b", "c", 0.125)])
         for network in (cloud, edges):
             state = init_state(network, params, store=store, record_events=False)
-            assert [sorted(c.members) for c in state.comps.values()] == [[0], [1, 2]]
-            assert state.distance(0, 1) == r0
+            live = [sorted(c.members) for c in state.comps.values()]
+            if network is cloud:  # node 0 is a singleton of the cut: retired
+                assert live == [[1, 2]]
+                assert [set(c.members) for c in state.removed] == [{0}]
+            else:
+                assert live == [[0], [1, 2]]
+                assert state.distance(0, 1) == r0
             from_singletons = run(init_state(network, params))
             assert run(state).partition_sets() == from_singletons.partition_sets()
+
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    @pytest.mark.parametrize("case", ["all_singletons", "one_block", "coincident_points"])
+    def test_cloud_cut_edge_cases(self, case, store):
+        if case == "coincident_points":
+            cloud, _ = _coincident_cloud()
+            r0 = 0.005  # only the coincident pairs, at distance 0, join
+        else:
+            cloud = generate_uniform_points(12, seed=8)
+            scale = float(cloud.linkage_edges[0][0 if case == "all_singletons" else -1])
+            r0 = scale / 2 if case == "all_singletons" else 2 * scale
+        params = params_for_r0(r0, 0.585)
+        state = init_state(cloud, params, store=store, record_events=False)
+        blocks = {"all_singletons": [],
+                  "one_block": [set(range(12))],
+                  "coincident_points": [{0, 1}, {2, 3}, {4, 5}]}[case]
+        assert [set(c.members) for c in state.comps.values()] == blocks
+        assert len(state.removed) == cloud.n_nodes - sum(map(len, blocks))
+        from_singletons = run(init_state(cloud, params, store=store))
+        assert run(state).partition_sets() == from_singletons.partition_sets()
+
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_the_last_reduction_has_no_future_range_left(self, store):
+        # the future-range cap comes from the pooled size of the live
+        # components; retired singletons are not among them
+        cloud = generate_uniform_points(40, seed=3)
+        params = params_for_r0(1.5 * nearest_scale(cloud), 0.585, cap=False)
+        state = init_state(cloud, params, store=store, record_events=False)
+        retired = len(state.removed)
+        assert retired
+        caps = []
+        reduce_and_remove = state.reduce_and_remove
+
+        def spy(a, future_cap=None):
+            caps.append(future_cap)
+            return reduce_and_remove(a, future_cap=future_cap)
+
+        state.reduce_and_remove = spy
+        run(state)
+        assert len(caps) == len(state.removed) - retired
+        assert caps[-1] == 0.0
 
     def test_an_event_log_starts_from_singletons(self):
         cloud = generate_uniform_points(30, seed=5)

@@ -199,13 +199,16 @@ class TestSingletonRelays:
             assert singles and all(ev.shortcuts == () for ev in singles)
             assert report.partition_sets() == relabel
 
-    @pytest.mark.parametrize("store", ["dense", "sparse"])
-    def test_edge_list_singleton_relay_writes_its_path(self, store):
+    @staticmethod
+    def stranded_relay():
         # clusters U = {u, u2, u3} and V = {v, v2, v3} meet only through r,
         # which is stranded past the base range 1; U and V reach 3 > 1.2 + 1.2
-        edges = [("u", "u2", 0.1), ("u2", "u3", 0.1), ("v", "v2", 0.1),
-                 ("v2", "v3", 0.1), ("u", "r", 1.2), ("r", "v", 1.2)]
-        net = build_network(edges)
+        return build_network([("u", "u2", 0.1), ("u2", "u3", 0.1), ("v", "v2", 0.1),
+                              ("v2", "v3", 0.1), ("u", "r", 1.2), ("r", "v", 1.2)])
+
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_edge_list_singleton_relay_writes_its_path(self, store):
+        net = self.stranded_relay()
         report = run(init_state(net, params_for_r0(1.0, 1.0), store=store))
         members = replay_members(report)
         relay = net.index_of()["r"]
@@ -218,6 +221,16 @@ class TestSingletonRelays:
         assert isinstance(merge_uv, MergeEvent) and {merge_uv.a, merge_uv.b} == {a, b}
         assert {len(members[a]), len(members[b])} == {3}
         assert report.partition == (("r",), ("u", "u2", "u3", "v", "v2", "v3"))
+
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    def test_edge_list_cut_keeps_its_singleton_relays(self, store):
+        # r is a singleton of the cut at r0 = 1; only its shortcut joins U and V
+        net = self.stranded_relay()
+        state = init_state(net, params_for_r0(1.0, 1.0), store=store, record_events=False)
+        assert not state.removed
+        assert {c.members for c in state.comps.values()} == {
+            frozenset({0}), frozenset({1, 2, 3}), frozenset({4, 5, 6})}  # r, U, V
+        assert run(state).partition == (("r",), ("u", "u2", "u3", "v", "v2", "v3"))
 
     def test_c10_hop_comes_from_its_two_node_chain(self):
         cloud = generate_uniform_points(20, box_side=1.0, seed=HOP_SEED)

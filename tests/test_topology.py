@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
-                               euclidean_distance, generate_fiber_network,
+from qnetperc.topology import (STATION, EdgeListNetwork, PointCloud, RepeaterConfig,
+                               build_network, euclidean_distance, generate_fiber_network,
                                generate_uniform_points, insert_repeaters,
                                load_edge_list, load_point_cloud,
                                network_to_json, save_edge_list,
@@ -205,6 +205,11 @@ class TestEdgeLists:
         with pytest.raises(ValueError, match="non-positive"):
             load_edge_list(p)
 
+    def test_duplicate_pair_keeps_an_invalid_length(self):
+        for lengths in ((5.0, math.nan), (math.nan, 5.0), (math.inf, 5.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                build_network([("a", "b", lengths[0]), ("b", "a", lengths[1])])
+
     def test_json_export_schema(self):
         net = build_network([("a", "b", 10.0)],
                             positions={"a": (0.0, 0.0), "b": (1.0, 1.0)})
@@ -286,3 +291,37 @@ class TestSyntheticFiber:
     def test_rejects_unbuildable(self):
         with pytest.raises(ValueError):
             generate_fiber_network(10, 5, seed=0)
+
+
+class TestEdgeListNetworkChecks:
+    """A directly built network rejects what build_network would never make."""
+
+    @staticmethod
+    def network(node_ids=("a", "b", "c"), edges=(("a", "b", 1.0),)):
+        return EdgeListNetwork(node_ids=node_ids, kinds=(STATION,) * len(node_ids),
+                               edges=edges)
+
+    def test_accepts_a_canonical_network(self):
+        assert self.network() == build_network([("a", "b", 1.0)], extra_nodes=["c"])
+
+    @pytest.mark.parametrize("node_ids", [("a", "b", "a"), ("b", "a", "c"), ("a", "a", "b")])
+    def test_rejects_node_ids_not_strictly_ascending(self, node_ids):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            self.network(node_ids=node_ids)
+
+    def test_rejects_a_non_canonical_edge(self):
+        with pytest.raises(ValueError, match="canonical"):
+            self.network(edges=(("b", "a", 1.0),))
+
+    def test_rejects_a_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            self.network(edges=(("a", "a", 1.0),))
+
+    def test_rejects_an_unknown_endpoint(self):
+        with pytest.raises(ValueError, match="unknown node"):
+            self.network(edges=(("a", "z", 1.0),))
+
+    @pytest.mark.parametrize("length", [-10.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_bad_length(self, length):
+        with pytest.raises(ValueError, match="non-positive or non-finite"):
+            self.network(edges=(("a", "b", length),))
