@@ -18,16 +18,17 @@ for the whole run.  An isolated component then has every leg at or beyond
 r0, so each shortcut it leaves is at least 2*r0 and never connects: the
 engine's fixed point is the single-linkage cut d < r0, whose blocks are the
 connected components of the graph of strictly shorter edges.  Every probe
-asks for the largest of them, at its own r0.  One Kruskal pass over the
-network's linkage edges (topology: an edge list's own edges, a point
-cloud's minimum spanning tree, which has the same components at every cut)
-records the largest block against the cut, once per network, and each
-probe becomes a binary search on that curve instead of an engine run
-(after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the floats the
+asks for the largest of them, at its own r0.  The network's merge forest
+(topology: one Kruskal pass over its linkage edges, an edge list's own
+edges or a point cloud's minimum spanning tree, which has the same
+components at every cut) holds the size of every block it joins, so the
+largest block against the cut is their running maximum, once per network,
+and each probe becomes a binary search on that curve instead of an engine
+run (after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the floats the
 engine compares and p_inf is the same integer over N, so the values are
 bit-identical.  A probe whose ranges can grow runs the engine, which starts
-from this same cut, taken from the same linkage edges (init_state without an
-event log), and adds only what growing ranges join.  On a point cloud the
+from this same cut, taken from the same forest (init_state without an event
+log), and adds only what growing ranges join.  On a point cloud the
 cut's singletons start retired and only its clusters are run: a lone point
 is isolated at r0 and, as a one-point relay, joins nothing.
 """
@@ -128,26 +129,12 @@ class _GiantCurve:
 
 
 def _giant_curve(network) -> _GiantCurve:
-    """One Kruskal pass over the linkage edges, tracking the largest block."""
-    parent = list(range(network.n_nodes))
-    size = [1] * network.n_nodes
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    lengths, largest = [], [1]
-    for length, i, j in zip(*(a.tolist() for a in network.linkage_edges)):
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        size[rj] += size[ri]
-        if size[rj] > largest[-1]:
-            lengths.append(length)
-            largest.append(size[rj])
-    return _GiantCurve(network.n_nodes, tuple(lengths), tuple(largest))
+    """The running maximum of the network's merge-forest block sizes."""
+    forest = network.merge_forest
+    largest = np.maximum.accumulate(np.concatenate(([1], forest.sizes)))
+    grows = largest[1:] > largest[:-1]
+    return _GiantCurve(network.n_nodes, tuple(forest.lengths[grows].tolist()),
+                       (1, *forest.sizes[grows].tolist()))
 
 
 class _GiantFractions:

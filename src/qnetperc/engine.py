@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import ModelParams
-from .topology import EdgeListNetwork, PointCloud, single_linkage_labels
+from .topology import EdgeListNetwork, PointCloud, distance_rows, single_linkage_labels
 
 INF = math.inf
 
@@ -388,29 +388,56 @@ def _blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, starts
 
 
-def _fold_rows(mat: np.ndarray, bounds: list[int]) -> np.ndarray:
-    """Row i is the minimum over the rows bounds[i]:bounds[i + 1] of mat."""
-    out = np.empty((len(bounds) - 1, mat.shape[1]))
-    for row, a, b in zip(out, bounds, bounds[1:]):
-        np.minimum.reduce(mat[a:b], axis=0, out=row)
+_ROW_BLOCK = 256  # distance rows computed and folded at once
+
+
+def _fold_rows(rows_of, bounds: list[int], width: int) -> np.ndarray:
+    """Row i is the minimum over the rows bounds[i]:bounds[i + 1] of a matrix.
+
+    rows_of(a, b) gives the matrix's rows a:b; it is read _ROW_BLOCK rows at
+    a time, and a block of rows cut by that boundary folds its parts
+    together, so the result is the same floats as one reduce per block.
+    """
+    out = np.empty((len(bounds) - 1, width))
+    c = 0  # the block holding the first row read
+    for a in range(0, bounds[-1], _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, bounds[-1])
+        rows = rows_of(a, b)
+        while c < len(out) and bounds[c] < b:
+            lo, hi = max(bounds[c], a), min(bounds[c + 1], b)
+            if lo == bounds[c]:
+                np.minimum.reduce(rows[lo - a:hi - a], axis=0, out=out[c])
+            else:  # the rest of a block begun before row a
+                np.minimum(out[c], rows[lo - a:hi - a].min(axis=0), out=out[c])
+            if hi < bounds[c + 1]:
+                break  # the block goes on after row b
+            c += 1
     return out
 
 
 def _cloud_distances(cloud: PointCloud, nodes: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Distances between the blocks of a cloud, the minimum over member pairs; diagonal INF.
 
-    Only the distances among the listed nodes are computed.  Members are
-    contiguous per block, so the rows of each block fold with one vectorized
-    reduce, then the rows of the transpose.  (np.minimum.reduceat makes one
-    inner-loop call per block and column, several times slower here.)
+    Only the distances among the listed nodes are computed, in blocks of
+    _ROW_BLOCK rows, so no M x M matrix of the M listed points is built.
+    Members are contiguous per block, so the distance rows fold into a K x M
+    array, and the rows of its transpose fold into K x K.  When every block
+    is a single node the rows are the matrix and are written straight into
+    it; a lone block has no distances at all.  (np.minimum.reduceat makes
+    one inner-loop call per block and column, several times slower here.)
     """
-    k = len(starts) - 1
-    if k == 0:
-        return np.empty((0, 0))
-    mat = PointCloud(cloud.positions[nodes], cloud.box_side).distance_matrix()
-    if k < len(nodes):
+    k, m = len(starts) - 1, len(nodes)
+    if k <= 1:
+        return np.full((k, k), INF)
+    pos = cloud.positions[nodes]
+    if k == m:
+        mat = np.empty((m, m))
+        for a in range(0, m, _ROW_BLOCK):
+            distance_rows(pos, a, a + _ROW_BLOCK, out=mat[a:a + _ROW_BLOCK])
+    else:
         bounds = starts.tolist()
-        mat = _fold_rows(_fold_rows(mat, bounds).T.copy(), bounds)
+        folded = _fold_rows(lambda a, b: distance_rows(pos, a, b), bounds, m).T.copy()
+        mat = _fold_rows(lambda a, b: folded[a:b], bounds, k)
     np.fill_diagonal(mat, INF)
     return mat
 

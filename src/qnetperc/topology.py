@@ -8,9 +8,15 @@ Two network flavors feed the percolation engine:
   without a cable at unreachable distance.
 
 Both give their single-linkage cut at a range r0, the blocks of the pairs
-closer than r0, from one cached list of linkage edges (an edge list's own
-edges, a point cloud's minimum spanning tree); the engine starts harness
-runs from it and the harness's Kruskal curves walk the same edges.
+closer than r0, from one cached merge forest per network: one Kruskal pass
+over its linkage edges (an edge list's own edges, a point cloud's minimum
+spanning tree, found by Prim one distance row at a time) records every join
+with its length and block size.  A cut at r0 keeps the joins shorter than
+r0; the engine starts harness runs from it, and the harness's Kruskal curves
+read the same joins' sizes.  Neither needs an N x N matrix.
+
+scipy is imported only inside generate_fiber_network, so the other callers
+of this module never load it.
 
 Also provides the repeater-insertion transform (cut each cable at the
 points of a Poisson process, mean segment 50 km by default) and a
@@ -25,11 +31,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
-from scipy.spatial import Delaunay
 
 STATION = "station"
 REPEATER = "repeater"
@@ -68,18 +72,8 @@ class PointCloud:
         return self.positions.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense pairwise Euclidean distances, diagonal zero.
-
-        Built one axis at a time in place, so at most two N x N arrays are
-        alive; each entry is sqrt(dx*dx + dy*dy), summed in that order.
-        """
-        x, y = self.positions[:, 0], self.positions[:, 1]
-        out = x[:, None] - x[None, :]
-        out *= out
-        dy = y[:, None] - y[None, :]
-        dy *= dy
-        out += dy
-        return np.sqrt(out, out=out)
+        """Dense pairwise Euclidean distances, diagonal zero; see distance_rows."""
+        return distance_rows(self.positions, 0, self.n_nodes)
 
     @functools.cached_property
     def linkage_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +81,29 @@ class PointCloud:
 
         Cached: the harness cuts one cloud at many r0.
         """
-        return _sorted_edges(*_mst_edges(self.distance_matrix()))
+        return _sorted_edges(*_mst_edges(self.positions))
+
+    @functools.cached_property
+    def merge_forest(self) -> MergeForest:
+        """The single-linkage merge forest of linkage_edges; cached with them."""
+        return _merge_forest(self.n_nodes, self.linkage_edges)
+
+
+def distance_rows(positions: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    """Rows a:b of the Euclidean distance matrix of the points positions.
+
+    Entry (i, j) is sqrt(dx*dx + dy*dy) with dx = x[i] - x[j], summed in
+    that order: the one distance formula, so every caller compares the same
+    floats.  The rows are written into out when given; one more array of
+    their shape is alive while they are built.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    out = np.subtract(x[a:b, None], x, out=out)
+    out *= out
+    dy = y[a:b, None] - y
+    dy *= dy
+    out += dy
+    return np.sqrt(out, out=out)
 
 
 def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> PointCloud:
@@ -131,6 +147,10 @@ def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
                 rows.append((int(row[0]), float(row[1]), float(row[2]), lineno))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            for axis, value in zip("xy", rows[-1][1:3]):
+                if not math.isfinite(value):  # before it can reach box_side
+                    raise ValueError(f"{path}:{lineno}: coordinate {axis} = {value} "
+                                     f"is not finite")
     seen: set[int] = set()
     for i, _, _, lineno in rows:
         if not 0 <= i < len(rows):
@@ -149,17 +169,19 @@ def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
 # Single-linkage cuts
 # ---------------------------------------------------------------------------
 
-def _mst_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prim's minimum spanning tree of a dense distance matrix, as (lengths, i, j).
+def _mst_edges(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prim's minimum spanning tree of a point set, as (lengths, i, j).
 
-    Every length is an entry of mat, and zero distances (coincident points)
-    are edges like any other.  Only O(N) arrays are allocated besides mat.
+    Each point's distance row is computed when it joins the tree, so every
+    length is an entry of the distance matrix without the matrix: only O(N)
+    arrays are allocated.  Zero distances (coincident points) are edges like
+    any other.
     """
-    n = mat.shape[0]
+    n = len(positions)
     lengths = np.empty(n - 1)
     ii = np.empty(n - 1, dtype=np.intp)
     jj = np.empty(n - 1, dtype=np.intp)
-    best = mat[0].copy()
+    best = distance_rows(positions, 0, 1)[0]
     best[0] = np.inf
     nearest = np.zeros(n, dtype=np.intp)
     outside = np.ones(n, dtype=bool)
@@ -169,7 +191,7 @@ def _mst_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lengths[k], ii[k], jj[k] = best[j], nearest[j], j
         outside[j] = False
         best[j] = np.inf
-        row = mat[j]
+        row = distance_rows(positions, j, j + 1)[0]
         closer = outside & (row < best)
         np.copyto(best, row, where=closer)
         nearest[closer] = j
@@ -181,19 +203,67 @@ def _sorted_edges(lengths, ii, jj):
     return lengths[order], ii[order], jj[order]
 
 
+class MergeForest(NamedTuple):
+    """The single-linkage merge forest (dendrogram) of a network's linkage edges.
+
+    Nodes 0..N-1 are the network's nodes.  Merge node N+t is made by the t-th
+    edge that joins two blocks, in ascending order of length: it joins them
+    at lengths[t] into a block of sizes[t] nodes.  parent[x] is the merge
+    node that absorbed x, or x itself when no edge joins its block further.
+    """
+
+    parent: np.ndarray
+    sizes: np.ndarray
+    lengths: np.ndarray
+
+
+def _merge_forest(n: int, edges) -> MergeForest:
+    """One Kruskal pass over edges (lengths, i, j) sorted by length.
+
+    A union-find over the forest's nodes, with path halving, finds the
+    current top node of each endpoint's block; the new merge node becomes
+    the top of both.
+    """
+    parent = list(range(n))
+    link = list(range(n))  # the union-find
+    size = [1] * n
+    joins = []
+    for length, i, j in zip(*(a.tolist() for a in edges)):
+        while link[i] != i:
+            link[i] = i = link[link[i]]
+        while link[j] != j:
+            link[j] = j = link[link[j]]
+        if i == j:
+            continue
+        node = len(parent)
+        parent[i] = parent[j] = link[i] = link[j] = node
+        parent.append(node)
+        link.append(node)
+        size.append(size[i] + size[j])
+        joins.append(length)
+    return MergeForest(np.array(parent, dtype=np.intp), np.array(size[n:], dtype=np.intp),
+                       np.array(joins, dtype=float))
+
+
 def single_linkage_labels(network, r0: float) -> np.ndarray:
     """Block label of each node in the single-linkage cut at r0.
 
     The blocks are the connected components of the pairs strictly closer
-    than r0.  At every cut a network's linkage_edges (sorted by length) join
-    the same blocks as all of its pairs: they are an edge list's own edges,
-    or a point cloud's minimum spanning tree.
+    than r0.  At every cut a network's linkage_edges join the same blocks as
+    all of its pairs: they are an edge list's own edges, or a point cloud's
+    minimum spanning tree.  The merge forest holds their joins in order of
+    length, so the cut keeps the merge nodes of the joins shorter than r0
+    and labels each node with the highest of them above it.
     """
-    lengths, ii, jj = network.linkage_edges
-    k = int(np.searchsorted(lengths, r0))  # the edges shorter than r0
-    n = network.n_nodes
-    graph = coo_matrix((np.ones(k, dtype=bool), (ii[:k], jj[:k])), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    forest = network.merge_forest
+    top = network.n_nodes + int(np.searchsorted(forest.lengths, r0))
+    p = forest.parent[:top]
+    p = np.where(p < top, p, np.arange(top))  # a join at or above r0 is cut
+    while True:  # pointer jumping: each pass halves the distance to the root
+        q = p[p]
+        if np.array_equal(q, p):
+            return p[:network.n_nodes]
+        p = q
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +278,10 @@ def _is_length(length: float) -> bool:
 class EdgeListNetwork:
     """Sparse fiber network: canonical sorted nodes and (u, v, length_km) edges.
 
-    Edges are stored with u < v lexicographically, sorted, at most one per
-    pair (duplicates collapse to the minimum length).  Pairs without an edge
-    are unreachable.  positions, when present, align with node_ids and exist
+    Node ids are non-empty and kinds are STATION or REPEATER.  Edges are
+    stored with u < v lexicographically, sorted, at most one per pair
+    (build_network collapses duplicates to the minimum length).  Pairs
+    without an edge are unreachable.  positions, when present, align with node_ids and exist
     purely for export and plotting.
     """
 
@@ -225,12 +296,21 @@ class EdgeListNetwork:
             raise ValueError("network must contain at least one node")
         if not all(a < b for a, b in zip(ids, ids[1:])):
             raise ValueError("node_ids must be strictly ascending")
+        if ids[0] == "":  # the smallest id, since they ascend
+            raise ValueError("node ids must not be empty")
         if len(self.kinds) != len(ids):
             raise ValueError("kinds must align with node_ids")
+        for kind in self.kinds:
+            if kind not in (STATION, REPEATER):
+                raise ValueError(f"unknown node kind {kind!r}")
         if self.positions is not None and len(self.positions) != len(ids):
             raise ValueError("positions must align with node_ids")
         known = set(ids)
+        pairs = set()
         for u, v, length in self.edges:
+            if (u, v) in pairs:
+                raise ValueError(f"duplicate edge ({u}, {v}): at most one per pair")
+            pairs.add((u, v))
             if u == v:
                 raise ValueError(f"self-loop on node {u!r}")
             if not u < v:
@@ -263,24 +343,14 @@ class EdgeListNetwork:
                              np.array([index[u] for u, _, _ in self.edges], dtype=np.intp),
                              np.array([index[v] for _, v, _ in self.edges], dtype=np.intp))
 
+    @functools.cached_property
+    def merge_forest(self) -> MergeForest:
+        """The single-linkage merge forest of linkage_edges; cached with them."""
+        return _merge_forest(self.n_nodes, self.linkage_edges)
+
     def is_connected(self) -> bool:
         """Connectivity as a classical graph (ignores lengths)."""
-        if self.n_nodes == 1:
-            return True
-        idx = self.index_of()
-        adj: list[list[int]] = [[] for _ in self.node_ids]
-        for u, v, _ in self.edges:
-            adj[idx[u]].append(idx[v])
-            adj[idx[v]].append(idx[u])
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n_nodes
+        return len(self.merge_forest.lengths) == self.n_nodes - 1
 
 
 def build_network(edges, kinds: dict[str, str] | None = None,
@@ -289,7 +359,8 @@ def build_network(edges, kinds: dict[str, str] | None = None,
     """Canonicalize raw (u, v, length) triples into an EdgeListNetwork.
 
     Duplicate pairs keep the minimum length.  EdgeListNetwork rejects
-    self-loops and non-positive or non-finite lengths.
+    empty ids, unknown kinds, self-loops and non-positive or non-finite
+    lengths.
     """
     best: dict[tuple[str, str], float] = {}
     nodes = set(map(str, extra_nodes))
@@ -306,9 +377,6 @@ def build_network(edges, kinds: dict[str, str] | None = None,
     node_ids = tuple(sorted(nodes))
     kinds = kinds or {}
     kind_tuple = tuple(kinds.get(nid, STATION) for nid in node_ids)
-    for k in kind_tuple:
-        if k not in (STATION, REPEATER):
-            raise ValueError(f"unknown node kind {k!r}")
     edge_tuple = tuple(sorted((u, v, best[(u, v)]) for (u, v) in best))
     pos_tuple = None
     if positions is not None:
@@ -455,6 +523,11 @@ def generate_fiber_network(n_nodes: int = 692, n_edges: int = 733,
         raise ValueError(f"n_nodes must be >= 3, got {n_nodes}")
     if n_edges < n_nodes - 1:
         raise ValueError(f"n_edges must be >= n_nodes - 1 to stay connected, got {n_edges}")
+    # scipy is loaded here only, so that no other caller pays for its import
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.spatial import Delaunay
+
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
     tri = Delaunay(pts)

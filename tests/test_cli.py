@@ -1,11 +1,17 @@
 """End-to-end CLI tests: subcommands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qnetperc.cli import main
 from qnetperc.topology import load_edge_list, load_point_cloud
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(*argv):
@@ -164,6 +170,20 @@ class TestRun:
         assert invoke("run", "--network", str(net), "--d0", "300",
                       "--out", str(tmp_path / "r.json")) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ("u,v,length_km\n,b,5\n", "node ids must not be empty"),
+        ("u,v,length_km\na, ,5\n", "node ids must not be empty"),
+        ("id,x,y\n0,0.1,0.2\n1,nan,0.3\n", ":3: coordinate x = nan is not finite"),
+        ("id,x,y\n0,0.1,-inf\n", ":2: coordinate y = -inf is not finite"),
+    ])
+    def test_malformed_network_file_exits_2(self, tmp_path, capsys, body, message):
+        net = tmp_path / "net.csv"
+        net.write_text(body, encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert invoke("run", "--network", str(net), "--d0", "300", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -394,3 +414,16 @@ class TestCalculators:
 
     def test_bad_subcommand_exits_2(self):
         assert invoke("no-such-command") == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported inside generate_fiber_network only
+    code = ("import sys, qnetperc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (D0, disk_percolation_oracle, nearest_scale, params_for_r0,
                       random_instance, reference_schedule)
-from qnetperc.engine import (INF, MergeEvent, ReduceEvent, events_to_dicts,
-                             init_state, partition_to_lists,
+from qnetperc.engine import (INF, MergeEvent, ReduceEvent, _cloud_distances,
+                             events_to_dicts, init_state, partition_to_lists,
                              run, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
@@ -181,6 +181,33 @@ class TestCutStart:
         assert [set(c.members) for c in state.comps.values()] == [{i} for i in range(30)]
         report = run(state)
         assert report.merge_count == sum(isinstance(e, MergeEvent) for e in report.events)
+
+
+class TestCloudDistances:
+    """Block distances built 256 rows at a time equal the fold of the full matrix."""
+
+    @pytest.mark.parametrize("sizes", [
+        [],  # K = 0
+        [7], [300],  # K = 1: no distances at all
+        [300, 2, 5],  # a block of more than 256 points
+        [2, 3] * 120,  # small blocks, one cut by the 256-row boundary
+        [1] * 300,  # all singletons: rows written straight into the matrix
+    ])
+    def test_equal_to_the_fold_of_distance_matrix(self, sizes):
+        base = generate_uniform_points(640, seed=len(sizes)).positions
+        cloud = PointCloud(positions=np.vstack([base, base[:40]]))  # coincident points
+        k, m = len(sizes), sum(sizes)
+        nodes = np.random.default_rng(k).permutation(cloud.n_nodes)[:m]
+        starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        expected = np.full((k, k), INF)
+        if k:
+            full = PointCloud(positions=cloud.positions[nodes]).distance_matrix()
+            expected = np.minimum.reduceat(np.minimum.reduceat(full, starts[:-1], axis=0),
+                                           starts[:-1], axis=1)
+            np.fill_diagonal(expected, INF)
+        got = _cloud_distances(cloud, nodes, starts)
+        assert got.shape == (k, k)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestConnectionCriterion:

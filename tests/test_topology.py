@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from qnetperc.topology import (STATION, EdgeListNetwork, PointCloud, RepeaterConfig,
                                build_network, euclidean_distance, generate_fiber_network,
@@ -52,6 +56,16 @@ class TestPointClouds:
         path.write_text("id,x,y\n0,0.1,0.2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="box_side"):
             load_point_cloud(path, box_side=box)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,nan,0.3", ":3: coordinate x = nan is not finite"),
+        ("1,0.3,inf", ":3: coordinate y = inf is not finite"),
+    ])
+    def test_load_rejects_a_non_finite_coordinate_by_line(self, tmp_path, row, message):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"id,x,y\n0,0.1,0.2\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_point_cloud(path)
 
     def test_distance_basics(self):
         cloud = generate_uniform_points(10, seed=1)
@@ -157,6 +171,63 @@ class TestSingleLinkage:
             frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5})}
 
 
+def scipy_blocks(n: int, ii, jj) -> set[frozenset]:
+    """Connected components of the pairs (ii, jj), by scipy: an independent oracle."""
+    graph = coo_matrix((np.ones(len(ii), dtype=bool), (ii, jj)), shape=(n, n))
+    return label_blocks(connected_components(graph, directed=False)[1])
+
+
+@st.composite
+def cloud_and_cuts(draw):
+    """A cloud on a coarse grid, so coincident points and tied distances occur."""
+    n = draw(st.integers(1, 40))
+    grid = draw(st.sampled_from([4, 16, 1000]))
+    cells = draw(st.lists(st.tuples(st.integers(0, grid - 1), st.integers(0, grid - 1)),
+                          min_size=n, max_size=n))
+    cloud = PointCloud(positions=np.array(cells, dtype=float) / grid)
+    return cloud, draw(st.lists(st.sampled_from(sorted(set(
+        cloud.distance_matrix().ravel().tolist()))), min_size=1, max_size=6))
+
+
+@st.composite
+def edge_list_and_cuts(draw):
+    """An edge list with isolated nodes and tied lengths."""
+    n = draw(st.integers(1, 30))
+    names = [f"v{i:02d}" for i in range(n)]
+    pairs = [(u, v) for u in names for v in names if u < v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=min(len(pairs), 60))) if pairs else []
+    lengths = st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 7.25])
+    net = build_network([(u, v, draw(lengths)) for u, v in chosen], extra_nodes=names)
+    return net, draw(st.lists(st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5,
+                                               7.25, 8.0]), min_size=1, max_size=6))
+
+
+class TestMergeForestOracle:
+    """The forest's cut against scipy's connected components of all pairs below r0."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cloud_and_cuts())
+    def test_cloud_cut(self, case):
+        cloud, cuts = case
+        mat = cloud.distance_matrix()
+        for r0 in cuts + [float(np.nextafter(r0, np.inf)) for r0 in cuts]:
+            ii, jj = np.nonzero(mat < r0)
+            labels = single_linkage_labels(cloud, r0)
+            assert label_blocks(labels) == scipy_blocks(cloud.n_nodes, ii, jj)
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_list_and_cuts())
+    def test_edge_list_cut(self, case):
+        net, cuts = case
+        index = net.index_of()
+        for r0 in cuts + [float(np.nextafter(r0, np.inf)) for r0 in cuts]:
+            below = np.array([(index[u], index[v]) for u, v, length in net.edges
+                              if length < r0], dtype=np.intp).reshape(-1, 2)
+            labels = single_linkage_labels(net, r0)
+            assert label_blocks(labels) == scipy_blocks(net.n_nodes, *below.T)
+
+
 class TestEdgeLists:
     def test_min_collapse(self):
         net = build_network([("a", "b", 50.0), ("b", "a", 40.0), ("a", "b", 50.0)])
@@ -177,6 +248,7 @@ class TestEdgeLists:
     def test_empty_edge_set_keeps_nodes(self):
         net = build_network([], extra_nodes=["x", "y", "z"])
         assert net.n_nodes == 3 and net.n_edges == 0
+        assert not net.is_connected()
 
     def test_load_save_round_trip(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -325,3 +397,19 @@ class TestEdgeListNetworkChecks:
     def test_rejects_a_bad_length(self, length):
         with pytest.raises(ValueError, match="non-positive or non-finite"):
             self.network(edges=(("a", "b", length),))
+
+    def test_rejects_a_duplicate_pair(self):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            self.network(edges=(("a", "b", 5.0), ("a", "b", 1.0)))
+
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown node kind 'bogus'"):
+            EdgeListNetwork(node_ids=("a", "b"), kinds=("bogus", STATION), edges=())
+        with pytest.raises(ValueError, match="unknown node kind"):
+            build_network([("a", "b", 1.0)], kinds={"a": "bogus"})
+
+    def test_rejects_an_empty_id(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            self.network(node_ids=("", "b"), edges=(("", "b", 1.0),))
+        with pytest.raises(ValueError, match="must not be empty"):
+            build_network([("a", "b", 1.0)], extra_nodes=[""])
