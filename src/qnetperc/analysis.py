@@ -18,24 +18,23 @@ for the whole run.  An isolated component then has every leg at or beyond
 r0, so each shortcut it leaves is at least 2*r0 and never connects: the
 engine's fixed point is the single-linkage cut d < r0, whose blocks are the
 connected components of the graph of strictly shorter edges.  Every probe
-asks for the largest of them, at its own r0.  The network's merge forest
-(topology: one Kruskal pass over its linkage edges, an edge list's own
-edges or a point cloud's minimum spanning tree, which has the same
-components at every cut) holds the size of every block it joins, so the
-largest block against the cut is their running maximum, once per network,
-and each probe becomes a binary search on that curve instead of an engine
-run (after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the floats the
-engine compares and p_inf is the same integer over N, so the values are
-bit-identical.  A probe whose ranges can grow runs the engine, which starts
-from this same cut, taken from the same forest (init_state without an event
-log), and adds only what growing ranges join.  On a point cloud the
-cut's singletons start retired and only its clusters are run: a lone point
-is isolated at r0 and, as a one-point relay, joins nothing.
+asks for the largest of them, at its own r0.  The network's cached merge
+forest (topology: one Kruskal pass over its linkage edges, an edge list's
+own edges or a point cloud's minimum spanning tree, which has the same
+components at every cut) holds the running maximum of the block sizes it
+joins, so the giant-fraction curve is one column of the forest and each
+probe reads it at the count of joins shorter than r0 instead of running
+the engine (after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the
+floats the engine compares and p_inf is the same integer over N, so the
+values are bit-identical.  A probe whose ranges can grow runs the engine,
+which starts from this same cut, taken from the same forest (init_state
+without an event log), and adds only what growing ranges join.  On a point
+cloud the cut's singletons start retired and only its clusters are run: a
+lone point is isolated at r0 and, as a one-point relay, joins nothing.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -99,10 +98,15 @@ class SweepRow:
     p_inf: float
 
 
-def _as_factory(network):
-    if callable(network):
-        return network
-    return lambda seed: network
+def _replicates(network, seeds) -> list:
+    """The network of each replicate seed, in order.
+
+    network may be a topology object or a seed -> topology factory.
+    """
+    networks = [network(seed) if callable(network) else network for seed in seeds]
+    if not networks:
+        raise ValueError("at least one network (replicate seed) is required")
+    return networks
 
 
 def _run_p_inf(network, params: ModelParams) -> float:
@@ -111,67 +115,23 @@ def _run_p_inf(network, params: ModelParams) -> float:
     return run(state).p_inf
 
 
-@dataclass(frozen=True)
-class _GiantCurve:
-    """Largest block of the single-linkage cut d < r0, for every r0 at once.
+def _fixed_p_inf(network, params: ModelParams) -> float | None:
+    """p_inf from the network's merge forest; None when ranges can grow there.
 
-    lengths are the join lengths at which the largest block grows, ascending;
-    largest[bisect_left(lengths, r0)] is the largest block joined by the
-    edges strictly shorter than r0.
+    r(s) never decreases in s, so equal ranges at sizes 1 and N mean that
+    every component the network can form has the range r0.
     """
-
-    n_nodes: int
-    lengths: tuple[float, ...]
-    largest: tuple[int, ...]
-
-    def p_inf(self, r0: float) -> float:
-        return self.largest[bisect.bisect_left(self.lengths, r0)] / self.n_nodes
-
-
-def _giant_curve(network) -> _GiantCurve:
-    """The running maximum of the network's merge-forest block sizes."""
+    r0 = params.component_range_km(1)
+    if r0 != params.component_range_km(network.n_nodes):
+        return None
     forest = network.merge_forest
-    largest = np.maximum.accumulate(np.concatenate(([1], forest.sizes)))
-    grows = largest[1:] > largest[:-1]
-    return _GiantCurve(network.n_nodes, tuple(forest.lengths[grows].tolist()),
-                       (1, *forest.sizes[grows].tolist()))
+    # int(): a Python float like the engine's, whose repr the CSVs write
+    return int(forest.largest[forest.joins_below(r0)]) / network.n_nodes
 
 
-class _GiantFractions:
-    """p_inf of each of a fixed list of networks, probe after probe.
-
-    A probe whose params fix every range on a network is answered from that
-    network's Kruskal curve, built on first use; any other probe runs the
-    engine.
-    """
-
-    def __init__(self, networks):
-        self.networks = list(networks)
-        if not self.networks:
-            raise ValueError("at least one network (replicate seed) is required")
-        self._curves: dict[int, _GiantCurve] = {}
-
-    def fixed_p_inf(self, k: int, params: ModelParams) -> float | None:
-        """p_inf of network k from its curve; None when ranges can grow there.
-
-        r(s) never decreases in s, so equal ranges at sizes 1 and N mean
-        that every component the network can form has the range r0.
-        """
-        network = self.networks[k]
-        r0 = params.component_range_km(1)
-        if r0 != params.component_range_km(network.n_nodes):
-            return None
-        if k not in self._curves:
-            self._curves[k] = _giant_curve(network)
-        return self._curves[k].p_inf(r0)
-
-    def p_infs(self, params: ModelParams) -> list[float]:
-        """p_inf of every network under params, in order."""
-        out = []
-        for k, network in enumerate(self.networks):
-            p = self.fixed_p_inf(k, params)
-            out.append(_run_p_inf(network, params) if p is None else p)
-        return out
+def _p_inf(network, params: ModelParams) -> float:
+    p = _fixed_p_inf(network, params)
+    return _run_p_inf(network, params) if p is None else p
 
 
 def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
@@ -184,9 +144,8 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    factory = _as_factory(network)
-    slot = {seed: k for k, seed in enumerate(dict.fromkeys(spec.seeds))}
-    fractions = _GiantFractions([factory(seed) for seed in slot])
+    seeds = list(dict.fromkeys(spec.seeds))
+    networks = dict(zip(seeds, _replicates(network, seeds)))
     tasks = []
     for scenario in spec.scenarios:
         for d0 in spec.d0_grid_km:
@@ -194,9 +153,10 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
                 replace(params, channel=replace(params.channel, d0_km=d0)), scenario)
             for seed in spec.seeds:
                 tasks.append((scenario, d0, seed, sp))
-    p_infs = [fractions.fixed_p_inf(slot[t[2]], t[3]) for t in tasks]
+    # fixed tasks are answered here, so worker processes never build a forest
+    p_infs = [_fixed_p_inf(networks[seed], sp) for _, _, seed, sp in tasks]
     pending = [i for i, p in enumerate(p_infs) if p is None]
-    nets = [fractions.networks[slot[tasks[i][2]]] for i in pending]
+    nets = [networks[tasks[i][2]] for i in pending]
     sps = [tasks[i][3] for i in pending]
     if jobs > 1 and pending:
         from concurrent.futures import ProcessPoolExecutor
@@ -256,18 +216,20 @@ def threshold_to_json(est: ThresholdEstimate) -> dict:
             "probes": [[r0, p] for r0, p in est.probes]}
 
 
-def _bisect(p_infs_at, lo: float, hi: float, target: float, midpoint, narrow):
+def _bisect(networks, params_at, lo: float, hi: float, target: float, midpoint,
+            narrow):
     """Halve [lo, hi] at midpoint(lo, hi) while narrow(lo, hi) holds.
 
-    The mean of p_infs_at(x), the per-network giant fractions, is monotone in
-    x.  Returns (lo, hi, {x: fractions}) with the target missed at lo and met
-    at hi, or (lo, lo, ...) when it already holds at lo.
+    The mean giant fraction of the networks under params_at(x) is monotone
+    in x.  Returns (lo, hi, {x: per-network fractions}) with the target
+    missed at lo and met at hi, or (lo, lo, ...) when it already holds at lo.
     """
     evaluations: dict[float, list[float]] = {}
 
     def mean_at(x: float) -> float:
         if x not in evaluations:
-            evaluations[x] = p_infs_at(x)
+            params = params_at(x)
+            evaluations[x] = [_p_inf(network, params) for network in networks]
         return float(np.mean(evaluations[x]))
 
     if mean_at(lo) >= target:
@@ -320,10 +282,8 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
     if not math.isfinite(at_eps(eps_hi).base_range_km()):
         raise ValueError(f"eps_hi {eps_hi} gives an infinite base range; "
                          f"lower it or keep the beta cap")
-    fractions = _GiantFractions([cloud_factory(seed) for seed in seeds])
-
     lo, hi, evaluations = _bisect(
-        lambda eps: fractions.p_infs(at_eps(eps)), eps_lo, eps_hi, target,
+        _replicates(cloud_factory, seeds), at_eps, eps_lo, eps_hi, target,
         midpoint=lambda a, b: 0.5 * (a + b),
         narrow=lambda a, b: at_eps(b).base_range_km() - at_eps(a).base_range_km() > tol)
     probe_eps = sorted(evaluations)
@@ -361,11 +321,9 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
     """
     if not 0 < d0_lo < d0_hi:
         raise ValueError(f"need 0 < d0_lo < d0_hi, got ({d0_lo}, {d0_hi})")
-    factory = _as_factory(network)
-    fractions = _GiantFractions([factory(seed) for seed in seeds])
     lo, hi, evaluations = _bisect(
-        lambda d0: fractions.p_infs(
-            replace(params, channel=replace(params.channel, d0_km=d0))),
+        _replicates(network, seeds),
+        lambda d0: replace(params, channel=replace(params.channel, d0_km=d0)),
         d0_lo, d0_hi, target,
         midpoint=lambda a, b: math.sqrt(a * b),
         narrow=lambda a, b: b / a > 1.0 + rel_tol)

@@ -487,10 +487,10 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
         raise ValueError("network must contain at least one node")
     cloud = isinstance(network, PointCloud)
     r0 = params.component_range_km(1)
-    if record_events:
-        nodes, starts = np.arange(n), np.arange(n + 1)
-    else:  # before any distance matrix: a cloud's first cut builds its own
-        nodes, starts = _blocks(single_linkage_labels(network, r0))
+    # singletons for a logged run, else the cut at r0, taken before any
+    # distance matrix: a cloud's first cut builds its own
+    nodes, starts = _blocks(np.arange(n) if record_events
+                            else single_linkage_labels(network, r0))
     retired = []
     if cloud and not record_events:  # the singletons are a prefix
         k1 = int(np.count_nonzero(np.diff(starts) == 1))

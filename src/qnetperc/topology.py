@@ -11,9 +11,10 @@ Both give their single-linkage cut at a range r0, the blocks of the pairs
 closer than r0, from one cached merge forest per network: one Kruskal pass
 over its linkage edges (an edge list's own edges, a point cloud's minimum
 spanning tree, found by Prim one distance row at a time) records every join
-with its length and block size.  A cut at r0 keeps the joins shorter than
-r0; the engine starts harness runs from it, and the harness's Kruskal curves
-read the same joins' sizes.  Neither needs an N x N matrix.
+with its length, block size and the running maximum of the sizes.  A cut
+at r0 keeps the joins shorter than r0 (MergeForest.joins_below); the engine
+starts harness runs from it, and the harness reads the largest block of a
+fixed-range probe from the same count.  Neither needs an N x N matrix.
 
 scipy is imported only inside generate_fiber_network, so the other callers
 of this module never load it.
@@ -116,13 +117,6 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
     return PointCloud(positions=pos, box_side=box_side, seed=seed)
 
 
-def euclidean_distance(cloud: PointCloud, i: int, j: int) -> float:
-    if not (0 <= i < cloud.n_nodes and 0 <= j < cloud.n_nodes):
-        raise IndexError(f"node index out of range: ({i}, {j}) for N={cloud.n_nodes}")
-    d = cloud.positions[i] - cloud.positions[j]
-    return float(math.hypot(d[0], d[1]))
-
-
 def save_point_cloud(cloud: PointCloud, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,x,y\n")
@@ -210,11 +204,18 @@ class MergeForest(NamedTuple):
     edge that joins two blocks, in ascending order of length: it joins them
     at lengths[t] into a block of sizes[t] nodes.  parent[x] is the merge
     node that absorbed x, or x itself when no edge joins its block further.
+    largest[t] is the largest block after the first t joins: the running
+    maximum of sizes, after a leading 1.
     """
 
     parent: np.ndarray
     sizes: np.ndarray
     lengths: np.ndarray
+    largest: np.ndarray
+
+    def joins_below(self, r0: float) -> int:
+        """How many joins are strictly shorter than r0: the cut d < r0 keeps them."""
+        return int(np.searchsorted(self.lengths, r0))
 
 
 def _merge_forest(n: int, edges) -> MergeForest:
@@ -241,8 +242,9 @@ def _merge_forest(n: int, edges) -> MergeForest:
         link.append(node)
         size.append(size[i] + size[j])
         joins.append(length)
-    return MergeForest(np.array(parent, dtype=np.intp), np.array(size[n:], dtype=np.intp),
-                       np.array(joins, dtype=float))
+    sizes = np.array(size[n:], dtype=np.intp)
+    return MergeForest(np.array(parent, dtype=np.intp), sizes, np.array(joins, dtype=float),
+                       np.maximum.accumulate(np.concatenate(([1], sizes))))
 
 
 def single_linkage_labels(network, r0: float) -> np.ndarray:
@@ -256,7 +258,7 @@ def single_linkage_labels(network, r0: float) -> np.ndarray:
     and labels each node with the highest of them above it.
     """
     forest = network.merge_forest
-    top = network.n_nodes + int(np.searchsorted(forest.lengths, r0))
+    top = network.n_nodes + forest.joins_below(r0)
     p = forest.parent[:top]
     p = np.where(p < top, p, np.arange(top))  # a join at or above r0 is cut
     while True:  # pointer jumping: each pass halves the distance to the root
@@ -279,8 +281,9 @@ class EdgeListNetwork:
     """Sparse fiber network: canonical sorted nodes and (u, v, length_km) edges.
 
     Node ids are non-empty and kinds are STATION or REPEATER.  Edges are
-    stored with u < v lexicographically, sorted, at most one per pair
-    (build_network collapses duplicates to the minimum length).  Pairs
+    stored with u < v lexicographically, in strictly ascending (u, v) order,
+    so at most one per pair (build_network collapses duplicates to the
+    minimum length); insert_repeaters seeds each cable by its index.  Pairs
     without an edge are unreachable.  positions, when present, align with node_ids and exist
     purely for export and plotting.
     """
@@ -306,11 +309,14 @@ class EdgeListNetwork:
         if self.positions is not None and len(self.positions) != len(ids):
             raise ValueError("positions must align with node_ids")
         known = set(ids)
-        pairs = set()
+        prev = None
         for u, v, length in self.edges:
-            if (u, v) in pairs:
-                raise ValueError(f"duplicate edge ({u}, {v}): at most one per pair")
-            pairs.add((u, v))
+            if prev is not None and not prev < (u, v):
+                if prev == (u, v):
+                    raise ValueError(f"duplicate edge ({u}, {v}): at most one per pair")
+                raise ValueError(f"edge ({u}, {v}) follows {prev}: edges must be "
+                                 f"sorted by node pair")
+            prev = (u, v)
             if u == v:
                 raise ValueError(f"self-loop on node {u!r}")
             if not u < v:
@@ -493,13 +499,7 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
                                    pu[1] + t * (pv[1] - pu[1]))
         for a, b, lo, hi in zip(chain[:-1], chain[1:], offsets[:-1], offsets[1:]):
             new_edges.append((a, b, float(hi - lo)))
-    # nodes with no edges must survive the rebuild
-    degree = {nid: 0 for nid in net.node_ids}
-    for u, v, _ in net.edges:
-        degree[u] += 1
-        degree[v] += 1
-    isolated = [nid for nid, d in degree.items() if d == 0]
-    return build_network(new_edges, kinds=kinds, extra_nodes=isolated,
+    return build_network(new_edges, kinds=kinds, extra_nodes=net.node_ids,
                          positions=positions)
 
 

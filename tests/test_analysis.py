@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import disk_percolation_oracle, random_instance
@@ -427,26 +427,32 @@ def edge_lengths(network) -> list[float]:
     if isinstance(network, PointCloud):
         mat = network.distance_matrix()
         np.fill_diagonal(mat, np.inf)
-        return sorted(set(mat.min(axis=1).tolist()))
+        return sorted(set(mat.min(axis=1).tolist()) - {math.inf})  # N = 1 has none
     return sorted({length for _, _, length in network.edges})
 
 
 def curve_p_inf(network, params) -> float:
-    p = analysis._GiantFractions([network]).fixed_p_inf(0, params)
+    p = analysis._fixed_p_inf(network, params)
     assert p is not None, "the params fix the range, so the curve must answer"
     return p
 
 
+# no join at any r0: the forest's running maximum is its leading 1 alone
+NO_JOIN_NETWORKS = (build_network([], extra_nodes=["x", "y", "z"]),
+                    PointCloud(positions=np.array([[0.25, 0.5]])))
+
+
 class TestFixedRangeCurve:
-    @given(seed=st.integers(0, 40_000), cloud=st.booleans(),
+    @given(network=st.one_of(st.builds(instance_of_kind, st.integers(0, 40_000),
+                                       st.booleans()),
+                             st.sampled_from(NO_JOIN_NETWORKS)),
            kind=st.sampled_from(FIXED_RANGE_KINDS), m=st.sampled_from([1, 4, 102]),
            pick=st.floats(0.0, 1.0))
+    @example(network=NO_JOIN_NETWORKS[0], kind="alpha_zero", m=1, pick=0.0)
+    @example(network=NO_JOIN_NETWORKS[1], kind="beta_capped", m=4, pick=0.0)
     @settings(max_examples=60, deadline=None)
-    def test_curve_matches_engine_at_and_above_an_edge(self, seed, cloud, kind, m,
-                                                       pick):
-        network = instance_of_kind(seed, cloud)
-        lengths = edge_lengths(network)
-        assume(lengths)
+    def test_curve_matches_engine_at_and_above_an_edge(self, network, kind, m, pick):
+        lengths = edge_lengths(network) or [1.0]  # without a join, any r0 will do
         length = lengths[min(int(pick * len(lengths)), len(lengths) - 1)]
         at = params_at(kind, length, m)
         assume(at is not None)
@@ -456,8 +462,7 @@ class TestFixedRangeCurve:
 
     def test_growing_ranges_run_the_engine(self):
         params = base_params(alpha=0.585)
-        fractions = analysis._GiantFractions([generate_uniform_points(20, seed=1)])
-        assert fractions.fixed_p_inf(0, params) is None
+        assert analysis._fixed_p_inf(generate_uniform_points(20, seed=1), params) is None
 
     def test_coincident_points_join(self):
         # points 5..9 twice and 10, 11 three times; none of them is point 0,
@@ -504,8 +509,7 @@ class TestFixedRangeCurve:
         fast = searches()
         # only the sweep's distributed scenario grows its ranges
         assert len(runs) == len(spec.d0_grid_km) * len(spec.seeds)
-        monkeypatch.setattr(analysis._GiantFractions, "fixed_p_inf",
-                            lambda self, k, params: None)
+        monkeypatch.setattr(analysis, "_fixed_p_inf", lambda network, params: None)
         assert searches() == fast
         # engine runs from singletons instead of from the cut at r0
         monkeypatch.setattr(analysis, "_run_p_inf",

@@ -10,7 +10,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from qnetperc.topology import (STATION, EdgeListNetwork, PointCloud, RepeaterConfig,
-                               build_network, euclidean_distance, generate_fiber_network,
+                               build_network, generate_fiber_network,
                                generate_uniform_points, insert_repeaters,
                                load_edge_list, load_point_cloud,
                                network_to_json, save_edge_list,
@@ -68,23 +68,13 @@ class TestPointClouds:
             load_point_cloud(path)
 
     def test_distance_basics(self):
-        cloud = generate_uniform_points(10, seed=1)
-        assert euclidean_distance(cloud, 3, 3) == 0.0
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            i, j = rng.integers(0, 10, size=2)
-            assert euclidean_distance(cloud, i, j) == euclidean_distance(cloud, j, i)
+        mat = generate_uniform_points(10, seed=1).distance_matrix()
+        assert np.all(np.diag(mat) == 0.0)
+        assert np.array_equal(mat, mat.T)
 
     def test_pythagorean(self):
-        from qnetperc.topology import PointCloud
         cloud = PointCloud(positions=np.array([[0.0, 0.0], [3.0, 4.0]]), box_side=5.0)
-        assert euclidean_distance(cloud, 0, 1) == 5.0
         assert cloud.distance_matrix()[0, 1] == 5.0
-
-    def test_index_error(self):
-        cloud = generate_uniform_points(5, seed=0)
-        with pytest.raises(IndexError):
-            euclidean_distance(cloud, 0, 5)
 
     def test_csv_round_trip(self, tmp_path):
         cloud = generate_uniform_points(50, seed=3)
@@ -401,6 +391,16 @@ class TestEdgeListNetworkChecks:
     def test_rejects_a_duplicate_pair(self):
         with pytest.raises(ValueError, match="duplicate edge"):
             self.network(edges=(("a", "b", 5.0), ("a", "b", 1.0)))
+
+    def test_rejects_edges_out_of_order(self):
+        # insert_repeaters seeds each cable by its index, so this order would
+        # give the cables other repeaters than build_network's order does
+        edges = (("b", "c", 100.0), ("a", "b", 200.0))
+        with pytest.raises(ValueError, match="sorted by node pair"):
+            self.network(edges=edges)
+        canonical = build_network(edges)
+        assert canonical.edges == edges[::-1]
+        assert insert_repeaters(canonical, RepeaterConfig(50.0, 1)).n_nodes == 10
 
     def test_rejects_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown node kind 'bogus'"):
