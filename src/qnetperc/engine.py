@@ -71,8 +71,7 @@ class Component(NamedTuple):
     range_km: float
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(NamedTuple):
     a: int
     b: int
     new_id: int
@@ -83,8 +82,7 @@ class MergeEvent:
     distance: float
 
 
-@dataclass(frozen=True)
-class ReduceEvent:
+class ReduceEvent(NamedTuple):
     comp: int
     size: int
     range_km: float
@@ -665,10 +663,51 @@ def events_to_dicts(report: RunReport) -> list[dict]:
     return out
 
 
+def _record_template(kind: str, fields) -> str:
+    """One record of the log's JSON list at indent 2, its values left as %s."""
+    lines = [f'    "type": "{kind}"'] + [f'    "{name}": %s' for name in fields]
+    return "  {\n" + ",\n".join(lines) + "\n  }"
+
+
+_MERGE_TEMPLATE = _record_template("merge", MergeEvent._fields)
+_REDUCE_TEMPLATE = _record_template("reduce", ReduceEvent._fields)
+_SHORTCUT_TEMPLATE = "      [\n        %s,\n        %s,\n        %s\n      ]"
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
 def save_event_log(report: RunReport, path) -> None:
+    """Write the event log: json.dump(events_to_dicts(report), indent=2) plus a newline.
+
+    Each record is its kind's template, built from the record's fields,
+    filled with ints by int.__repr__ and floats by float.__repr__, as json
+    writes them; a NaN or infinity raises ValueError, as allow_nan=False
+    does.  Records go to the file one at a time.  The tests check the file
+    byte for byte against the stdlib encoder's output of events_to_dicts.
+    json.dump is not used because with indent it always runs the stdlib's
+    pure-Python encoder (the C encoder ignores indent), about twice as slow.
+    """
+    i, f = int.__repr__, _json_float
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(events_to_dicts(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        sep = "[\n"
+        for ev in report.events:
+            fh.write(sep)
+            sep = ",\n"
+            if isinstance(ev, MergeEvent):
+                a, b, new_id, size, new_range, range_a, range_b, d = ev
+                fh.write(_MERGE_TEMPLATE % (i(a), i(b), i(new_id), i(size), f(new_range),
+                                            f(range_a), f(range_b), f(d)))
+            else:
+                comp, size, range_km, shortcuts = ev
+                listed = ",\n".join([_SHORTCUT_TEMPLATE % (i(x), i(y), f(d))
+                                     for x, y, d in shortcuts])
+                fh.write(_REDUCE_TEMPLATE % (i(comp), i(size), f(range_km),
+                                             f"[\n{listed}\n    ]" if listed else "[]"))
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def partition_to_lists(report: RunReport) -> list[list]:

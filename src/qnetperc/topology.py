@@ -410,10 +410,7 @@ def load_edge_list(path) -> EdgeListNetwork:
                 length = float(raw)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad length {raw!r}") from None
-            try:
-                edges.append((u.strip(), v.strip(), length))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            edges.append((u.strip(), v.strip(), length))
     try:
         return build_network(edges)
     except ValueError as exc:
@@ -473,6 +470,10 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
     each cable sum to the original length.  Deterministic per (seed, edge):
     each edge draws from a child seed derived from its index in the canonical
     edge order.
+
+    The j-th cut of cable (u, v) is named rep__{u}__{v}__{j}.  A name that is
+    already a node id (a station, or a cut of another cable when ids hold
+    "__") raises ValueError: the two nodes would silently become one.
     """
     have_pos = net.positions is not None
     rate = 1.0 / cfg.mean_segment_km
@@ -491,6 +492,9 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
         chain = [u] + names + [v]
         offsets = np.concatenate(([0.0], cuts, [length]))
         for j, name in enumerate(names):
+            if name in kinds:
+                raise ValueError(f"repeater id {name!r} on cable ({u!r}, {v!r}) "
+                                 "is already a node id")
             kinds[name] = REPEATER
             if have_pos:
                 t = cuts[j] / length

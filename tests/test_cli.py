@@ -87,6 +87,15 @@ class TestIngestAndRepeaters:
                       "--out", str(tmp_path / "o.csv")) == 2
         assert "mean_segment_km" in capsys.readouterr().err
 
+    def test_colliding_repeater_ids_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("u,v,length_km\na,b__c,500.0\na__b,c,500.0\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert invoke("repeaters", "--in", str(raw), "--mean-segment", "10",
+                      "--out", str(out)) == 2
+        assert "rep__a__b__c__0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeaters(self, tmp_path):
         raw = tmp_path / "net.csv"
         raw.write_text("u,v,length_km\na,b,500.0\n", encoding="utf-8")

@@ -1,19 +1,22 @@
-"""Property tests: order invariance, monotone coupling, conservation, tie handling."""
+"""Property tests: order invariance, monotone coupling, conservation, tie handling,
+and the event-log writer against the stdlib json encoder."""
 
 import dataclasses
+import json
 import math
 import random
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (disk_percolation_oracle, is_refinement, params_for_r0,
                       random_instance, random_params, reference_schedule)
-from qnetperc.engine import (ReduceEvent, events_to_dicts, init_state, run,
-                             verify_report)
+from qnetperc.engine import (MergeEvent, ReduceEvent, RunReport, events_to_dicts,
+                             init_state, run, save_event_log, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
-from qnetperc.topology import (RepeaterConfig, build_network,
+from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
                                generate_fiber_network, insert_repeaters)
 
 
@@ -283,3 +286,84 @@ class TestEventMonotonicity:
                 continue
             isolated = [a for a in state.active_ids() if state.is_isolated(a)]
             state.reduce_and_remove(isolated[0])
+
+
+@st.composite
+def logged_runs(draw):
+    """A small cloud (dense store) or edge list (sparse store) and params near its scale."""
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        coord = st.floats(0.0, 1.0, exclude_max=True)
+        points = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        network = PointCloud(positions=np.array(points, dtype=float).reshape(n, 2))
+    else:
+        names = [f"v{i:02d}" for i in range(n)]
+        cable = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)),
+                          st.floats(0.01, 2.0))
+        cables = draw(st.lists(cable, max_size=3 * n if n > 1 else 0))
+        network = build_network([(names[i], names[(i + k) % n], d) for i, k, d in cables],
+                                extra_nodes=names)
+    params = params_for_r0(draw(st.floats(0.05, 1.5)), draw(st.sampled_from([0.0, 0.585, 1.0])),
+                           m=draw(st.sampled_from([1, 4, 102])), cap=draw(st.booleans()),
+                           mode=draw(st.sampled_from(["asymptotic", "exact"])))
+    return network, params
+
+
+# b relays between the clusters {a, x} and {y, z}; reduced, it writes a shortcut between them
+RELAY_WITH_SHORTCUT = (build_network([("a", "x", 0.1), ("x", "b", 1.2), ("b", "y", 1.2),
+                                      ("y", "z", 0.1)]),
+                       params_for_r0(1.0, 1.0, cap=False))
+
+
+def stdlib_event_log(report) -> str:
+    return json.dumps(events_to_dicts(report), indent=2, allow_nan=False) + "\n"
+
+
+def report_of(events) -> RunReport:
+    return RunReport(n_nodes=5, node_labels=tuple(range(5)), partition=(tuple(range(5)),),
+                     p_inf=1.0, events=tuple(events), merge_count=1, reduce_count=1,
+                     params=params_for_r0(1.0, 0.0))
+
+
+class TestEventLogWriter:
+    """save_event_log writes what the stdlib encoder writes, byte for byte."""
+
+    # random instances seldom reduce a relay that writes shortcuts; relay chains always do
+    @given(instance=st.one_of(logged_runs(),
+                              st.builds(relay_chain_instance, st.integers(0, 40_000))))
+    @example(instance=(PointCloud(positions=np.array([[0.5, 0.5]])), params_for_r0(1.0, 0.585)))
+    @example(instance=RELAY_WITH_SHORTCUT)
+    @settings(max_examples=60, deadline=None)
+    def test_file_equals_the_stdlib_encoding(self, tmp_path_factory, instance):
+        network, params = instance
+        report = run(init_state(network, params))
+        path = tmp_path_factory.mktemp("log") / "events.json"
+        save_event_log(report, path)
+        assert path.read_bytes() == stdlib_event_log(report).encode("utf-8")
+
+    def test_relay_example_writes_a_shortcut(self):
+        report = run(init_state(*RELAY_WITH_SHORTCUT))
+        assert any(isinstance(ev, ReduceEvent) and ev.shortcuts for ev in report.events)
+
+    def test_empty_log(self, tmp_path):
+        path = tmp_path / "events.json"
+        save_event_log(report_of(()), path)
+        assert path.read_text(encoding="utf-8") == stdlib_event_log(report_of(())) == "[]\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise_like_the_stdlib(self, tmp_path, bad):
+        merge = MergeEvent(a=0, b=1, new_id=2, size=2, new_range=1.5, range_a=1.0,
+                           range_b=1.0, distance=0.5)
+        reduce = ReduceEvent(comp=2, size=2, range_km=1.5, shortcuts=((3, 4, 0.75),))
+        path = tmp_path / "events.json"
+        save_event_log(report_of((merge, reduce)), path)
+        assert path.read_text(encoding="utf-8") == stdlib_event_log(report_of((merge, reduce)))
+        logs = [(merge._replace(**{name: bad}), reduce)
+                for name in ("new_range", "range_a", "range_b", "distance")]
+        logs += [(merge, reduce._replace(range_km=bad)),
+                 (merge, reduce._replace(shortcuts=((3, 4, 0.75), (3, 5, bad))))]
+        for events in logs:
+            with pytest.raises(ValueError):
+                stdlib_event_log(report_of(events))
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                save_event_log(report_of(events), path)

@@ -322,6 +322,16 @@ class TestRepeaters:
         tol = 3 * math.sqrt(10.0 / trials)
         assert abs(counts.mean() - 10.0) <= tol
 
+    @pytest.mark.parametrize("edges, taken", [
+        # both cables' first cut is named rep__a__b__c__0
+        ([("a", "b__c", 500.0), ("a__b", "c", 500.0)], "rep__a__b__c__0"),
+        # a station already holds the first cut's name of cable (a, b)
+        ([("a", "b", 500.0), ("rep__a__b__0", "x", 5.0)], "rep__a__b__0"),
+    ])
+    def test_rejects_repeater_id_already_taken(self, edges, taken):
+        with pytest.raises(ValueError, match=f"repeater id '{taken}'"):
+            insert_repeaters(build_network(edges), RepeaterConfig(100.0, 0))
+
     def test_repeater_kind_and_station_preserved(self):
         net = build_network([("a", "b", 500.0)])
         out = insert_repeaters(net, RepeaterConfig(mean_segment_km=50.0, seed=4))
