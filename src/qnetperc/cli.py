@@ -138,14 +138,10 @@ def _build_network(cfg: RunConfig):
     elif cfg.source == "file":
         if not cfg.network_path:
             raise ValueError("source 'file' requires --network")
-        with open(cfg.network_path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-        if header == "id,x,y":
-            return topology.load_point_cloud(cfg.network_path)
-        net = topology.load_edge_list(cfg.network_path)
+        net = topology.load_network(cfg.network_path)
     else:
         raise ValueError(f"unknown source {cfg.source!r}")
-    if cfg.add_repeaters:
+    if cfg.add_repeaters and isinstance(net, topology.EdgeListNetwork):
         net = topology.insert_repeaters(net, topology.RepeaterConfig(
             mean_segment_km=cfg.mean_segment_km,
             seed=subseed(cfg.seed, STREAM_REPEATERS)))
@@ -262,6 +258,12 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    if args.worst_case:
+        missing = [k for k in ("epsilon", "d_worst", "d0", "alpha") if getattr(args, k) is None]
+        if missing:
+            raise ValueError(f"--worst-case needs --{', --'.join(missing)}")
+    elif not args.n:
+        raise ValueError("complexity needs --n values or --worst-case")
     cp = analysis.ComplexityParams(m=args.m, p=args.p, eta=args.eta)
     if args.worst_case:
         n = analysis.worst_case_n(args.epsilon, args.d_worst, args.d0, args.alpha)
@@ -384,15 +386,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "complexity" and not args.worst_case and not args.n:
-        print("error: complexity needs --n values or --worst-case", file=sys.stderr)
-        return 2
-    if args.command == "complexity" and args.worst_case:
-        missing = [k for k in ("epsilon", "d_worst", "d0", "alpha")
-                   if getattr(args, k) is None]
-        if missing:
-            print(f"error: --worst-case needs --{', --'.join(missing)}", file=sys.stderr)
-            return 2
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -686,28 +687,32 @@ def save_event_log(report: RunReport, path) -> None:
     Each record is its kind's template, built from the record's fields,
     filled with ints by int.__repr__ and floats by float.__repr__, as json
     writes them; a NaN or infinity raises ValueError, as allow_nan=False
-    does.  Records go to the file one at a time.  The tests check the file
-    byte for byte against the stdlib encoder's output of events_to_dicts.
+    does, and removes the partial file.  Records go to the file one at a
+    time.  The tests check it byte for byte against the stdlib encoder.
     json.dump is not used because with indent it always runs the stdlib's
     pure-Python encoder (the C encoder ignores indent), about twice as slow.
     """
     i, f = int.__repr__, _json_float
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        sep = "[\n"
-        for ev in report.events:
-            fh.write(sep)
-            sep = ",\n"
-            if isinstance(ev, MergeEvent):
-                a, b, new_id, size, new_range, range_a, range_b, d = ev
-                fh.write(_MERGE_TEMPLATE % (i(a), i(b), i(new_id), i(size), f(new_range),
-                                            f(range_a), f(range_b), f(d)))
-            else:
-                comp, size, range_km, shortcuts = ev
-                listed = ",\n".join([_SHORTCUT_TEMPLATE % (i(x), i(y), f(d))
-                                     for x, y, d in shortcuts])
-                fh.write(_REDUCE_TEMPLATE % (i(comp), i(size), f(range_km),
-                                             f"[\n{listed}\n    ]" if listed else "[]"))
-        fh.write("[]\n" if sep == "[\n" else "\n]\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            sep = "[\n"
+            for ev in report.events:
+                fh.write(sep)
+                sep = ",\n"
+                if isinstance(ev, MergeEvent):
+                    a, b, new_id, size, new_range, range_a, range_b, d = ev
+                    fh.write(_MERGE_TEMPLATE % (i(a), i(b), i(new_id), i(size), f(new_range),
+                                                f(range_a), f(range_b), f(d)))
+                else:
+                    comp, size, range_km, shortcuts = ev
+                    listed = ",\n".join([_SHORTCUT_TEMPLATE % (i(x), i(y), f(d))
+                                         for x, y, d in shortcuts])
+                    fh.write(_REDUCE_TEMPLATE % (i(comp), i(size), f(range_km),
+                                                 f"[\n{listed}\n    ]" if listed else "[]"))
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
+    except ValueError:  # a refused log leaves no partial file
+        os.remove(path)
+        raise
 
 
 def partition_to_lists(report: RunReport) -> list[list]:

@@ -11,7 +11,7 @@ Both give their single-linkage cut at a range r0, the blocks of the pairs
 closer than r0, from one cached merge forest per network: one Kruskal pass
 over its linkage edges (an edge list's own edges, a point cloud's minimum
 spanning tree, found by Prim one distance row at a time) records every join
-with its length, block size and the running maximum of the sizes.  A cut
+with its length and the running maximum of the block sizes.  A cut
 at r0 keeps the joins shorter than r0 (MergeForest.joins_below); the engine
 starts harness runs from it, and the harness reads the largest block of a
 fixed-range probe from the same count.  Neither needs an N x N matrix.
@@ -19,10 +19,10 @@ fixed-range probe from the same count.  Neither needs an N x N matrix.
 scipy is imported only inside generate_fiber_network, so the other callers
 of this module never load it.
 
-Also provides the repeater-insertion transform (cut each cable at the
-points of a Poisson process, mean segment 50 km by default) and a
-synthetic planar fiber-network generator used as a stand-in for
-proprietary operator topologies.
+load_network reads a CSV file as the format its header names.  Also provides
+the repeater-insertion transform (cut each cable at the points of a Poisson
+process, mean segment 50 km by default) and a synthetic planar fiber-network
+generator used as a stand-in for proprietary operator topologies.
 """
 
 from __future__ import annotations
@@ -38,6 +38,20 @@ import numpy as np
 
 STATION = "station"
 REPEATER = "repeater"
+
+# the header row of each CSV format; fields are compared with whitespace stripped
+_POINT_CLOUD_HEADER = ("id", "x", "y")
+_EDGE_LIST_HEADER = ("u", "v", "length_km")
+
+
+def _has_header(row, header: tuple[str, ...]) -> bool:
+    return row is not None and tuple(field.strip() for field in row) == header
+
+
+def _read_header(reader, path, header: tuple[str, ...]) -> None:
+    row = next(reader, None)
+    if not _has_header(row, header):
+        raise ValueError(f"{path}: expected header '{','.join(header)}', got {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +133,7 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
 
 def save_point_cloud(cloud: PointCloud, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,x,y\n")
+        fh.write(",".join(_POINT_CLOUD_HEADER) + "\n")
         for i, (x, y) in enumerate(cloud.positions):
             fh.write(f"{i},{float(x)!r},{float(y)!r}\n")
 
@@ -129,9 +143,7 @@ def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
     rows = []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "x", "y"]:
-            raise ValueError(f"{path}: expected header 'id,x,y', got {header}")
+        _read_header(reader, path, _POINT_CLOUD_HEADER)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -202,14 +214,13 @@ class MergeForest(NamedTuple):
 
     Nodes 0..N-1 are the network's nodes.  Merge node N+t is made by the t-th
     edge that joins two blocks, in ascending order of length: it joins them
-    at lengths[t] into a block of sizes[t] nodes.  parent[x] is the merge
-    node that absorbed x, or x itself when no edge joins its block further.
-    largest[t] is the largest block after the first t joins: the running
-    maximum of sizes, after a leading 1.
+    at lengths[t].  parent[x] is the merge node that absorbed x, or x itself
+    when no edge joins its block further.  largest[t] is the largest block
+    after the first t joins: the running maximum of the joined blocks' sizes,
+    after a leading 1.
     """
 
     parent: np.ndarray
-    sizes: np.ndarray
     lengths: np.ndarray
     largest: np.ndarray
 
@@ -242,9 +253,8 @@ def _merge_forest(n: int, edges) -> MergeForest:
         link.append(node)
         size.append(size[i] + size[j])
         joins.append(length)
-    sizes = np.array(size[n:], dtype=np.intp)
-    return MergeForest(np.array(parent, dtype=np.intp), sizes, np.array(joins, dtype=float),
-                       np.maximum.accumulate(np.concatenate(([1], sizes))))
+    return MergeForest(np.array(parent, dtype=np.intp), np.array(joins, dtype=float),
+                       np.maximum.accumulate(np.array([1, *size[n:]], dtype=np.intp)))
 
 
 def single_linkage_labels(network, r0: float) -> np.ndarray:
@@ -397,9 +407,7 @@ def load_edge_list(path) -> EdgeListNetwork:
     edges = []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["u", "v", "length_km"]:
-            raise ValueError(f"{path}: expected header 'u,v,length_km', got {header}")
+        _read_header(reader, path, _EDGE_LIST_HEADER)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -417,11 +425,21 @@ def load_edge_list(path) -> EdgeListNetwork:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def load_network(path) -> PointCloud | EdgeListNetwork:
+    """A point cloud if the file has the point-cloud header, else an edge list.
+
+    The header is read as the loaders read it, so each loader gets every file it accepts.
+    """
+    with open(path, encoding="utf-8") as fh:
+        is_cloud = _has_header(next(csv.reader(fh), None), _POINT_CLOUD_HEADER)
+    return load_point_cloud(path) if is_cloud else load_edge_list(path)
+
+
 def save_edge_list(net: EdgeListNetwork, path) -> None:
     """Write the edge-list CSV; ids holding commas or quotes are quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("u", "v", "length_km"))
+        writer.writerow(_EDGE_LIST_HEADER)
         for u, v, length in net.edges:
             writer.writerow((u, v, repr(length)))
 
@@ -466,43 +484,35 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
 
     Along a cable of length L the cut count is Poisson(L/mean) with positions
     i.i.d. uniform, so segment lengths are exponential with the configured
-    mean.  New repeater nodes concatenate the segments; the segment lengths of
-    each cable sum to the original length.  Deterministic per (seed, edge):
-    each edge draws from a child seed derived from its index in the canonical
-    edge order.
+    mean.  Each cable becomes a chain of segments between its sorted cuts,
+    joined by new repeater nodes, so an uncut cable is a chain of one segment.
+    Deterministic per (seed, edge): each edge draws from a child seed derived
+    from its index in the canonical edge order.
 
     The j-th cut of cable (u, v) is named rep__{u}__{v}__{j}.  A name that is
     already a node id (a station, or a cut of another cable when ids hold
     "__") raises ValueError: the two nodes would silently become one.
     """
-    have_pos = net.positions is not None
     rate = 1.0 / cfg.mean_segment_km
     new_edges: list[tuple[str, str, float]] = []
-    kinds = {nid: net.kinds[i] for i, nid in enumerate(net.node_ids)}
-    positions = ({nid: net.positions[i] for i, nid in enumerate(net.node_ids)}
-                 if have_pos else None)
+    kinds = dict(zip(net.node_ids, net.kinds))
+    positions = None if net.positions is None else dict(zip(net.node_ids, net.positions))
     for edge_index, (u, v, length) in enumerate(net.edges):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, edge_index)))
-        k = int(rng.poisson(length * rate))
-        if k == 0:
-            new_edges.append((u, v, length))
-            continue
-        cuts = np.sort(rng.uniform(0.0, length, size=k))
-        names = [f"rep__{u}__{v}__{j}" for j in range(k)]
-        chain = [u] + names + [v]
-        offsets = np.concatenate(([0.0], cuts, [length]))
-        for j, name in enumerate(names):
+        cuts = np.sort(rng.uniform(0.0, length, size=int(rng.poisson(length * rate))))
+        names = [f"rep__{u}__{v}__{j}" for j in range(len(cuts))]
+        for name in names:
             if name in kinds:
                 raise ValueError(f"repeater id {name!r} on cable ({u!r}, {v!r}) "
                                  "is already a node id")
             kinds[name] = REPEATER
-            if have_pos:
-                t = cuts[j] / length
-                pu, pv = positions[u], positions[v]
-                positions[name] = (pu[0] + t * (pv[0] - pu[0]),
-                                   pu[1] + t * (pv[1] - pu[1]))
-        for a, b, lo, hi in zip(chain[:-1], chain[1:], offsets[:-1], offsets[1:]):
-            new_edges.append((a, b, float(hi - lo)))
+        if positions is not None:
+            (xu, yu), (xv, yv) = positions[u], positions[v]
+            t = cuts / length  # each cut's fraction of the way from u to v
+            positions.update(zip(names, zip((xu + t * (xv - xu)).tolist(),
+                                            (yu + t * (yv - yu)).tolist())))
+        chain, offsets = [u, *names, v], [0.0, *cuts.tolist(), length]
+        new_edges += zip(chain, chain[1:], [hi - lo for lo, hi in zip(offsets, offsets[1:])])
     return build_network(new_edges, kinds=kinds, extra_nodes=net.node_ids,
                          positions=positions)
 
@@ -518,8 +528,9 @@ def generate_fiber_network(n_nodes: int = 692, n_edges: int = 733,
 
     Scatters n_nodes points, takes the Euclidean minimum spanning tree plus
     the shortest extra Delaunay edges up to n_edges total, then rescales
-    coordinates so the mean cable length is exactly mean_length_km.  The
-    result is connected, planar, and clearly labeled synthetic; it matches the
+    coordinates so the mean cable length is exactly mean_length_km; each edge
+    length is computed once and serves all three steps.  The result is
+    connected, planar, and clearly labeled synthetic; it matches the
     reference operator network's node/edge counts and length scale but not its
     (non-public) geometry.
     """
@@ -534,34 +545,23 @@ def generate_fiber_network(n_nodes: int = 692, n_edges: int = 733,
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
-    tri = Delaunay(pts)
-    pairs = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            i, j = int(simplex[a]), int(simplex[(a + 1) % 3])
-            pairs.add((min(i, j), max(i, j)))
-    pairs = sorted(pairs)
+    sides = Delaunay(pts).simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = np.unique(np.sort(sides, axis=1), axis=0)  # (i, j), i < j, ascending
     if len(pairs) < n_edges:
         raise ValueError(f"Delaunay graph has only {len(pairs)} edges, need {n_edges}")
-    lengths = np.array([np.hypot(*(pts[i] - pts[j])) for i, j in pairs])
+    i, j = pairs.T
+    shape = (n_nodes, n_nodes)
+    lengths = np.hypot(*(pts[i] - pts[j]).T)
     # MST guarantees connectivity; it is a subgraph of the Delaunay graph.
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    graph = coo_matrix((lengths, (rows, cols)), shape=(n_nodes, n_nodes))
-    mst = minimum_spanning_tree(graph).tocoo()
-    chosen = {(min(int(r), int(c)), max(int(r), int(c)))
-              for r, c in zip(mst.row, mst.col)}
-    extra_order = np.argsort(lengths, kind="stable")
-    for k in extra_order:
-        if len(chosen) >= n_edges:
-            break
-        chosen.add(pairs[k])
-    scale = mean_length_km / float(np.mean([np.hypot(*(pts[i] - pts[j]))
-                                            for i, j in sorted(chosen)]))
+    mst = minimum_spanning_tree(coo_matrix((lengths, (i, j)), shape=shape)).tocoo()
+    keep = np.isin(np.ravel_multi_index((i, j), shape), np.ravel_multi_index(
+        (np.minimum(mst.row, mst.col), np.maximum(mst.row, mst.col)), shape))
+    order = np.argsort(lengths, kind="stable")
+    keep[order[~keep[order]][:n_edges - np.count_nonzero(keep)]] = True
+    scale = mean_length_km / float(np.mean(lengths[keep]))
     width = max(len(str(n_nodes - 1)), 3)
-    names = [f"n{i:0{width}d}" for i in range(n_nodes)]
-    edges = [(names[i], names[j], float(np.hypot(*(pts[i] - pts[j])) * scale))
-             for i, j in sorted(chosen)]
-    positions = {names[i]: (float(pts[i, 0] * scale), float(pts[i, 1] * scale))
-                 for i in range(n_nodes)}
+    names = [f"n{k:0{width}d}" for k in range(n_nodes)]
+    edges = [(names[a], names[b], length) for a, b, length
+             in zip(i[keep].tolist(), j[keep].tolist(), (lengths[keep] * scale).tolist())]
+    positions = dict(zip(names, map(tuple, (pts * scale).tolist())))
     return build_network(edges, positions=positions)

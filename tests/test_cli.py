@@ -194,6 +194,20 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["id, x, y", '"id","x","y"'])
+    def test_point_cloud_file_with_a_header_the_loader_reads(self, tmp_path, header):
+        body = "0,0.1,0.2\n1,0.3,0.2\n2,0.9,0.9\n"
+        plain, net = tmp_path / "plain.csv", tmp_path / "net.csv"
+        plain.write_text("id,x,y\n" + body, encoding="utf-8")
+        net.write_text(f"{header}\n{body}", encoding="utf-8")
+        runs = []
+        for path in (plain, net):
+            out = tmp_path / f"{path.stem}.json"
+            assert invoke("run", "--network", str(path), "--d0", "300", "--out", str(out)) == 0
+            runs.append(json.loads(out.read_text()))
+        assert runs[1]["n_nodes"] == 3
+        assert runs[1]["partition"] == runs[0]["partition"]
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"warp_speed": 9}), encoding="utf-8")
@@ -420,6 +434,11 @@ class TestCalculators:
 
     def test_complexity_needs_n_or_worst_case(self):
         assert invoke("complexity", "--m", "102", "--p", "0.722") == 2
+
+    def test_complexity_worst_case_names_its_missing_flags(self, capsys):
+        assert invoke("complexity", "--m", "102", "--p", "0.722", "--worst-case",
+                      "--epsilon", "0.01", "--d0", "300", "--alpha", "0.585") == 2
+        assert capsys.readouterr().err == "error: --worst-case needs --d_worst\n"
 
     def test_bad_subcommand_exits_2(self):
         assert invoke("no-such-command") == 2

@@ -350,6 +350,13 @@ class TestEventLogWriter:
         save_event_log(report_of(()), path)
         assert path.read_text(encoding="utf-8") == stdlib_event_log(report_of(())) == "[]\n"
 
+    def test_a_refused_log_leaves_no_file(self, tmp_path):
+        events = (MergeEvent(0, 1, 2, 2, 1.0, 0.5, 0.5, 0.25), ReduceEvent(2, 2, math.nan, ()))
+        path = tmp_path / "events.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_event_log(report_of(events), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_raise_like_the_stdlib(self, tmp_path, bad):
         merge = MergeEvent(a=0, b=1, new_id=2, size=2, new_range=1.5, range_a=1.0,

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.spatial import Delaunay
 
-from qnetperc.topology import (STATION, EdgeListNetwork, PointCloud, RepeaterConfig,
-                               build_network, generate_fiber_network,
+from qnetperc.topology import (REPEATER, STATION, EdgeListNetwork, PointCloud,
+                               RepeaterConfig, build_network, generate_fiber_network,
                                generate_uniform_points, insert_repeaters,
-                               load_edge_list, load_point_cloud,
+                               load_edge_list, load_network, load_point_cloud,
                                network_to_json, save_edge_list,
                                save_point_cloud, single_linkage_labels)
 
@@ -340,6 +341,132 @@ class TestRepeaters:
         assert all(kinds[n] == "repeater" for n in out.node_ids if n not in ("a", "b"))
 
 
+def reference_insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwork:
+    """A cable at a time, with a branch for an uncut cable and a repeater at a time."""
+    have_pos = net.positions is not None
+    rate = 1.0 / cfg.mean_segment_km
+    new_edges = []
+    kinds = {nid: net.kinds[i] for i, nid in enumerate(net.node_ids)}
+    positions = ({nid: net.positions[i] for i, nid in enumerate(net.node_ids)}
+                 if have_pos else None)
+    for edge_index, (u, v, length) in enumerate(net.edges):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, edge_index)))
+        k = int(rng.poisson(length * rate))
+        if k == 0:
+            new_edges.append((u, v, length))
+            continue
+        cuts = np.sort(rng.uniform(0.0, length, size=k))
+        names = [f"rep__{u}__{v}__{j}" for j in range(k)]
+        chain = [u] + names + [v]
+        offsets = np.concatenate(([0.0], cuts, [length]))
+        for j, name in enumerate(names):
+            if name in kinds:
+                raise ValueError(f"repeater id {name!r} on cable ({u!r}, {v!r}) "
+                                 "is already a node id")
+            kinds[name] = REPEATER
+            if have_pos:
+                t = cuts[j] / length
+                pu, pv = positions[u], positions[v]
+                positions[name] = (pu[0] + t * (pv[0] - pu[0]),
+                                   pu[1] + t * (pv[1] - pu[1]))
+        for a, b, lo, hi in zip(chain[:-1], chain[1:], offsets[:-1], offsets[1:]):
+            new_edges.append((a, b, float(hi - lo)))
+    return build_network(new_edges, kinds=kinds, extra_nodes=net.node_ids,
+                         positions=positions)
+
+
+# ids holding "__", and a station named like the first cut of cable (a, b), so
+# that repeater ids collide now and then
+_IDS = ["a", "b", "c", "d", "a__b", "b__c", "rep__a__b__0"]
+
+
+@st.composite
+def cable_networks(draw):
+    """A small edge list, some nodes isolated, some repeaters, with or without positions."""
+    pairs = [(u, v) for u in _IDS for v in _IDS if u < v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+    lengths = st.floats(0.5, 400.0, allow_nan=False)
+    extra = draw(st.lists(st.sampled_from(_IDS + ["z"]), max_size=3))
+    nodes = sorted({n for pair in chosen for n in pair} | set(extra)) or ["z"]
+    kinds = {n: draw(st.sampled_from([STATION, REPEATER])) for n in nodes}
+    positions = None
+    if draw(st.booleans()):
+        coords = st.floats(-1e3, 1e3, allow_nan=False)
+        positions = {n: (draw(coords), draw(coords)) for n in nodes}
+    return build_network([(u, v, draw(lengths)) for u, v in chosen], kinds=kinds,
+                         extra_nodes=nodes, positions=positions)
+
+
+def _outcome(insert, net, cfg):
+    try:
+        out = insert(net, cfg)
+    except ValueError as exc:
+        return str(exc)
+    return out.node_ids, out.kinds, out.edges, out.positions
+
+
+class TestRepeaterOracle:
+    """insert_repeaters against the reference above, field by field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(net=cable_networks(), seed=st.integers(0, 2**32 - 1),
+           mean=st.sampled_from([5.0, 50.0, 100.0, 1e6]) | st.floats(5.0, 1e6))
+    # an uncut cable
+    @example(net=build_network([("a", "b", 1.0)], positions={"a": (0.0, 0.0),
+                                                            "b": (3.0, 4.0)}),
+             seed=0, mean=1e6)
+    # an isolated node, cut and uncut cables
+    @example(net=build_network([("a", "b", 120.0), ("b", "c", 3.5)], extra_nodes=["z"]),
+             seed=11, mean=50.0)
+    # both cables' first cut is named rep__a__b__c__0
+    @example(net=build_network([("a", "b__c", 500.0), ("a__b", "c", 500.0)]),
+             seed=0, mean=100.0)
+    def test_matches_the_reference(self, net, seed, mean):
+        cfg = RepeaterConfig(mean_segment_km=mean, seed=seed)
+        assert (_outcome(insert_repeaters, net, cfg)
+                == _outcome(reference_insert_repeaters, net, cfg))
+
+
+def reference_fiber_network(n_nodes: int, n_edges: int, mean_length_km: float,
+                            seed: int) -> EdgeListNetwork:
+    """A simplex and a pair at a time, each length from its own np.hypot."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_nodes, 2))
+    pairs = set()
+    for simplex in Delaunay(pts).simplices:
+        for a in range(3):
+            i, j = int(simplex[a]), int(simplex[(a + 1) % 3])
+            pairs.add((min(i, j), max(i, j)))
+    pairs = sorted(pairs)
+    lengths = np.array([np.hypot(*(pts[i] - pts[j])) for i, j in pairs])
+    graph = coo_matrix((lengths, ([i for i, _ in pairs], [j for _, j in pairs])),
+                       shape=(n_nodes, n_nodes))
+    mst = minimum_spanning_tree(graph).tocoo()
+    chosen = {(min(int(r), int(c)), max(int(r), int(c))) for r, c in zip(mst.row, mst.col)}
+    for k in np.argsort(lengths, kind="stable"):
+        if len(chosen) >= n_edges:
+            break
+        chosen.add(pairs[k])
+    scale = mean_length_km / float(np.mean([np.hypot(*(pts[i] - pts[j]))
+                                            for i, j in sorted(chosen)]))
+    width = max(len(str(n_nodes - 1)), 3)
+    names = [f"n{i:0{width}d}" for i in range(n_nodes)]
+    edges = [(names[i], names[j], float(np.hypot(*(pts[i] - pts[j])) * scale))
+             for i, j in sorted(chosen)]
+    positions = {names[i]: (float(pts[i, 0] * scale), float(pts[i, 1] * scale))
+                 for i in range(n_nodes)}
+    return build_network(edges, positions=positions)
+
+
+class TestFiberOracle:
+    @pytest.mark.parametrize("n_nodes, n_edges, seed", [(346, 367, 1), (60, 63, 1),
+                                                         (100, 120, 8)])
+    def test_matches_the_reference(self, n_nodes, n_edges, seed):
+        net = generate_fiber_network(n_nodes, n_edges, mean_length_km=500.0, seed=seed)
+        ref = reference_fiber_network(n_nodes, n_edges, 500.0, seed)
+        assert (net.node_ids, net.kinds, net.edges, net.positions) == (
+            ref.node_ids, ref.kinds, ref.edges, ref.positions)
+
+
 class TestSyntheticFiber:
     def test_exact_counts_and_mean_length(self):
         net = generate_fiber_network(692, 733, mean_length_km=500.0, seed=1)
@@ -363,6 +490,29 @@ class TestSyntheticFiber:
     def test_rejects_unbuildable(self):
         with pytest.raises(ValueError):
             generate_fiber_network(10, 5, seed=0)
+
+
+class TestLoadNetwork:
+    @pytest.mark.parametrize("header", ["id,x,y", "id, x, y", '"id","x","y"', " id ,x,y"])
+    def test_point_cloud_headers_the_loader_reads(self, tmp_path, header):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"{header}\n1,0.3,0.2\n0,0.1,0.2\n", encoding="utf-8")
+        net = load_network(path)
+        assert isinstance(net, PointCloud)
+        assert net.positions.tolist() == load_point_cloud(path).positions.tolist()
+
+    @pytest.mark.parametrize("header", ["u,v,length_km", "u, v, length_km"])
+    def test_an_edge_list_takes_the_edge_list_path(self, tmp_path, header):
+        path = tmp_path / "net.csv"
+        path.write_text(f"{header}\nb,a,5.0\n", encoding="utf-8")
+        assert load_network(path) == load_edge_list(path)
+
+    @pytest.mark.parametrize("body", ["", "id,x\n0,1\n", "x,y,id\n"])
+    def test_any_other_file_is_refused_by_the_edge_list_reader(self, tmp_path, body):
+        path = tmp_path / "net.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError, match="expected header 'u,v,length_km'"):
+            load_network(path)
 
 
 class TestEdgeListNetworkChecks:
