@@ -102,26 +102,36 @@ def _add_config_flags(sub) -> None:
                          default=None)
 
 
+# the network settings each source reads; --mean-segment only with --repeaters
+_SOURCES = {"file": ("--network", "--repeaters", "--mean-segment"), "points": ("--n", "--box")}
+
+
 def _resolve_config(args, unread=(), only=()) -> RunConfig:
     """Defaults < --config file < flags.
 
-    unread maps a key the command never reads to what to use instead; any
-    value for it is an error.  only maps a key to the one value the command
-    runs with; any other value is an error, and the config records that one.
+    Any value is an error for a network setting the source does not read
+    (_SOURCES) or for a key in unread, which maps it to what to use instead.
+    only maps a key to the one value the command runs with; any other value
+    is an error, and the config records that one.
     """
     file_values = load_config_file(args.config) if args.config else {}
     flags = _CONFIG_FLAGS + _SWITCHES
     cli_values = {dest: getattr(args, dest) for _, dest, _ in flags}
+    given = {**file_values, **{k: v for k, v in cli_values.items() if v is not None}}
+    source = dict(only).get("source", given.get("source", RunConfig.source))
+    if source not in tuple(_SOURCES):  # a config value may be unhashable
+        raise ValueError(f"--source must be one of {', '.join(_SOURCES)}, got {source!r}")
+    reads = [f for f in _SOURCES[source] if f != "--mean-segment" or given.get("add_repeaters")]
+    why = f"--source {source} reads {', '.join(reads)}"
+    unread = dict(unread, **{dest: why for flag, dest, _ in flags if flag not in reads
+                             and any(flag in row for row in _SOURCES.values())})
     for flag, dest, _ in flags:
-        if cli_values[dest] is None and dest not in file_values:
-            continue
-        if dest in unread:
+        if dest in given and dest in unread:
             raise ValueError(f"{args.command} does not read {flag} "
                              f"(config key {dest!r}); {unread[dest]}")
-        value = file_values[dest] if cli_values[dest] is None else cli_values[dest]
-        if dest in only and value != only[dest]:
+        if dest in only and given.get(dest, only[dest]) != only[dest]:
             raise ValueError(f"{args.command} runs only with {flag} {only[dest]} "
-                             f"(config key {dest!r}), got {value!r}")
+                             f"(config key {dest!r}), got {given[dest]!r}")
     return replace(merge_config(file_values, cli_values), **dict(only))
 
 
@@ -130,18 +140,12 @@ def _build_network(cfg: RunConfig):
         return topology.generate_uniform_points(
             cfg.n_points, box_side=cfg.box_side,
             seed=subseed(cfg.seed, STREAM_TOPOLOGY))
-    if cfg.source == "fiber":
-        net = topology.generate_fiber_network(
-            n_nodes=cfg.fiber_nodes, n_edges=cfg.fiber_edges,
-            mean_length_km=cfg.fiber_mean_length_km,
-            seed=subseed(cfg.seed, STREAM_TOPOLOGY))
-    elif cfg.source == "file":
-        if not cfg.network_path:
-            raise ValueError("source 'file' requires --network")
-        net = topology.load_network(cfg.network_path)
-    else:
-        raise ValueError(f"unknown source {cfg.source!r}")
-    if cfg.add_repeaters and isinstance(net, topology.EdgeListNetwork):
+    if not cfg.network_path:
+        raise ValueError("source 'file' requires --network")
+    net = topology.load_network(cfg.network_path)
+    if cfg.add_repeaters:
+        if not isinstance(net, topology.EdgeListNetwork):
+            raise ValueError(f"--repeaters cuts cables, and {cfg.network_path} is a point cloud")
         net = topology.insert_repeaters(net, topology.RepeaterConfig(
             mean_segment_km=cfg.mean_segment_km,
             seed=subseed(cfg.seed, STREAM_REPEATERS)))
@@ -205,10 +209,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    clouds = "threshold always draws uniform point clouds (--n, --box)"
     unread = {"scenario": "thresholds are for the distributed scenario",
-              "epsilon": "use --eps-lo and --eps-hi",
-              "network_path": clouds, "mean_segment_km": clouds, "add_repeaters": clouds}
+              "epsilon": "use --eps-lo and --eps-hi"}
     if args.alphas:
         unread["alpha"] = "--alpha-value sets the alphas"
     cfg = _resolve_config(args, unread, only={"source": "points"})
@@ -259,9 +261,10 @@ def _cmd_distill(args) -> int:
 
 def _cmd_complexity(args) -> int:
     if args.worst_case:
-        missing = [k for k in ("epsilon", "d_worst", "d0", "alpha") if getattr(args, k) is None]
+        missing = [flag for flag in ("--epsilon", "--d-worst", "--d0", "--alpha")
+                   if getattr(args, flag[2:].replace("-", "_")) is None]
         if missing:
-            raise ValueError(f"--worst-case needs --{', --'.join(missing)}")
+            raise ValueError(f"--worst-case needs {', '.join(missing)}")
     elif not args.n:
         raise ValueError("complexity needs --n values or --worst-case")
     cp = analysis.ComplexityParams(m=args.m, p=args.p, eta=args.eta)

@@ -47,15 +47,13 @@ class RunConfig:
     range_mode: str = "asymptotic"
     beta_cap: bool = True
     scenario: str = "distributed"
-    # topology source: "file" reads network_path (edge list or point cloud CSV),
-    # "points"/"fiber" generate synthetic inputs
+    # topology source: "file" reads network_path (an edge list, whose cables
+    # add_repeaters may cut, or a point cloud CSV); "points" draws n_points
+    # uniform points in a box; cli refuses a setting its source does not read
     source: str = "file"
     network_path: str | None = None
     n_points: int = 1000
     box_side: float = 1.0
-    fiber_nodes: int = 692
-    fiber_edges: int = 733
-    fiber_mean_length_km: float = 500.0
     add_repeaters: bool = False
     mean_segment_km: float = 50.0
     # master seed of every random stream
@@ -97,7 +95,7 @@ _FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (s
 _CHOICES = {
     "range_mode": ("asymptotic", "exact"),
     "scenario": tuple(s.value for s in Scenario),
-    "source": ("file", "points", "fiber"),
+    "source": ("file", "points"),
 }
 
 

@@ -101,7 +101,6 @@ class RunReport:
     events: tuple
     merge_count: int
     reduce_count: int
-    params: ModelParams
 
     def partition_sets(self) -> set[frozenset]:
         return {frozenset(block) for block in self.partition}
@@ -365,7 +364,7 @@ class PercolationState:
                          partition=tuple(blocks), p_inf=p_inf,
                          events=tuple(self.events),
                          merge_count=self.n_nodes - len(self.removed),
-                         reduce_count=len(self.removed), params=self.params)
+                         reduce_count=len(self.removed))
 
 
 # ---------------------------------------------------------------------------

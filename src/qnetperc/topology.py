@@ -69,7 +69,6 @@ class PointCloud:
 
     positions: np.ndarray
     box_side: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         _check_box_side(self.box_side)
@@ -128,7 +127,7 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
     _check_box_side(box_side)  # before the draw, which cannot span a bad box
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, box_side, size=(n, 2))
-    return PointCloud(positions=pos, box_side=box_side, seed=seed)
+    return PointCloud(positions=pos, box_side=box_side)
 
 
 def save_point_cloud(cloud: PointCloud, path) -> None:

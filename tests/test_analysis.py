@@ -442,6 +442,7 @@ NO_JOIN_NETWORKS = (build_network([], extra_nodes=["x", "y", "z"]),
                     PointCloud(positions=np.array([[0.25, 0.5]])))
 
 
+@pytest.mark.oracle
 class TestFixedRangeCurve:
     @given(network=st.one_of(st.builds(instance_of_kind, st.integers(0, 40_000),
                                        st.booleans()),

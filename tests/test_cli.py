@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qnetperc.cli import main
 from qnetperc.topology import load_edge_list, load_point_cloud
@@ -253,6 +256,8 @@ class TestConfigValidation:
         {"network_path": 7}, {"policy": "random"}, {"scenario": "shared"},
         {"source": "http"}, {"range_mode": "linear"}, {"reduction": "dijkstra"},
         {"store": "dense"}, {"policy": "lexicographic"}, {"prune": True},
+        {"source": "fiber"}, {"source": ["file"]}, {"fiber_nodes": 692},
+        {"fiber_edges": 733}, {"fiber_mean_length_km": 500.0},
     ])
     def test_bad_config_file_exits_2_before_any_network(self, tmp_path, monkeypatch,
                                                         values):
@@ -404,6 +409,152 @@ class TestSweepThresholdCli:
         assert r[0.585] < r[0.0]
 
 
+EDGE_LIST = "u,v,length_km\na,b,30\nb,c,35\n"
+POINT_CLOUD = "id,x,y\n0,0.1,0.2\n1,0.3,0.2\n2,0.9,0.9\n"
+# the settings each source reads, as documented in the README
+READS = {"file": {"--network", "--repeaters", "--mean-segment"}, "points": {"--n", "--box"}}
+SETTINGS = {"--network": "network_path", "--n": "n_points", "--box": "box_side",
+            "--repeaters": "add_repeaters", "--mean-segment": "mean_segment_km",
+            "--source": "source"}
+
+
+def setting_argv(tmp_path, settings, via):
+    """argv giving settings ({flag: value}) as flags, or all in one --config file."""
+    if via == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({SETTINGS[f]: v for f, v in settings.items()}),
+                       encoding="utf-8")
+        return ["--config", str(cfg)]
+    return [x for f, v in settings.items() for x in ((f,) if v is True else (f, str(v)))]
+
+
+def command_argv(command, tmp_path):
+    if command == "sweep":
+        return ["sweep", "--d0-grid", "1,300", "--out", str(tmp_path / "out")]
+    return ["run", "--out", str(tmp_path / "out")]
+
+
+class TestSourceTable:
+    """run and sweep exit 2 on a network setting their source does not read."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        edges, points = tmp_path / "f.csv", tmp_path / "pts.csv"
+        edges.write_text(EDGE_LIST, encoding="utf-8")
+        points.write_text(POINT_CLOUD, encoding="utf-8")
+        return {"f.csv": str(edges), "pts.csv": str(points)}
+
+    @pytest.mark.parametrize("command, base, flag, value", [
+        ("run", ("--source", "points", "--n", "40"), "--network", "pts.csv"),
+        ("sweep", ("--source", "points", "--n", "40"), "--network", "pts.csv"),
+        ("run", ("--network", "f.csv"), "--n", 50),
+        ("run", ("--network", "f.csv"), "--box", 7.0),
+        ("run", ("--network", "pts.csv"), "--repeaters", True),
+        ("run", ("--source", "points", "--n", "40"), "--repeaters", True),
+        ("run", ("--network", "f.csv"), "--mean-segment", 5.0),
+        ("run", ("--network", "f.csv"), "--source", "fiber"),
+        ("sweep", ("--network", "f.csv"), "--source", "fiber"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unread_setting_exits_2_naming_its_flag(self, tmp_path, capsys, files,
+                                                    command, base, flag, value, via):
+        value = files.get(value, value)
+        argv = [*command_argv(command, tmp_path), *(files.get(x, x) for x in base),
+                *setting_argv(tmp_path, {flag: value}, via)]
+        assert invoke(*argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base, flag, value", [
+        (("--network", "f.csv", "--repeaters"), "--mean-segment", 5.0),
+        (("--source", "points"), "--n", 40),
+        (("--source", "points", "--n", "40"), "--box", 2.0),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_read_setting_runs(self, tmp_path, files, base, flag, value, via):
+        argv = [*command_argv("run", tmp_path), *(files.get(x, x) for x in base),
+                *setting_argv(tmp_path, {flag: value}, via)]
+        assert invoke(*argv) == 0
+        assert json.loads((tmp_path / "out").read_text())["config"][SETTINGS[flag]] == value
+
+    def test_a_generated_fiber_replaces_the_fiber_source(self, tmp_path):
+        # a fiber written by generate fiber and cut by run --repeaters is the
+        # network drawn and cut in process from the same seeds
+        from qnetperc.config import STREAM_REPEATERS, STREAM_TOPOLOGY, subseed
+        from qnetperc.topology import (RepeaterConfig, generate_fiber_network,
+                                       insert_repeaters, save_edge_list)
+        fiber, drawn = tmp_path / "fiber.csv", tmp_path / "drawn.csv"
+        assert invoke("generate", "fiber", "--nodes", "40", "--edges", "48",
+                      "--seed", str(subseed(4, STREAM_TOPOLOGY)), "--out", str(fiber)) == 0
+        save_edge_list(insert_repeaters(
+            generate_fiber_network(40, 48, mean_length_km=500.0,
+                                   seed=subseed(4, STREAM_TOPOLOGY)),
+            RepeaterConfig(mean_segment_km=50.0, seed=subseed(4, STREAM_REPEATERS))), drawn)
+        logs = []
+        for argv in (("--network", str(fiber), "--repeaters"), ("--network", str(drawn))):
+            events = tmp_path / f"events{len(logs)}.json"
+            assert invoke("run", *argv, "--seed", "4", "--d0", "700", "--events", str(events),
+                          "--out", str(tmp_path / "r.json")) == 0
+            logs.append(events.read_bytes())
+        assert logs[0] == logs[1] and len(logs[0]) > 1000
+
+
+MUTATIONS = {
+    "none": lambda rows: rows,
+    "dropped field": lambda rows: [rows[0], rows[1].rsplit(",", 1)[0], *rows[2:]],
+    "extra field": lambda rows: [rows[0], rows[1] + ",1", *rows[2:]],
+    "nan": lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + ",nan", *rows[2:]],
+    "inf": lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + ",inf", *rows[2:]],
+    "negative": lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + ",-0.5", *rows[2:]],
+    "empty id": lambda rows: [rows[0], "," + rows[1].split(",", 1)[1], *rows[2:]],
+    "bom": lambda rows: ["\ufeff" + rows[0], *rows[1:]],
+    "duplicate id": lambda rows: [*rows, rows[1]],
+}
+
+
+@pytest.mark.oracle
+@given(command=st.sampled_from(["run", "sweep"]),
+       source=st.sampled_from([None, "file", "points"]),
+       kind=st.sampled_from(["edges", "points"]),
+       mutation=st.sampled_from(sorted(MUTATIONS)),
+       settings=st.sets(st.sampled_from(["--network", "--n", "--box", "--repeaters",
+                                         "--mean-segment"])),
+       via=st.sampled_from(["flag", "config"]))
+@example(command="sweep", source="points", kind="edges", mutation="none",
+         settings=set(), via="flag")
+@example(command="run", source=None, kind="edges", mutation="none",
+         settings={"--network", "--repeaters", "--mean-segment"}, via="config")
+@example(command="sweep", source="file", kind="points", mutation="none",
+         settings={"--network"}, via="flag")
+@settings(max_examples=60, deadline=None)
+def test_source_table_decides_the_exit_code(command, source, kind, mutation, settings, via):
+    # exit 0 only when the source reads every given setting, and exit 2, not an
+    # uncaught error, for a malformed file or a setting it does not read
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        net = tmp_path / "net.csv"
+        rows = (EDGE_LIST if kind == "edges" else POINT_CLOUD).splitlines()
+        net.write_text("\n".join(MUTATIONS[mutation](rows)) + "\n", encoding="utf-8")
+        values = {"--network": str(net), "--n": 5, "--box": 2.0, "--repeaters": True,
+                  "--mean-segment": 10.0}
+        given_settings = {f: values[f] for f in sorted(settings)}
+        if source:
+            given_settings["--source"] = source
+        argv = [*command_argv(command, tmp_path), *setting_argv(tmp_path, given_settings, via)]
+        if command == "run":  # keeps a 1000-point default cloud in singletons
+            argv += ["--d0", "0.001"]
+        code = invoke(*argv)
+    reads = READS[source or "file"]
+    all_read = settings <= reads and ("--mean-segment" not in settings
+                                      or "--repeaters" in settings)
+    assert code in (0, 2)
+    assert code == 2 or all_read
+    runnable = (source == "points" or "--network" in settings) and not (
+        kind == "points" and "--repeaters" in settings)
+    if all_read and runnable and mutation == "none":
+        assert code == 0
+
+
 class TestCalculators:
     def test_distill_success(self, capsys):
         assert invoke("distill", "success", "--f", "0.75") == 0
@@ -438,15 +589,24 @@ class TestCalculators:
     def test_complexity_worst_case_names_its_missing_flags(self, capsys):
         assert invoke("complexity", "--m", "102", "--p", "0.722", "--worst-case",
                       "--epsilon", "0.01", "--d0", "300", "--alpha", "0.585") == 2
-        assert capsys.readouterr().err == "error: --worst-case needs --d_worst\n"
+        assert capsys.readouterr().err == "error: --worst-case needs --d-worst\n"
 
     def test_bad_subcommand_exits_2(self):
         assert invoke("no-such-command") == 2
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported inside generate_fiber_network only
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # scipy is imported inside generate_fiber_network only, so neither the
+    # import nor a run or sweep on points or an edge list with repeaters loads it
+    net = tmp_path / "net.csv"
+    net.write_text("u,v,length_km\na,b,300\nb,c,350\n", encoding="utf-8")
+    runs = [["run", "--source", "points", "--n", "50", "--out", str(tmp_path / "p.json")],
+            ["run", "--network", str(net), "--repeaters", "--events", str(tmp_path / "e.json"),
+             "--out", str(tmp_path / "r.json")],
+            ["sweep", "--network", str(net), "--repeaters", "--d0-grid", "100,1000",
+             "--out", str(tmp_path / "s.csv")]]
     code = ("import sys, qnetperc.cli; "
+            f"print([qnetperc.cli.main(argv) for argv in {runs!r}]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -454,4 +614,4 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"]

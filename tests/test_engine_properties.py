@@ -321,10 +321,10 @@ def stdlib_event_log(report) -> str:
 
 def report_of(events) -> RunReport:
     return RunReport(n_nodes=5, node_labels=tuple(range(5)), partition=(tuple(range(5)),),
-                     p_inf=1.0, events=tuple(events), merge_count=1, reduce_count=1,
-                     params=params_for_r0(1.0, 0.0))
+                     p_inf=1.0, events=tuple(events), merge_count=1, reduce_count=1)
 
 
+@pytest.mark.oracle
 class TestEventLogWriter:
     """save_event_log writes what the stdlib encoder writes, byte for byte."""
 

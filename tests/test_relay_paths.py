@@ -25,6 +25,8 @@ from qnetperc.quantum import (ChannelModel, DistillationParams, ModelParams,
                               component_range)
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
 
+pytestmark = pytest.mark.oracle
+
 
 def raw_distances(network):
     """Euclidean distances on a cloud; edge lengths, else inf, on an edge list."""

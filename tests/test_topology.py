@@ -194,6 +194,7 @@ def edge_list_and_cuts(draw):
                                                7.25, 8.0]), min_size=1, max_size=6))
 
 
+@pytest.mark.oracle
 class TestMergeForestOracle:
     """The forest's cut against scipy's connected components of all pairs below r0."""
 
@@ -405,6 +406,7 @@ def _outcome(insert, net, cfg):
     return out.node_ids, out.kinds, out.edges, out.positions
 
 
+@pytest.mark.oracle
 class TestRepeaterOracle:
     """insert_repeaters against the reference above, field by field."""
 
