@@ -244,19 +244,43 @@ def _bisect(networks, params_at, lo: float, hi: float, target: float, midpoint,
     return lo, hi, evaluations
 
 
-def _crossing(points, target: float) -> float:
-    """First crossing of a monotone piecewise-linear curve with the target level.
+def _crossings(x, curves: np.ndarray, target: float) -> np.ndarray:
+    """First crossing of each column of curves, sampled at x, with the target level.
 
-    points are (x, y) sorted by x with y non-decreasing (monotone coupling).
+    Each curve is piecewise linear through (x[i], curves[i, j]) and meant to
+    be non-decreasing (monotone coupling).  A curve at or above the target
+    at x[0] crosses at 0; one that never reaches it crosses at x[-1];
+    otherwise the crossing interpolates the first step that reaches it,
+    x0 + (target - y0) * (x1 - x0) / (y1 - y0), or is x1 on a flat step.
     """
-    if points[0][1] >= target:
-        return 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if y1 >= target:
-            if y1 == y0:
-                return x1
-            return x0 + (target - y0) * (x1 - x0) / (y1 - y0)
-    return points[-1][0]
+    x = np.asarray(x, dtype=float)
+    met = curves >= target
+    j = met.argmax(axis=0)  # the first probe that meets the target, else 0
+    cols = np.arange(curves.shape[1])
+    x0, x1 = x[j - 1], x[j]
+    y0, y1 = curves[j - 1, cols], curves[j, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(y1 == y0, x1, x0 + (target - y0) * (x1 - x0) / (y1 - y0))
+    out[~met.any(axis=0)] = x[-1]
+    out[met[0]] = 0.0
+    return out
+
+
+def _bootstrap_ci(x, per_seed: np.ndarray, target: float, n_boot: int,
+                  boot_seed: int) -> np.ndarray:
+    """The 2.5th and 97.5th percentiles of the crossings of n_boot resampled curves.
+
+    per_seed[i, s] is replicate s's value at x[i].  Each resample draws as
+    many replicates as there are, with replacement, and averages their
+    curves.  All n_boot draws are one rng.integers call, which numpy fills
+    with the same picks as one call per resample; each mean runs over its
+    own contiguous row of picked values, as a per-resample mean does.  The
+    tests check both against the per-resample loop.
+    """
+    k = per_seed.shape[1]
+    picks = np.random.default_rng(boot_seed).integers(0, k, size=(n_boot, k))
+    curves = per_seed[:, picks].mean(axis=2)  # (probes, n_boot)
+    return np.percentile(_crossings(x, curves, target), [2.5, 97.5])
 
 
 def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
@@ -266,13 +290,16 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
     """Bisection for the range scale at which the mean giant fraction hits target.
 
     Drives eps at fixed d0 (equivalent to scaling r0) and reports the
-    crossing as r0 with a bootstrap confidence interval over the replicate
-    clouds.  tol is the absolute bisection width on r0, in km.  A target
-    already met at eps_lo gives 0 from that single probe.  The base range at
-    eps_hi must be finite: an uncapped exact range is infinite past the fall.
+    crossing as r0 with a 95% bootstrap confidence interval from n_boot >= 1
+    resamples of the replicate clouds.  tol is the absolute bisection width
+    on r0, in km.  A target already met at eps_lo gives 0 from that single
+    probe.  The base range at eps_hi must be finite: an uncapped exact range
+    is infinite past the fall.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     if not 0 < eps_lo < eps_hi < 1:
         raise ValueError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
 
@@ -293,17 +320,11 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
     if hi == lo:  # the target already holds at eps_lo
         estimate = ci_low = ci_high = 0.0
     else:
-        estimate = _crossing(mean_curve, target)
+        means = np.array([p for _, p in mean_curve])
+        estimate = _crossings(probe_r0, means[:, None], target)[0]
         # bootstrap over replicates; per-seed curves are monotone by coupling
         per_seed = np.array([evaluations[e] for e in probe_eps])  # (probes, seeds)
-        rng = np.random.default_rng(boot_seed)
-        boots = []
-        k = len(seeds)
-        for _ in range(n_boot):
-            pick = rng.integers(0, k, size=k)
-            curve = per_seed[:, pick].mean(axis=1)
-            boots.append(_crossing(list(zip(probe_r0, curve)), target))
-        ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
+        ci_low, ci_high = _bootstrap_ci(probe_r0, per_seed, target, n_boot, boot_seed)
     return ThresholdEstimate(alpha=params.distill.alpha, r0_th=float(estimate),
                              ci_low=float(ci_low), ci_high=float(ci_high),
                              replicates=len(seeds), target=target,

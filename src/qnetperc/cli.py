@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, ingest, repeaters, run, sweep, threshold, distill,
-complexity.  Exit codes: 0 success, 1 runtime failure, 2 validation error.
+complexity.  Exit codes: 0 success, 1 runtime failure, 2 validation error
+(bad input, or a path that cannot be read or written).
 Every output embeds the resolved config hash and master seed; reruns of the
 same config are byte-identical except for the generated_at timestamp.
 """
@@ -391,7 +392,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -43,6 +43,13 @@ same partition:
 - connectable_pairs(): every pair (a, b, d) that meets the criterion now;
 - connection_ok(a, b) and merge(a, b): the criterion and contraction;
 - is_isolated(a) and reduce_and_remove(a): isolation and reduction.
+
+A component is its size and range alone; no component keeps its members.
+The state keeps each node's starting id (-1 for a cut singleton retired
+before the run) and one merge-parent list, which maps every id to the id it
+merged into (itself until then) and grows by one entry per merge.
+holders() follows that list to the component holding each node, and
+report() builds the partition from holders() once, at the end.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 class Component(NamedTuple):
-    members: frozenset[int]
     size: int
     range_km: float
 
@@ -239,11 +245,12 @@ class _SparseStore:
 # ---------------------------------------------------------------------------
 
 class PercolationState:
-    """Single-writer mutable state: active components by id, distances, event log."""
+    """Single-writer mutable state: active components by id, distances, event log,
+    and the starting ids and merge-parent list that holders() follows."""
 
     def __init__(self, store, n_nodes: int, node_labels, params: ModelParams,
-                 comps: dict[int, Component], record_events: bool = True,
-                 point_cloud: bool = False):
+                 comps: dict[int, Component], start: np.ndarray,
+                 record_events: bool = True, point_cloud: bool = False):
         self.store = store
         self.point_cloud = point_cloud  # nodes are points of the plane
         self.params = params
@@ -251,10 +258,11 @@ class PercolationState:
         self.n_nodes = n_nodes
         self.record_events = record_events
         self.comps = comps  # the starting components, ids 0..K-1
+        self._start = start
+        self._parent = list(range(len(comps)))
         self._ranges = {c.size: c.range_km for c in comps.values()}  # by size
         self.removed: list[Component] = []
         self.events: list = []
-        self._next_id = len(comps)
 
     # -- queries ------------------------------------------------------------
 
@@ -266,6 +274,25 @@ class PercolationState:
 
     def active_ids(self) -> list[int]:
         return sorted(self.comps)
+
+    def holders(self) -> np.ndarray:
+        """The id of the component, live or retired, that holds each node now.
+
+        A node retired before the run (a point cloud's cut singleton) has no
+        id and gets -1.  Ids are found by pointer jumping over the
+        merge-parent list: each pass replaces every id's parent with its
+        grandparent, so a chain of m merges takes about log2(m) passes.
+        """
+        parent = np.array(self._parent, dtype=np.intp)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        held = self._start.copy()
+        live = held >= 0
+        held[live] = parent[held[live]]
+        return held
 
     def _require_active(self, *ids) -> None:
         for a in ids:
@@ -298,14 +325,15 @@ class PercolationState:
             raise ValueError(f"components {a} and {b} do not satisfy the connection criterion")
         ca, cb = self.comps[a], self.comps[b]
         d_ab = self.store.distance(a, b)
-        c = self._next_id
-        self._next_id += 1
+        parent = self._parent
+        c = len(parent)
+        parent[a] = parent[b] = c
+        parent.append(c)
         size = ca.size + cb.size
         new_range = self._range_of_size(size)
         self.store.merge(a, b, c, new_range)
         del self.comps[a], self.comps[b]
-        self.comps[c] = Component(members=ca.members | cb.members, size=size,
-                                  range_km=new_range)
+        self.comps[c] = Component(size=size, range_km=new_range)
         if self.record_events:
             self.events.append(MergeEvent(a=a, b=b, new_id=c, size=size,
                                           new_range=new_range, range_a=ca.range_km,
@@ -352,14 +380,30 @@ class PercolationState:
     # -- bookkeeping --------------------------------------------------------
 
     def report(self) -> RunReport:
+        """The finished run: its partition, giant fraction and event log.
+
+        The partition is built once, from holders(): each node's block is the
+        retired component that holds it, and a node retired before the run
+        is a block of its own.  Node labels ascend with their index (a
+        cloud's are 0..N-1, an edge list's ids are strictly ascending), so
+        one stable sort of the nodes by the smallest index in their block
+        lists the blocks in order of their first label, members ascending.
+        """
         if self.comps:
             raise ValueError("run has not finished; active components remain")
-        blocks = []
-        for comp in self.removed:
-            labels = tuple(sorted(self.node_labels[i] for i in comp.members))
-            blocks.append(labels)
-        blocks.sort(key=lambda block: block[0])
-        p_inf = max(len(b) for b in blocks) / self.n_nodes
+        n = self.n_nodes
+        held = self.holders()
+        # a node retired before the run is the only node of its key
+        key = np.where(held < 0, len(self._parent) + np.arange(n), held)
+        _, first, block = np.unique(key, return_index=True, return_inverse=True)
+        head = first[block]  # the smallest index in each node's block
+        order = np.argsort(head, kind="stable")
+        head = head[order]
+        cuts = (np.flatnonzero(head[1:] != head[:-1]) + 1).tolist()
+        labels = self.node_labels
+        listed = [labels[i] for i in order.tolist()]
+        blocks = [tuple(listed[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        p_inf = max(map(len, blocks)) / n
         return RunReport(n_nodes=self.n_nodes, node_labels=self.node_labels,
                          partition=tuple(blocks), p_inf=p_inf,
                          events=tuple(self.events),
@@ -489,20 +533,17 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     # distance matrix: a cloud's first cut builds its own
     nodes, starts = _blocks(np.arange(n) if record_events
                             else single_linkage_labels(network, r0))
-    retired = []
+    k1 = 0  # the cut's singletons retired before the run
     if cloud and not record_events:  # the singletons are a prefix
         k1 = int(np.count_nonzero(np.diff(starts) == 1))
-        retired = [Component(members=frozenset((x,)), size=1, range_km=r0)
-                   for x in nodes[:k1].tolist()]
         nodes, starts = nodes[k1:], starts[k1:] - k1
-    members = nodes.tolist()
-    bounds = starts.tolist()
-    clusters = [members[a:b] for a, b in zip(bounds, bounds[1:])]
-    ranges = {size: params.component_range_km(size) for size in set(map(len, clusters))}
-    comps = {c: Component(members=frozenset(m), size=len(m), range_km=ranges[len(m)])
-             for c, m in enumerate(clusters)}
-    reach = [ranges[len(m)] for m in clusters]
-    k = len(clusters)
+    sizes = np.diff(starts).tolist()
+    ranges = {size: params.component_range_km(size) for size in set(sizes)}
+    comps = {c: Component(size=size, range_km=ranges[size]) for c, size in enumerate(sizes)}
+    reach = [ranges[size] for size in sizes]
+    k = len(sizes)
+    block_of = np.full(n, -1, dtype=np.intp)  # each node's starting id
+    block_of[nodes] = np.repeat(np.arange(k), sizes)
     if cloud:
         labels = tuple(range(n))
         mat = _cloud_distances(network, nodes, starts)
@@ -513,8 +554,6 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
             backend = _SparseStore(adj, reach)
     else:
         labels = network.node_ids
-        block_of = np.empty(n, dtype=np.intp)
-        block_of[nodes] = np.repeat(np.arange(k), np.diff(starts))
         lo, hi, dist = _edge_distances(network, block_of)
         if store == "dense":
             mat = np.full((k, k), INF)
@@ -525,9 +564,9 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
             for a, b, d in zip(lo.tolist(), hi.tolist(), dist.tolist()):
                 adj[a][b] = adj[b][a] = d
             backend = _SparseStore(adj, reach)
-    state = PercolationState(backend, n, labels, params, comps,
+    state = PercolationState(backend, n, labels, params, comps, block_of,
                              record_events=record_events, point_cloud=cloud)
-    state.removed.extend(retired)
+    state.removed.extend([Component(size=1, range_km=r0)] * k1)
     return state
 
 

@@ -101,7 +101,9 @@ class ModelParams:
 def channel_p(d_km: float, channel: ChannelModel) -> float:
     """Werner weight of the pair delivered over distance d: exp(-d/d0).
 
-    An unreachable distance (math.inf) maps to p = 0.
+    An unreachable distance (math.inf) maps to p = 0.  The engine works in
+    distances and never calls it; it stays, exported by the package, as the
+    paper's channel formula.
     """
     if d_km < 0 or math.isnan(d_km):
         raise ValueError(f"distance must be >= 0, got {d_km}")
@@ -109,7 +111,11 @@ def channel_p(d_km: float, channel: ChannelModel) -> float:
 
 
 def fidelity_of_p(p: float) -> float:
-    """Fidelity of an isotropic state of weight p: F = (3p+1)/4, in [0.25, 1]."""
+    """Fidelity of an isotropic state of weight p: F = (3p+1)/4, in [0.25, 1].
+
+    Exported by the package as one of the paper's channel formulas; the
+    engine works in distances and never calls it.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return (3.0 * p + 1.0) / 4.0
@@ -200,6 +206,8 @@ def swap_p(p_ab: float, p_ac: float) -> float:
     """Werner weight after entanglement swapping at the middle party: p_ab * p_ac.
 
     Equivalent to adding distances: channel_p(d1)*channel_p(d2) = channel_p(d1+d2).
+    The engine adds the distances instead; this stays, exported by the
+    package, as the paper's swapping formula.
     """
     for p in (p_ab, p_ac):
         if not 0.0 <= p <= 1.0:

@@ -86,7 +86,12 @@ class PointCloud:
         return self.positions.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense pairwise Euclidean distances, diagonal zero; see distance_rows."""
+        """Dense pairwise Euclidean distances, diagonal zero; see distance_rows.
+
+        The engine never builds this matrix.  It stays because the test
+        oracles compute from it and the benchmark's tracer wraps it, to count
+        any full matrix that a change brings back onto the run path.
+        """
         return distance_rows(self.positions, 0, self.n_nodes)
 
     @functools.cached_property
@@ -362,10 +367,6 @@ class EdgeListNetwork:
     def merge_forest(self) -> MergeForest:
         """The single-linkage merge forest of linkage_edges; cached with them."""
         return _merge_forest(self.n_nodes, self.linkage_edges)
-
-    def is_connected(self) -> bool:
-        """Connectivity as a classical graph (ignores lengths)."""
-        return len(self.merge_forest.lengths) == self.n_nodes - 1
 
 
 def build_network(edges, kinds: dict[str, str] | None = None,

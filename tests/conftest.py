@@ -82,6 +82,24 @@ def disk_percolation_oracle(network, r0: float) -> set[frozenset]:
     return {frozenset(b) for b in blocks.values()}
 
 
+def members_of(state) -> dict[int, frozenset[int]]:
+    """The nodes of every component id, live or retired, from state.holders().
+
+    Nodes retired before the run (a point cloud's cut singletons) have no id
+    and are left out; retired_singletons lists them.
+    """
+    members: dict[int, set[int]] = {}
+    for node, cid in enumerate(state.holders().tolist()):
+        if cid >= 0:
+            members.setdefault(cid, set()).add(node)
+    return {cid: frozenset(nodes) for cid, nodes in members.items()}
+
+
+def retired_singletons(state) -> list[int]:
+    """The nodes retired before the run, which no component id holds, ascending."""
+    return np.flatnonzero(state.holders() < 0).tolist()
+
+
 def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):
     """Any rule order by brute force: rescan everything before each rule.
 

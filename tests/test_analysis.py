@@ -366,6 +366,106 @@ class TestBisectionPins:
 
 
 # ---------------------------------------------------------------------------
+# The bootstrap against the per-resample loop
+# ---------------------------------------------------------------------------
+
+def loop_crossing(points, target: float) -> float:
+    """First crossing of one (x, y) curve with the target level, step by step."""
+    if points[0][1] >= target:
+        return 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if y1 >= target:
+            if y1 == y0:
+                return x1
+            return x0 + (target - y0) * (x1 - x0) / (y1 - y0)
+    return points[-1][0]
+
+
+def loop_bootstrap_ci(x, per_seed, target, n_boot, boot_seed):
+    """The bootstrap one resample at a time: a draw, a mean and a crossing each."""
+    rng = np.random.default_rng(boot_seed)
+    k = per_seed.shape[1]
+    boots = []
+    for _ in range(n_boot):
+        pick = rng.integers(0, k, size=k)
+        curve = per_seed[:, pick].mean(axis=1)
+        boots.append(loop_crossing(list(zip(x, curve)), target))
+    return np.percentile(boots, [2.5, 97.5])
+
+
+@st.composite
+def probe_curves(draw):
+    """Probe positions, per-seed curves (probes, seeds) and a target level.
+
+    Each seed's curve is non-decreasing, as monotone coupling makes it, on
+    a grid of fractions, so values tie within and across seeds.  The target
+    may be a probe value, a mean value, met at the first probe by every
+    seed, or above every value.
+    """
+    k, p = draw(st.integers(1, 11)), draw(st.integers(2, 15))
+    x = sorted(draw(st.lists(st.floats(1e-3, 10.0), min_size=p, max_size=p, unique=True)))
+    n = draw(st.sampled_from([8, 80, 120]))
+    level = st.integers(0, n)
+    per_seed = np.array([sorted(draw(st.lists(level, min_size=p, max_size=p)))
+                         for _ in range(k)]).T / n
+    kind = draw(st.sampled_from(["probe", "mean", "any", "first", "never"]))
+    if kind == "probe":
+        target = draw(st.sampled_from(per_seed.ravel().tolist()))
+    elif kind == "mean":
+        target = draw(st.sampled_from(per_seed.mean(axis=1).tolist()))
+    elif kind == "any":
+        target = draw(st.floats(0.0, 1.0))
+    elif kind == "first":
+        target = float(per_seed[0].min())
+    else:
+        target = float(per_seed[-1].max()) + 0.01
+    return x, per_seed, target
+
+
+@pytest.mark.oracle
+class TestBootstrap:
+    """find_threshold's bootstrap in one numpy pass equals the per-resample loop."""
+
+    # the batched draw equals one draw per resample only as a property of
+    # numpy's generator; a numpy upgrade that breaks it fails here
+    @given(curves=probe_curves(), n_boot=st.integers(1, 60), boot_seed=st.integers(0, 2**32))
+    @example(curves=([0.1, 0.2, 0.3], np.array([[0.5, 0.5], [0.6, 0.7], [0.8, 0.9]]), 0.5),
+             n_boot=20, boot_seed=0)  # met at the first probe
+    @example(curves=([0.1, 0.2, 0.3], np.array([[0.0, 0.1], [0.2, 0.3], [0.4, 0.4]]), 0.9),
+             n_boot=20, boot_seed=0)  # never met
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_resample_loop(self, curves, n_boot, boot_seed):
+        x, per_seed, target = curves
+        assert (analysis._bootstrap_ci(x, per_seed, target, n_boot, boot_seed).tolist()
+                == loop_bootstrap_ci(x, per_seed, target, n_boot, boot_seed).tolist())
+        means = per_seed.mean(axis=1)
+        assert (analysis._crossings(x, means[:, None], target).tolist()
+                == [loop_crossing(list(zip(x, means)), target)])
+
+    def test_find_threshold_ci_equals_the_loop(self, monkeypatch):
+        params = ModelParams(channel=ChannelModel(d0_km=100.0, epsilon=0.001),
+                             distill=DistillationParams(m=1, alpha=0.585))
+
+        def search():
+            return find_threshold(
+                lambda seed: generate_uniform_points(80, box_side=1.0, seed=seed), params,
+                target=0.5, tol=5e-3, eps_lo=1e-4, eps_hi=1e-2, seeds=(0, 1, 2),
+                n_boot=300, boot_seed=5)
+
+        est = search()
+        assert est.ci_low < est.r0_th < est.ci_high
+        monkeypatch.setattr(analysis, "_bootstrap_ci", loop_bootstrap_ci)
+        assert search() == est
+
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_n_boot_below_one_raises(self, n_boot):
+        with pytest.raises(ValueError, match="n_boot"):
+            find_threshold(lambda seed: generate_uniform_points(20, seed=seed),
+                           base_params(), target=0.5, eps_lo=1e-4, eps_hi=1e-2,
+                           n_boot=n_boot)
+
+
+# ---------------------------------------------------------------------------
 # Fixed-range probes: the Kruskal curve against the engine
 # ---------------------------------------------------------------------------
 

@@ -197,6 +197,18 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # a directory where a file is expected; a permission error takes the same
+    # path (OSError) but cannot be provoked when the tests run as root
+    @pytest.mark.parametrize("flag", ["--network", "--config"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, flag):
+        net = self.write_two_nodes(tmp_path)
+        paths = {"--network": str(net), flag: str(tmp_path)}
+        out = tmp_path / "r.json"
+        assert invoke("run", *(x for kv in paths.items() for x in kv), "--d0", "300",
+                      "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", ["id, x, y", '"id","x","y"'])
     def test_point_cloud_file_with_a_header_the_loader_reads(self, tmp_path, header):
         body = "0,0.1,0.2\n1,0.3,0.2\n2,0.9,0.9\n"

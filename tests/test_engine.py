@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (D0, disk_percolation_oracle, nearest_scale, params_for_r0,
-                      random_instance, reference_schedule)
+from conftest import (D0, disk_percolation_oracle, members_of, nearest_scale,
+                      params_for_r0, random_instance, reference_schedule,
+                      retired_singletons)
 from qnetperc.engine import (INF, MergeEvent, ReduceEvent, _cloud_distances,
                              events_to_dicts, init_state, partition_to_lists,
                              run, verify_report)
@@ -82,32 +83,33 @@ class TestCutStart:
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
         cut = init_state(network, params, store=store, record_events=False)
         merged = merged_below_r0(network, params, store)
-        ids = {comp.members: a for a, comp in merged.comps.items()}
+        ids = {m: a for a, m in members_of(merged).items() if a in merged.comps}
+        members = members_of(cut)
         # a cloud's cut singletons start retired; an edge list keeps them live
         cloud = isinstance(network, PointCloud)
         live = {m for m in ids if len(m) > 1 or not cloud}
-        assert {c.members for c in cut.comps.values()} == live
-        assert {c.members for c in cut.removed} == set(ids) - live
+        assert {members[a] for a in cut.comps} == live
+        retired = [frozenset((x,)) for x in retired_singletons(cut)]
+        assert set(retired) == set(ids) - live
         assert bool(cut.removed) == cloud
-        for comp in cut.removed:
-            assert comp == merged.comps[ids[comp.members]]
+        assert cut.removed == [merged.comps[ids[m]] for m in retired]
         assert 1 < len(cut.comps) < network.n_nodes
         for a, comp in cut.comps.items():
-            assert comp == merged.comps[ids[comp.members]]
+            assert comp == merged.comps[ids[members[a]]]
             assert cut.store.min_distance(a) == min(cut.store.distance(a, b)
                                                     for b in cut.comps if b != a)
         for a, b in itertools.permutations(cut.comps, 2):
             d = cut.store.distance(a, b)
-            assert d == merged.store.distance(ids[cut.comps[a].members],
-                                              ids[cut.comps[b].members])
+            assert d == merged.store.distance(ids[members[a]], ids[members[b]])
             assert d >= params.base_range_km()
 
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
     def test_singletons_take_the_lowest_ids(self, name):
         network, r0 = CUT_INSTANCES[name]()
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
-        comps = init_state(network, params, record_events=False).comps
-        order = [(comps[a].size > 1, min(comps[a].members)) for a in sorted(comps)]
+        state = init_state(network, params, record_events=False)
+        comps, members = state.comps, members_of(state)
+        order = [(comps[a].size > 1, min(members[a])) for a in sorted(comps)]
         assert order == sorted(order)
         assert sorted(comps) == list(range(len(comps)))
         if isinstance(network, PointCloud):  # the cut's singletons start retired
@@ -123,10 +125,11 @@ class TestCutStart:
         edges = build_network([("a", "b", r0), ("b", "c", 0.125)])
         for network in (cloud, edges):
             state = init_state(network, params, store=store, record_events=False)
-            live = [sorted(c.members) for c in state.comps.values()]
+            members = members_of(state)
+            live = [sorted(members[a]) for a in state.comps]
             if network is cloud:  # node 0 is a singleton of the cut: retired
                 assert live == [[1, 2]]
-                assert [set(c.members) for c in state.removed] == [{0}]
+                assert len(state.removed) == 1 and retired_singletons(state) == [0]
             else:
                 assert live == [[0], [1, 2]]
                 assert state.distance(0, 1) == r0
@@ -148,7 +151,8 @@ class TestCutStart:
         blocks = {"all_singletons": [],
                   "one_block": [set(range(12))],
                   "coincident_points": [{0, 1}, {2, 3}, {4, 5}]}[case]
-        assert [set(c.members) for c in state.comps.values()] == blocks
+        members = members_of(state)
+        assert [set(members[a]) for a in state.comps] == blocks
         assert len(state.removed) == cloud.n_nodes - sum(map(len, blocks))
         from_singletons = run(init_state(cloud, params, store=store))
         assert run(state).partition_sets() == from_singletons.partition_sets()
@@ -178,7 +182,8 @@ class TestCutStart:
         cloud = generate_uniform_points(30, seed=5)
         params = params_for_r0(0.15, 0.585)
         state = init_state(cloud, params)
-        assert [set(c.members) for c in state.comps.values()] == [{i} for i in range(30)]
+        members = members_of(state)
+        assert [set(members[a]) for a in state.comps] == [{i} for i in range(30)]
         report = run(state)
         assert report.merge_count == sum(isinstance(e, MergeEvent) for e in report.events)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (disk_percolation_oracle, is_refinement, params_for_r0,
                       random_instance, random_params, reference_schedule)
+from test_acceptance import replay_members
 from qnetperc.engine import (MergeEvent, ReduceEvent, RunReport, events_to_dicts,
                              init_state, run, save_event_log, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
@@ -269,12 +270,9 @@ class TestEventMonotonicity:
         for _ in range(guard):
             if not state.comps:
                 break
-            holders = {}
-            for cid, comp in state.comps.items():
-                if i in comp.members:
-                    holders["i"] = cid
-                if j in comp.members:
-                    holders["j"] = cid
+            held = state.holders().tolist()
+            holders = {k: held[x] for k, x in (("i", i), ("j", j))
+                       if held[x] in state.comps}
             if len(holders) == 2 and holders["i"] != holders["j"]:
                 d = state.store.distance(holders["i"], holders["j"])
                 assert d <= last * (1 + 1e-12)
@@ -374,3 +372,30 @@ class TestEventLogWriter:
                 stdlib_event_log(report_of(events))
             with pytest.raises(ValueError, match="not JSON compliant"):
                 save_event_log(report_of(events), path)
+
+
+@pytest.mark.oracle
+class TestPartitionFromParents:
+    """report() builds the partition from the merge-parent list alone."""
+
+    @given(instance=st.one_of(logged_runs(),
+                              st.builds(relay_chain_instance, st.integers(0, 40_000))),
+           store=st.sampled_from(["dense", "sparse"]))
+    @example(instance=RELAY_WITH_SHORTCUT, store="dense")
+    @settings(max_examples=60, deadline=None)
+    def test_partition_equals_the_replayed_unions(self, instance, store):
+        network, params = instance
+        state = init_state(network, params, store=store)
+        report = run(state)
+        # the set-union replay of the log: each reduced id holds its block
+        members = replay_members(report)
+        reduced = [ev.comp for ev in report.events if isinstance(ev, ReduceEvent)]
+        labels = report.node_labels
+        blocks = sorted(tuple(sorted(labels[i] for i in members[c])) for c in reduced)
+        assert report.partition == tuple(blocks)
+        held = state.holders().tolist()
+        assert all(node in members[held[node]] for node in range(report.n_nodes))
+        # a run without a log starts from the cut at r0 and ends the same
+        cut = run(init_state(network, params, store=store, record_events=False))
+        assert cut.partition == report.partition
+        assert cut.p_inf == report.p_inf

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nearest_scale, params_for_r0, random_instance
+from conftest import members_of, nearest_scale, params_for_r0, random_instance
 from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_PARAMS, HOP_SEED, replay_members
 from test_engine_properties import relay_chain_instance
 from qnetperc.engine import MergeEvent, ReduceEvent, init_state, run
@@ -230,7 +230,8 @@ class TestSingletonRelays:
         net = self.stranded_relay()
         state = init_state(net, params_for_r0(1.0, 1.0), store=store, record_events=False)
         assert not state.removed
-        assert {c.members for c in state.comps.values()} == {
+        members = members_of(state)
+        assert {members[a] for a in state.comps} == {
             frozenset({0}), frozenset({1, 2, 3}), frozenset({4, 5, 6})}  # r, U, V
         assert run(state).partition == (("r",), ("u", "u2", "u3", "v", "v2", "v3"))
 
