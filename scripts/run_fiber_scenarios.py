@@ -36,17 +36,17 @@ def main():
     print(f"synthetic fiber: {fiber.n_nodes} nodes, {fiber.n_edges} cables, "
           f"mean {fiber.total_length_km() / fiber.n_edges:.0f} km")
 
-    def factory(seed):
-        return insert_repeaters(fiber, RepeaterConfig(args.mean_segment, seed=seed))
-
     base = ModelParams(channel=ChannelModel(d0_km=300.0, epsilon=0.01),
                        distill=DistillationParams(m=102, alpha=0.585))
     seeds = tuple(range(11, 11 + args.replicates))
+    # each repeater network built once for the sweep and all three scenarios
+    nets = {seed: insert_repeaters(fiber, RepeaterConfig(args.mean_segment, seed=seed))
+            for seed in seeds}
 
     grid = (100.0, 200.0, 300.0, 450.0, 700.0, 1000.0, 1500.0, 2500.0,
             4000.0, 8000.0, 16000.0, 32000.0, 64000.0)
     spec = SweepSpec(d0_grid_km=grid, seeds=seeds)
-    rows, agg = sweep_connectivity(factory, base, spec)
+    rows, agg = sweep_connectivity(nets.__getitem__, base, spec)
     write_curve_csv(rows, args.out / "curves.csv")
     write_aggregate_csv(agg, args.out / "curves_aggregate.csv")
 
@@ -55,7 +55,7 @@ def main():
                 Scenario.NO_MEMORY: (1000.0, 1e6)}
     summary = {}
     for scenario, (lo, hi) in brackets.items():
-        res = min_d0_for_target(factory, scenario_params(base, scenario),
+        res = min_d0_for_target(nets.__getitem__, scenario_params(base, scenario),
                                 target=args.target, d0_lo=lo, d0_hi=hi,
                                 rel_tol=0.02, seeds=seeds)
         summary[scenario.value] = res["d0_km"]

@@ -26,15 +26,15 @@ def main():
     args = ap.parse_args()
     args.out.parent.mkdir(parents=True, exist_ok=True)
 
-    def factory(seed):
-        return generate_uniform_points(args.n, box_side=1.0, seed=seed)
-
     seeds = tuple(range(101, 101 + args.replicates))
+    # each cloud built once for all alphas
+    clouds = {seed: generate_uniform_points(args.n, box_side=1.0, seed=seed)
+              for seed in seeds}
     estimates = []
     for alpha in args.alphas:
         params = ModelParams(channel=ChannelModel(d0_km=100.0, epsilon=0.01),
                              distill=DistillationParams(m=1, alpha=alpha))
-        est = find_threshold(factory, params, target=args.target, tol=args.tol,
+        est = find_threshold(clouds.__getitem__, params, target=args.target, tol=args.tol,
                              eps_lo=3e-5, eps_hi=8e-4, seeds=seeds)
         estimates.append(est)
         print(f"alpha={alpha:g}: r0_th = {est.r0_th:.5f} "

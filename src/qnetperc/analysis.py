@@ -139,7 +139,9 @@ def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
     """Giant fraction over (scenario, d0, seed); returns (rows, aggregates).
 
     network may be a topology object or a seed -> topology factory (use a
-    factory when replicates should re-draw repeater placement).  jobs > 1
+    factory when replicates should re-draw repeater placement).  A factory
+    over topology's memoized constructors costs one build per distinct seed
+    across repeated calls (up to their bound of 8 networks).  jobs > 1
     spreads the engine runs over worker processes.
     """
     if jobs < 1:
@@ -338,7 +340,10 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
 
     Log-space bisection on d0; all ranges (and the sudden-death cap) scale
     with d0, so the mean curve is monotone.  network may be a seed -> topology
-    factory, in which case each replicate re-draws the topology.
+    factory, in which case each replicate re-draws the topology.  A factory
+    over topology's memoized constructors costs one build per distinct seed
+    across repeated calls (up to their bound of 8 networks), so comparing
+    scenarios on one replicate list builds each network once.
     """
     if not 0 < d0_lo < d0_hi:
         raise ValueError(f"need 0 < d0_lo < d0_hi, got ({d0_lo}, {d0_hi})")

@@ -218,15 +218,15 @@ def _cmd_threshold(args) -> int:
     alphas = args.alphas or [cfg.alpha]
     seeds = tuple(subseed(cfg.seed, STREAM_REPLICATE, k) for k in range(args.replicates))
 
-    def factory(seed: int):
-        return topology.generate_uniform_points(cfg.n_points, box_side=cfg.box_side,
-                                                seed=seed)
+    # one cloud per replicate for all alphas, at any replicate count
+    clouds = {seed: topology.generate_uniform_points(cfg.n_points, box_side=cfg.box_side,
+                                                     seed=seed) for seed in seeds}
 
     estimates = []
     for alpha in alphas:
         params = replace(cfg, alpha=alpha).model_params()
         est = analysis.find_threshold(
-            factory, params, target=args.target, tol=args.tol,
+            clouds.__getitem__, params, target=args.target, tol=args.tol,
             eps_lo=args.eps_lo, eps_hi=args.eps_hi, seeds=seeds)
         estimates.append(est)
         print(f"alpha={alpha:g}: r0_th={est.r0_th:.6g} "

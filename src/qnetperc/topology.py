@@ -16,6 +16,20 @@ at r0 keeps the joins shorter than r0 (MergeForest.joins_below); the engine
 starts harness runs from it, and the harness reads the largest block of a
 fixed-range probe from the same count.  Neither needs an N x N matrix.
 
+The two pure constructors, generate_uniform_points and insert_repeaters,
+memoize their last 8 results (functools.lru_cache, typed): equal arguments
+of equal types return the same network object, with its cached linkage
+edges and merge forest, so searches that each call a seed -> network factory
+over one short replicate list build each network and forest once.  A
+comparison over more replicates than the bound cycles the memo without a
+hit; the threshold command and the scripts therefore build their replicate
+networks once and pass a dict's __getitem__ as the factory.  Seeds must be
+integers (operator.index), so a seed the draw cannot take raises on every
+call instead of returning an equal-valued memoized network.  Since one
+network may reach unrelated callers, its arrays are read-only: a cloud's
+positions (a copy of the caller's array) and every array of linkage_edges
+and merge_forest.
+
 scipy is imported only inside generate_fiber_network, so the other callers
 of this module never load it.
 
@@ -31,6 +45,7 @@ import csv
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,6 +69,17 @@ def _read_header(reader, path, header: tuple[str, ...]) -> None:
         raise ValueError(f"{path}: expected header '{','.join(header)}', got {row}")
 
 
+# one bound for both constructors' memos (module docstring); typed, so a
+# float argument equal to a memoized int one misses and fails as a cold call
+_memoized = functools.lru_cache(maxsize=8, typed=True)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # Point clouds
 # ---------------------------------------------------------------------------
@@ -65,20 +91,24 @@ def _check_box_side(box_side: float) -> None:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Uniform 2D point set; positions is an (N, 2) float array."""
+    """Uniform 2D point set; positions is a read-only (N, 2) float array.
+
+    positions is a copy of the given array, so the caller's stays writable.
+    """
 
     positions: np.ndarray
     box_side: float = 1.0
 
     def __post_init__(self):
         _check_box_side(self.box_side)
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.array(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must be a non-empty (N, 2) array, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("all coordinates must be finite")
         if np.any(pos < 0) or np.any(pos >= self.box_side):
             raise ValueError("all coordinates must lie in [0, box_side)")
+        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -125,12 +155,17 @@ def distance_rows(positions: np.ndarray, a: int, b: int, out=None) -> np.ndarray
     return np.sqrt(out, out=out)
 
 
+@_memoized
 def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> PointCloud:
-    """N i.i.d. uniform points in [0, box_side)^2, bit-reproducible per seed."""
+    """N i.i.d. uniform points in [0, box_side)^2, bit-reproducible per seed.
+
+    Memoized: equal arguments of equal types return the same cloud (module
+    docstring).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_box_side(box_side)  # before the draw, which cannot span a bad box
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(operator.index(seed))
     pos = rng.uniform(0.0, box_side, size=(n, 2))
     return PointCloud(positions=pos, box_side=box_side)
 
@@ -210,7 +245,7 @@ def _mst_edges(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _sorted_edges(lengths, ii, jj):
     order = np.lexsort((jj, ii, lengths))  # by length, then by index pair
-    return lengths[order], ii[order], jj[order]
+    return _read_only(lengths[order], ii[order], jj[order])
 
 
 class MergeForest(NamedTuple):
@@ -257,8 +292,9 @@ def _merge_forest(n: int, edges) -> MergeForest:
         link.append(node)
         size.append(size[i] + size[j])
         joins.append(length)
-    return MergeForest(np.array(parent, dtype=np.intp), np.array(joins, dtype=float),
-                       np.maximum.accumulate(np.array([1, *size[n:]], dtype=np.intp)))
+    return MergeForest(*_read_only(
+        np.array(parent, dtype=np.intp), np.array(joins, dtype=float),
+        np.maximum.accumulate(np.array([1, *size[n:]], dtype=np.intp))))
 
 
 def single_linkage_labels(network, r0: float) -> np.ndarray:
@@ -299,7 +335,9 @@ class EdgeListNetwork:
     so at most one per pair (build_network collapses duplicates to the
     minimum length); insert_repeaters seeds each cable by its index.  Pairs
     without an edge are unreachable.  positions, when present, align with node_ids and exist
-    purely for export and plotting.
+    purely for export and plotting.  Every field is stored as a tuple (of
+    tuples, for edges and positions), so every network hashes and can key
+    insert_repeaters' memo.
     """
 
     node_ids: tuple[str, ...]
@@ -308,6 +346,11 @@ class EdgeListNetwork:
     positions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "node_ids", tuple(self.node_ids))
+        object.__setattr__(self, "kinds", tuple(self.kinds))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        if self.positions is not None:
+            object.__setattr__(self, "positions", tuple(map(tuple, self.positions)))
         ids = self.node_ids
         if len(ids) < 1:
             raise ValueError("network must contain at least one node")
@@ -477,8 +520,12 @@ class RepeaterConfig:
         if not (math.isfinite(self.mean_segment_km) and self.mean_segment_km > 0):
             raise ValueError(f"mean_segment_km must be finite and positive, "
                              f"got {self.mean_segment_km}")
+        # an int: a float seed would hit the memo of an equal int one, where
+        # a cold cut raises
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
+@_memoized
 def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwork:
     """Cut every cable at the points of a homogeneous Poisson process.
 
@@ -492,6 +539,9 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
     The j-th cut of cable (u, v) is named rep__{u}__{v}__{j}.  A name that is
     already a node id (a station, or a cut of another cable when ids hold
     "__") raises ValueError: the two nodes would silently become one.
+
+    Memoized: an equal network and config return the same network (module
+    docstring).  A raised error is not memoized, so it is raised on every call.
     """
     rate = 1.0 / cfg.mean_segment_km
     new_edges: list[tuple[str, str, float]] = []

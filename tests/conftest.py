@@ -1,13 +1,23 @@
 """Shared instance generators and oracles for the engine test suites."""
 
 import numpy as np
+import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from qnetperc import topology
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
 
 D0 = 100.0
+
+
+@pytest.fixture(autouse=True)
+def cold_network_memo():
+    """Every test starts with empty constructor memos, so no test's outcome
+    depends on the networks an earlier test built."""
+    topology.generate_uniform_points.cache_clear()
+    topology.insert_repeaters.cache_clear()
 
 
 def params_for_r0(r0: float, alpha: float, m: int = 1, cap: bool = True,

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import disk_percolation_oracle, random_instance
-from qnetperc import analysis
+from qnetperc import analysis, topology
 from qnetperc.analysis import (ComplexityParams, Scenario, SweepSpec,
                                coherence_time, complexity_f, find_threshold,
                                interpolate_f, min_d0_for_target, scenario_params,
@@ -293,16 +293,51 @@ class TestMinD0:
                               d0_lo=1.0, d0_hi=1e4, seeds=())
 
 
+class TestReplicateMemo:
+    """A second search over the same replicate factory builds no network."""
+
+    def test_second_min_d0_search_builds_nothing(self, monkeypatch):
+        fiber = generate_fiber_network(30, 33, mean_length_km=500.0, seed=2)
+
+        def search():
+            return min_d0_for_target(
+                lambda seed: insert_repeaters(fiber, RepeaterConfig(100.0, seed)),
+                scenario_params(base_params(), Scenario.DISTRIBUTED), target=0.9,
+                d0_lo=100.0, d0_hi=1e6, rel_tol=0.02, seeds=(3, 4))
+
+        builds = []
+        build_network = topology.build_network
+        monkeypatch.setattr(topology, "build_network",
+                            lambda *args, **kw: builds.append(args) or build_network(*args, **kw))
+        first = search()
+        assert len(builds) == 2
+        builds.clear()
+        assert search() == first
+        assert builds == []
+        topology.insert_repeaters.cache_clear()
+        assert search() == first  # the cold-cache answer
+        assert len(builds) == 2
+
+    def test_second_threshold_search_runs_no_prim(self, monkeypatch):
+        def search():
+            return find_threshold(
+                lambda seed: generate_uniform_points(80, box_side=1.0, seed=seed),
+                base_params(d0=100.0, eps=0.001), target=0.5, tol=5e-3,
+                eps_lo=1e-4, eps_hi=1e-2, seeds=(0, 1), n_boot=50)
+
+        prims = []
+        mst_edges = topology._mst_edges
+        monkeypatch.setattr(topology, "_mst_edges",
+                            lambda positions: prims.append(1) or mst_edges(positions))
+        first = search()
+        assert len(prims) == 2
+        assert search() == first
+        assert len(prims) == 2
+
+
 # ---------------------------------------------------------------------------
 # Bisection pins: small instances, every probe, values as first recorded
 # ---------------------------------------------------------------------------
-
-def assert_pairs_equal(got, expected):
-    assert len(got) == len(expected)
-    for (x, y), (x_ref, y_ref) in zip(got, expected):
-        assert x == pytest.approx(x_ref, rel=1e-12)
-        assert y == pytest.approx(y_ref, rel=1e-12)
-
 
 class TestBisectionPins:
     FT_PINS = {
@@ -346,9 +381,9 @@ class TestBisectionPins:
             lambda seed: generate_uniform_points(80, box_side=1.0, seed=seed), params,
             target=0.5, tol=5e-3, eps_lo=1e-4, eps_hi=1e-2, seeds=(0, 1), n_boot=200)
         r0_th, ci_low, ci_high, probes = self.FT_PINS[alpha]
-        assert est.r0_th == pytest.approx(r0_th, rel=1e-12)
-        assert (est.ci_low, est.ci_high) == pytest.approx((ci_low, ci_high), rel=1e-12)
-        assert_pairs_equal(est.probes, probes)
+        assert est.r0_th == r0_th
+        assert (est.ci_low, est.ci_high) == (ci_low, ci_high)
+        assert est.probes == tuple(probes)
 
     @pytest.mark.parametrize("scenario", list(MD_PINS), ids=lambda s: s.value)
     def test_min_d0_for_target(self, scenario):
@@ -360,9 +395,9 @@ class TestBisectionPins:
             scenario_params(base_params(), scenario), target=0.9,
             d0_lo=50.0, d0_hi=1e6, rel_tol=0.02, seeds=(0, 1))
         d0_km, bracket, probes = self.MD_PINS[scenario]
-        assert res["d0_km"] == pytest.approx(d0_km, rel=1e-12)
-        assert res["bracket"] == pytest.approx(bracket, rel=1e-12)
-        assert_pairs_equal(res["probes"], probes)
+        assert res["d0_km"] == d0_km
+        assert res["bracket"] == bracket
+        assert res["probes"] == probes
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qnetperc import topology
 from qnetperc.cli import main
 from qnetperc.topology import load_edge_list, load_point_cloud
 
@@ -31,6 +32,7 @@ class TestGenerate:
     def test_points_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert invoke("generate", "points", "--n", "50", "--seed", "7", "--out", str(a)) == 0
+        topology.generate_uniform_points.cache_clear()  # a fresh draw, not the memoized cloud
         assert invoke("generate", "points", "--n", "50", "--seed", "7", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
         assert load_point_cloud(a).n_nodes == 50
@@ -386,6 +388,17 @@ class TestSweepThresholdCli:
             assert invoke(*self.threshold_argv(tmp_path, *extra)) == 0
             hashes.add(json.loads((tmp_path / "th.json").read_text())["config_hash"])
         assert len(hashes) == 1
+
+    def test_threshold_draws_each_cloud_once_for_all_alphas(self, tmp_path, monkeypatch):
+        # 9 replicates are more than the constructor memo holds
+        prims = []
+        mst_edges = topology._mst_edges
+        monkeypatch.setattr(topology, "_mst_edges",
+                            lambda positions: prims.append(1) or mst_edges(positions))
+        argv = self.threshold_argv(tmp_path, "--replicates", "9",
+                                   "--alpha-value", "0", "--alpha-value", "0.585")
+        assert invoke(*argv) == 0
+        assert len(prims) == 9
 
     @pytest.mark.parametrize("replicates", ["0", "-1"])
     def test_threshold_without_replicates_exits_2(self, tmp_path, replicates):

@@ -25,6 +25,7 @@ class TestPointClouds:
 
     def test_determinism(self):
         a = generate_uniform_points(100, seed=42)
+        generate_uniform_points.cache_clear()  # a fresh draw, not the memoized cloud
         b = generate_uniform_points(100, seed=42)
         assert np.array_equal(a.positions, b.positions)
         c = generate_uniform_points(100, seed=43)
@@ -304,7 +305,9 @@ class TestRepeaters:
     def test_determinism(self):
         net = generate_fiber_network(40, 50, seed=2)
         cfg = RepeaterConfig(mean_segment_km=50.0, seed=17)
-        assert insert_repeaters(net, cfg) == insert_repeaters(net, cfg)
+        first = insert_repeaters(net, cfg)
+        insert_repeaters.cache_clear()  # a fresh cut, not the memoized network
+        assert insert_repeaters(net, cfg) == first
 
     def test_connectivity_preserved(self):
         net = generate_fiber_network(80, 95, seed=3)
@@ -575,3 +578,67 @@ class TestEdgeListNetworkChecks:
             self.network(node_ids=("", "b"), edges=(("", "b", 1.0),))
         with pytest.raises(ValueError, match="must not be empty"):
             build_network([("a", "b", 1.0)], extra_nodes=[""])
+
+
+class TestConstructorMemo:
+    """generate_uniform_points and insert_repeaters return one shared network per
+    distinct arguments, so what they return must not be writable."""
+
+    def test_equal_arguments_return_the_same_network(self):
+        fiber = generate_fiber_network(40, 50, seed=2)
+        cfg = RepeaterConfig(mean_segment_km=50.0, seed=17)
+        cut = insert_repeaters(fiber, cfg)
+        assert insert_repeaters(fiber, cfg) is cut
+        # equal by value, but a separate object from a separate call
+        again = generate_fiber_network(40, 50, seed=2)
+        assert again is not fiber and again == fiber
+        assert insert_repeaters(again, RepeaterConfig(50.0, 17)) is cut
+        assert insert_repeaters(fiber, RepeaterConfig(50.0, 18)) is not cut
+
+    def test_a_non_integer_seed_raises_after_an_equal_int_one(self):
+        generate_uniform_points(5, seed=1)
+        for seed in (1.0, None, None):
+            with pytest.raises(TypeError):
+                generate_uniform_points(5, seed=seed)
+        with pytest.raises(TypeError):
+            RepeaterConfig(50.0, seed=1.0)
+
+    def test_an_integer_seed_of_another_type_cuts_the_same_network(self):
+        fiber = generate_fiber_network(20, 24, seed=4)
+        cfg = RepeaterConfig(50.0, seed=np.int64(3))
+        assert type(cfg.seed) is int
+        assert insert_repeaters(fiber, cfg) is insert_repeaters(fiber, RepeaterConfig(50.0, 3))
+
+    def test_an_error_is_raised_on_every_call(self):
+        # both cables' first cut is named rep__a__b__c__0
+        net = build_network([("a", "b__c", 500.0), ("a__b", "c", 500.0)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="already a node id"):
+                insert_repeaters(net, RepeaterConfig(100.0, 0))
+
+    def test_shared_arrays_are_read_only(self):
+        cloud = generate_uniform_points(30, seed=1)
+        net = insert_repeaters(generate_fiber_network(20, 24, seed=4),
+                               RepeaterConfig(mean_segment_km=100.0, seed=0))
+        arrays = [cloud.positions]
+        for network in (cloud, net):
+            arrays += [*network.linkage_edges, *network.merge_forest]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_the_callers_positions_stay_writable(self):
+        positions = np.array([[0.1, 0.2], [0.3, 0.4]])
+        cloud = PointCloud(positions=positions)
+        positions[0, 0] = 0.9
+        assert cloud.positions.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    def test_a_network_built_from_lists_hashes(self):
+        net = EdgeListNetwork(node_ids=["a", "b"], kinds=[STATION, STATION],
+                              edges=[["a", "b", 500.0]], positions=[[0.0, 0.0], [3.0, 4.0]])
+        assert net == build_network([("a", "b", 500.0)],
+                                    positions={"a": (0.0, 0.0), "b": (3.0, 4.0)})
+        cfg = RepeaterConfig(mean_segment_km=50.0, seed=4)
+        cut = insert_repeaters(net, cfg)
+        assert insert_repeaters(net, cfg) is cut
+        assert cut.n_nodes > 2
