@@ -28,9 +28,12 @@ the engine (after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the
 floats the engine compares and p_inf is the same integer over N, so the
 values are bit-identical.  A probe whose ranges can grow runs the engine,
 which starts from this same cut, taken from the same forest (init_state
-without an event log), and adds only what growing ranges join.  On a point
-cloud the cut's singletons start retired and only its clusters are run: a
-lone point is isolated at r0 and, as a one-point relay, joins nothing.
+without an event log), and adds only what growing ranges join.  The cut's
+singletons start retired and only its clusters are run: a lone node is
+isolated at r0 for the whole run.  A lone point, as a one-point relay,
+joins nothing; a lone repeater is reduced before the run, in the id order in
+which the run would reduce it, and the floats it leaves are the run's own
+(engine module docstring).
 """
 
 from __future__ import annotations

@@ -27,9 +27,22 @@ A run without an event log (every harness run) starts from the single-linkage
 cut at the base range r0 = r(1) instead: each connected component of the
 pairs with d < r0 is one component, because every order of the rules merges
 such a pair, and its distance to another is the minimum over member pairs,
-the float the merges would leave.  On a point cloud the cut's singletons
-start retired, since each is isolated from the start and writes no shortcut,
-so only the clusters enter the store.
+the float the merges would leave.  The cut's singletons start retired: each
+is isolated from the start and stays so, since its legs are at least r0, its
+own range, and any shortcut it gains is at least 2 r0.  On a point cloud one
+writes no shortcut, so it never enters the store.  On an edge list one (a
+repeater) is a relay path: the singletons hold the lowest ids, and
+init_state() reduces them in ascending id order, with the range of the
+clusters' pooled size as the cap, so run() schedules only the clusters.
+run() from the cut would reduce them in that order before any other
+component, and the floats stay the same:
+
+- the only rules it fires between them are cluster merges, which commute
+  with them float for float: a merge takes the min of two rows, and rounded
+  + is monotone, so fl(min(p, q) + r) = min(fl(p + r), fl(q + r));
+- the up-front cap bounds every cap run() would use, so a sum kept beyond
+  run()'s cap is at or above every range still to come, and no later rule
+  reads it.
 
 run() fires the rules in lexicographic order: it always takes the smallest
 connectable id pair and otherwise reduces the smallest isolated id.  It is
@@ -45,11 +58,11 @@ same partition:
 - is_isolated(a) and reduce_and_remove(a): isolation and reduction.
 
 A component is its size and range alone; no component keeps its members.
-The state keeps each node's starting id (-1 for a cut singleton retired
-before the run) and one merge-parent list, which maps every id to the id it
-merged into (itself until then) and grows by one entry per merge.
-holders() follows that list to the component holding each node, and
-report() builds the partition from holders() once, at the end.
+The state keeps each node's starting id (-1 for a point cloud's cut
+singleton, which never gets one) and one merge-parent list, which maps every
+id to the id it merged into (itself until then) and grows by one entry per
+merge.  holders() follows that list to the component holding each node,
+and report() builds the partition from holders() once, at the end.
 """
 
 from __future__ import annotations
@@ -278,10 +291,10 @@ class PercolationState:
     def holders(self) -> np.ndarray:
         """The id of the component, live or retired, that holds each node now.
 
-        A node retired before the run (a point cloud's cut singleton) has no
-        id and gets -1.  Ids are found by pointer jumping over the
-        merge-parent list: each pass replaces every id's parent with its
-        grandparent, so a chain of m merges takes about log2(m) passes.
+        A point cloud's cut singleton never gets an id, and gets -1.  Ids
+        are found by pointer jumping over the merge-parent list: each pass
+        replaces every id's parent with its grandparent, so a chain of m
+        merges takes about log2(m) passes.
         """
         parent = np.array(self._parent, dtype=np.intp)
         while True:
@@ -383,17 +396,18 @@ class PercolationState:
         """The finished run: its partition, giant fraction and event log.
 
         The partition is built once, from holders(): each node's block is the
-        retired component that holds it, and a node retired before the run
-        is a block of its own.  Node labels ascend with their index (a
-        cloud's are 0..N-1, an edge list's ids are strictly ascending), so
-        one stable sort of the nodes by the smallest index in their block
-        lists the blocks in order of their first label, members ascending.
+        retired component that holds it, and a node with no id (a point
+        cloud's cut singleton) is a block of its own.  Node labels ascend
+        with their index (a cloud's are 0..N-1, an edge list's ids are
+        strictly ascending), so one stable sort of the nodes by the smallest
+        index in their block lists the blocks in order of their first label,
+        members ascending.
         """
         if self.comps:
             raise ValueError("run has not finished; active components remain")
         n = self.n_nodes
         held = self.holders()
-        # a node retired before the run is the only node of its key
+        # a node with no id is the only node of its key
         key = np.where(held < 0, len(self._parent) + np.arange(n), held)
         _, first, block = np.unique(key, return_index=True, return_inverse=True)
         head = first[block]  # the smallest index in each node's block
@@ -511,12 +525,16 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     independence.  Singletons take the lowest ids in node order, then
     clusters in order of their smallest member.
 
-    On a point cloud the cut's singletons start retired, in state.removed,
-    and the live ids 0.. are the clusters alone.  Every distance from such a
-    point is at least r0, its own range, so it is isolated from the start,
-    and a one-point relay writes no shortcut (see reduce_and_remove), so
-    reducing it first is one legal rule order.  On an edge list a singleton
-    (a repeater) is the relay path and stays live.
+    The cut's singletons start retired, in state.removed: every leg of one
+    is at least r0, its own range, and any shortcut it gains is at least
+    2 r0, so it is isolated from the start and stays so.  On a point cloud
+    a one-point relay writes no shortcut (see reduce_and_remove), so it gets
+    no id and the live ids 0.. are the clusters alone.  On an edge list a
+    singleton (a repeater) is a relay path: the singletons keep the ids
+    0..k1-1 and are reduced here in that order, with the range of the
+    clusters' pooled size as future_cap, so run() schedules only the
+    clusters.  run() would reduce them in the same order before any other
+    component, leaving the same floats (module docstring).
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
@@ -533,9 +551,9 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     # distance matrix: a cloud's first cut builds its own
     nodes, starts = _blocks(np.arange(n) if record_events
                             else single_linkage_labels(network, r0))
-    k1 = 0  # the cut's singletons retired before the run
-    if cloud and not record_events:  # the singletons are a prefix
-        k1 = int(np.count_nonzero(np.diff(starts) == 1))
+    # the cut's singletons, a prefix; a cloud's never enter the store
+    k1 = 0 if record_events else int(np.count_nonzero(np.diff(starts) == 1))
+    if cloud:
         nodes, starts = nodes[k1:], starts[k1:] - k1
     sizes = np.diff(starts).tolist()
     ranges = {size: params.component_range_km(size) for size in set(sizes)}
@@ -566,7 +584,13 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
             backend = _SparseStore(adj, reach)
     state = PercolationState(backend, n, labels, params, comps, block_of,
                              record_events=record_events, point_cloud=cloud)
-    state.removed.extend([Component(size=1, range_km=r0)] * k1)
+    if cloud:
+        state.removed.extend([Component(size=1, range_km=r0)] * k1)
+    elif k1:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
+        pool = n - k1
+        cap = state._range_of_size(pool) if pool else 0.0
+        for a in range(k1):
+            state.reduce_and_remove(a, future_cap=cap)
     return state
 
 
@@ -598,6 +622,10 @@ def run(state: PercolationState) -> RunReport:
     sums at or above that cap, unusable by any merge to come, so they are
     neither stored nor logged; on a point cloud a one-point relay writes none
     at all (see reduce_and_remove).
+
+    A state from init_state without an event log holds only the cut's
+    clusters: its singletons were retired before the run, an edge list's
+    reduced in the order this loop would reduce them (module docstring).
     """
     comps, store = state.comps, state.store
     firsts = sorted(comps)  # ids that may have a partner above them; sorted: a heap

@@ -1,11 +1,14 @@
 """Shared instance generators and oracles for the engine test suites."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from qnetperc import topology
+from qnetperc.engine import init_state
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
 
@@ -36,6 +39,17 @@ def random_instance(seed: int, max_n: int = 50):
     n = int(rng.integers(2, max_n + 1))
     if rng.random() < 0.5:
         return generate_uniform_points(n, box_side=1.0, seed=seed)
+    return _geometric_edge_list(rng, n)
+
+
+def random_edge_list(seed: int, max_n: int = 50):
+    """A random geometric edge list, seeded."""
+    rng = np.random.default_rng(seed)
+    return _geometric_edge_list(rng, int(rng.integers(2, max_n + 1)))
+
+
+def _geometric_edge_list(rng, n: int):
+    """n uniform points of the unit square, cabled when closer than a drawn radius."""
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     radius = rng.uniform(0.25, 0.6)
     edges = []
@@ -95,8 +109,10 @@ def disk_percolation_oracle(network, r0: float) -> set[frozenset]:
 def members_of(state) -> dict[int, frozenset[int]]:
     """The nodes of every component id, live or retired, from state.holders().
 
-    Nodes retired before the run (a point cloud's cut singletons) have no id
-    and are left out; retired_singletons lists them.
+    A point cloud's cut singletons never get an id, so they are left out;
+    retired_singletons lists them.  An edge list's cut singletons keep theirs
+    (the lowest ids, in node order), though init_state has already reduced
+    them, so they are here but not in state.comps.
     """
     members: dict[int, set[int]] = {}
     for node, cid in enumerate(state.holders().tolist()):
@@ -106,8 +122,48 @@ def members_of(state) -> dict[int, frozenset[int]]:
 
 
 def retired_singletons(state) -> list[int]:
-    """The nodes retired before the run, which no component id holds, ascending."""
+    """The nodes that no component id holds (a point cloud's cut singletons),
+    ascending; an edge list's cut singletons keep their ids and are not listed."""
     return np.flatnonzero(state.holders() < 0).tolist()
+
+
+def merged_below_r0(network, params, store):
+    """Singletons, then state.merge on a pair closer than r0 until none is left."""
+    state = init_state(network, params, store=store)
+    r0 = params.base_range_km()
+    while pairs := [(a, b) for a, b, d in state.connectable_pairs() if d < r0]:
+        state.merge(*pairs[0])
+    return state
+
+
+def cut_start_reference(network, params, store):
+    """The start of a run without an event log, from the public rules alone.
+
+    merged_below_r0, then every singleton left reduced in node order (its id
+    is its node index) with the range of the clusters' pooled size as the
+    future cap.
+    """
+    state = merged_below_r0(network, params, store)
+    singles = [a for a in state.active_ids() if state.comps[a].size == 1]
+    pool = network.n_nodes - len(singles)
+    cap = params.component_range_km(pool) if pool else 0.0
+    for a in singles:
+        state.reduce_and_remove(a, future_cap=cap)
+    return state
+
+
+def assert_same_start(state, reference):
+    """state holds the reference's live components and distances, bit for bit,
+    and has retired the same components."""
+    members, ref_members = members_of(state), members_of(reference)
+    ids = {ref_members[a]: a for a in reference.comps}
+    assert {members[a] for a in state.comps} == set(ids)
+    assert state.removed == reference.removed
+    for a, comp in state.comps.items():
+        assert comp == reference.comps[ids[members[a]]]
+    for a, b in itertools.permutations(state.comps, 2):
+        assert state.store.distance(a, b) == reference.store.distance(
+            ids[members[a]], ids[members[b]])
 
 
 def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):

@@ -7,10 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (D0, disk_percolation_oracle, members_of, nearest_scale,
+from conftest import (D0, assert_same_start, cut_start_reference,
+                      disk_percolation_oracle, members_of, nearest_scale,
                       params_for_r0, random_instance, reference_schedule,
                       retired_singletons)
-from qnetperc.engine import (INF, MergeEvent, ReduceEvent, _cloud_distances,
+from qnetperc.engine import (INF, Component, MergeEvent, ReduceEvent, _cloud_distances,
                              events_to_dicts, init_state, partition_to_lists,
                              run, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
@@ -49,15 +50,6 @@ class TestInit:
             init_state(two_nodes(1.0), params_for_r0(1.0, 0.5), store="magnetic")
 
 
-def merged_below_r0(network, params, store):
-    """Singletons, then state.merge on a pair closer than r0 until none is left."""
-    state = init_state(network, params, store=store)
-    r0 = params.base_range_km()
-    while pairs := [(a, b) for a, b, d in state.connectable_pairs() if d < r0]:
-        state.merge(*pairs[0])
-    return state
-
-
 def _coincident_cloud():
     # three points twice over and one pair at distance 0.01
     pos = np.array([[0.2, 0.2], [0.2, 0.2], [0.7, 0.3], [0.7, 0.3], [0.5, 0.8],
@@ -79,29 +71,26 @@ class TestCutStart:
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
     def test_cut_holds_the_distances_merges_reach(self, name, store):
+        # the reference merges every pair below r0, then reduces each
+        # singleton left in node order, through the public rules alone
         network, r0 = CUT_INSTANCES[name]()
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
+        r0 = params.base_range_km()
         cut = init_state(network, params, store=store, record_events=False)
-        merged = merged_below_r0(network, params, store)
-        ids = {m: a for a, m in members_of(merged).items() if a in merged.comps}
+        assert_same_start(cut, cut_start_reference(network, params, store))
+        # only clusters stay live; every cut singleton is retired
         members = members_of(cut)
-        # a cloud's cut singletons start retired; an edge list keeps them live
-        cloud = isinstance(network, PointCloud)
-        live = {m for m in ids if len(m) > 1 or not cloud}
-        assert {members[a] for a in cut.comps} == live
-        retired = [frozenset((x,)) for x in retired_singletons(cut)]
-        assert set(retired) == set(ids) - live
-        assert bool(cut.removed) == cloud
-        assert cut.removed == [merged.comps[ids[m]] for m in retired]
-        assert 1 < len(cut.comps) < network.n_nodes
-        for a, comp in cut.comps.items():
-            assert comp == merged.comps[ids[members[a]]]
+        assert all(len(members[a]) > 1 for a in cut.comps)
+        live = set().union(*(members[a] for a in cut.comps))
+        assert cut.removed == [Component(size=1, range_km=r0)] * (network.n_nodes - len(live))
+        assert cut.removed and 1 < len(cut.comps)
+        for a in cut.comps:
             assert cut.store.min_distance(a) == min(cut.store.distance(a, b)
                                                     for b in cut.comps if b != a)
         for a, b in itertools.permutations(cut.comps, 2):
-            d = cut.store.distance(a, b)
-            assert d == merged.store.distance(ids[members[a]], ids[members[b]])
-            assert d >= params.base_range_km()
+            assert cut.store.distance(a, b) >= r0
+        from_singletons = run(init_state(network, params, store=store))
+        assert run(cut).partition == from_singletons.partition
 
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
     def test_singletons_take_the_lowest_ids(self, name):
@@ -109,11 +98,22 @@ class TestCutStart:
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
         state = init_state(network, params, record_events=False)
         comps, members = state.comps, members_of(state)
-        order = [(comps[a].size > 1, min(members[a])) for a in sorted(comps)]
-        assert order == sorted(order)
-        assert sorted(comps) == list(range(len(comps)))
-        if isinstance(network, PointCloud):  # the cut's singletons start retired
-            assert all(multi for multi, _ in order)
+        live = sorted(comps)
+        # the live ids are the clusters, in order of their smallest member
+        assert all(comps[a].size > 1 for a in live)
+        heads = [min(members[a]) for a in live]
+        assert heads == sorted(heads)
+        singles = sorted(set(range(network.n_nodes))
+                         - set().union(*(members[a] for a in live)))
+        assert singles and len(state.removed) == len(singles)
+        k1 = 0 if isinstance(network, PointCloud) else len(singles)
+        assert live == list(range(k1, k1 + len(live)))
+        retired_ids = sorted(set(members) - set(comps))
+        if isinstance(network, PointCloud):  # the cut's singletons get no id
+            assert retired_ids == [] and retired_singletons(state) == singles
+        else:  # an edge list's hold ids 0..k1-1 in node order, reduced
+            assert retired_ids == list(range(k1)) and retired_singletons(state) == []
+            assert [members[a] for a in retired_ids] == [frozenset((x,)) for x in singles]
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     def test_exact_tie_with_r0_does_not_join(self, store):
@@ -125,16 +125,20 @@ class TestCutStart:
         edges = build_network([("a", "b", r0), ("b", "c", 0.125)])
         for network in (cloud, edges):
             state = init_state(network, params, store=store, record_events=False)
+            assert_same_start(state, cut_start_reference(network, params, store))
             members = members_of(state)
-            live = [sorted(members[a]) for a in state.comps]
-            if network is cloud:  # node 0 is a singleton of the cut: retired
-                assert live == [[1, 2]]
-                assert len(state.removed) == 1 and retired_singletons(state) == [0]
-            else:
-                assert live == [[0], [1, 2]]
-                assert state.distance(0, 1) == r0
-            from_singletons = run(init_state(network, params))
-            assert run(state).partition_sets() == from_singletons.partition_sets()
+            # node 0 is a singleton of the cut: retired, and its tie with r0
+            # leaves the cluster with no partner at all
+            assert [sorted(members[a]) for a in state.comps] == [[1, 2]]
+            assert state.removed == [Component(size=1, range_km=r0)]
+            (a,) = state.comps
+            assert state.store.min_distance(a) == INF
+            if network is cloud:  # a cloud's singleton has no id
+                assert retired_singletons(state) == [0] and members == {0: {1, 2}}
+            else:  # an edge list's keeps id 0
+                assert retired_singletons(state) == [] and members == {0: {0}, 1: {1, 2}}
+            from_singletons = run(init_state(network, params, store=store))
+            assert run(state).partition == from_singletons.partition
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     @pytest.mark.parametrize("case", ["all_singletons", "one_block", "coincident_points"])

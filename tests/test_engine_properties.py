@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (disk_percolation_oracle, is_refinement, params_for_r0,
-                      random_instance, random_params, reference_schedule)
+from conftest import (assert_same_start, cut_start_reference, disk_percolation_oracle,
+                      is_refinement, params_for_r0, random_edge_list, random_instance,
+                      random_params, reference_schedule)
 from test_acceptance import replay_members
 from qnetperc.engine import (MergeEvent, ReduceEvent, RunReport, events_to_dicts,
                              init_state, run, save_event_log, verify_report)
@@ -117,6 +118,55 @@ def relay_chain_instance(seed: int, max_n: int = 30):
         reachable = cluster if rng.random() < 0.7 else reachable + cluster
     network = build_network(edges, extra_nodes=names)
     return network, params_for_r0(1.0, float(rng.choice([0.585, 1.0])))
+
+
+CUT_SHAPES = ("junction", "dead_end", "closed_chain", "long_cable")
+
+
+def cut_singleton_shape(shape: str, seed: int):
+    """Clusters around cut singletons, whose cables all reach r0 = 1, and params.
+
+    - junction: one singleton j cabled to three or four clusters;
+    - dead_end: a chain of singletons that leaves cluster a and ends, beside
+      a chain from a to cluster b;
+    - closed_chain: a chain of singletons that leaves a and returns to it,
+      beside a chain from a to b;
+    - long_cable: one 40 km cable from a to b, cut by insert_repeaters at a
+      2 km mean, so usually at 11 or more points; its singletons' ids are
+      then not monotone along it (rep__a0__b0__10 sorts before
+      rep__a0__b0__2).
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+
+    def cluster(tag):
+        nodes = [f"{tag}{i}" for i in range(int(rng.integers(2, 6)))]
+        for i in range(1, len(nodes)):
+            edges.append((nodes[i], nodes[int(rng.integers(i))], float(rng.uniform(0.05, 0.6))))
+        return nodes
+
+    def hop():
+        return float(rng.uniform(1.0, 2.0))  # at or past r0
+
+    def chain(u, v, tag, k):
+        # u to v (None: a dead end) through k singletons
+        hops = [u, *(f"{tag}{i}" for i in range(k)), *([v] if v else [])]
+        edges.extend((x, y, hop()) for x, y in zip(hops, hops[1:]))
+
+    a, b = cluster("a"), cluster("b")
+    params = params_for_r0(1.0, float(rng.choice([0.585, 1.0])))
+    if shape == "long_cable":
+        edges.append((a[0], b[0], 40.0))
+        cable = build_network(edges)
+        return insert_repeaters(cable, RepeaterConfig(mean_segment_km=2.0, seed=seed)), params
+    if shape == "junction":
+        for c in (a, b, *(cluster(t) for t in "cd"[:int(rng.integers(1, 3))])):
+            edges.append(("j", c[int(rng.integers(len(c)))], hop()))
+    else:
+        chain(a[-1], b[0], "t", int(rng.integers(1, 3)))
+        end = None if shape == "dead_end" else a[0]
+        chain(a[-1], end, "s", int(rng.integers(2, 5)))
+    return build_network(edges), params
 
 
 def reduction_borne_merges(report) -> int:
@@ -399,3 +449,62 @@ class TestPartitionFromParents:
         cut = run(init_state(network, params, store=store, record_events=False))
         assert cut.partition == report.partition
         assert cut.p_inf == report.p_inf
+
+
+def random_edge_list_instance(seed: int):
+    network = random_edge_list(seed, max_n=30)
+    return network, random_params(seed, network)
+
+
+@pytest.mark.oracle
+class TestEdgeListCutStart:
+    """init_state reduces an edge list's cut singletons as the public rules do."""
+
+    @given(instance=st.one_of(
+        st.builds(random_edge_list_instance, st.integers(0, 40_000)),
+        st.builds(relay_chain_instance, st.integers(0, 40_000)),
+        st.builds(cut_singleton_shape, st.sampled_from(CUT_SHAPES), st.integers(0, 40_000))))
+    @example(instance=cut_singleton_shape("junction", 0))
+    @example(instance=cut_singleton_shape("dead_end", 0))
+    @example(instance=cut_singleton_shape("closed_chain", 0))
+    @example(instance=cut_singleton_shape("long_cable", 0))
+    @settings(max_examples=60, deadline=None)
+    def test_start_equals_the_public_rule_reference(self, instance):
+        network, params = instance
+        for store in ("dense", "sparse"):
+            state = init_state(network, params, store=store, record_events=False)
+            assert_same_start(state, cut_start_reference(network, params, store))
+            report = run(state)
+            logged = run(init_state(network, params, store=store))
+            assert report.partition == logged.partition
+            assert report.p_inf == logged.p_inf
+            assert report.merge_count == logged.merge_count
+            assert report.reduce_count == logged.reduce_count
+
+    def test_the_examples_have_their_shapes(self):
+        for shape in CUT_SHAPES:
+            network, params = cut_singleton_shape(shape, 0)
+            state = init_state(network, params, record_events=False)
+            held = dict(zip(network.node_ids, state.holders().tolist()))
+            singles = {x for x, a in held.items() if a not in state.comps}
+            nbrs = {x: set() for x in network.node_ids}
+            for u, v, _ in network.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            if shape == "junction":
+                assert "j" in singles and len(nbrs["j"]) >= 3
+            elif shape == "long_cable":
+                cuts = [f"rep__a0__b0__{j}" for j in range(sum(
+                    x.startswith("rep__a0__b0__") for x in nbrs))]
+                assert len(cuts) >= 11
+                along = [held[x] for x in cuts if x in singles]  # singleton ids
+                assert along != sorted(along)
+            else:  # the s chain leaves cluster a
+                hops = sorted(x for x in nbrs if x.startswith("s"))
+                assert set(hops) <= singles
+                (leaves,), returns = (nbrs[x] - set(hops) for x in (hops[0], hops[-1]))
+                assert leaves.startswith("a") and held[leaves] in state.comps
+                if shape == "dead_end":
+                    assert not returns
+                else:
+                    assert {held[x] for x in returns} == {held[leaves]}

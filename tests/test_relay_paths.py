@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import members_of, nearest_scale, params_for_r0, random_instance
+from conftest import (assert_same_start, cut_start_reference, members_of, nearest_scale,
+                      params_for_r0, random_instance)
 from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_PARAMS, HOP_SEED, replay_members
 from test_engine_properties import relay_chain_instance
-from qnetperc.engine import MergeEvent, ReduceEvent, init_state, run
+from qnetperc.engine import Component, MergeEvent, ReduceEvent, init_state, run
 from qnetperc.quantum import (ChannelModel, DistillationParams, ModelParams,
                               component_range)
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
@@ -226,14 +227,22 @@ class TestSingletonRelays:
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     def test_edge_list_cut_keeps_its_singleton_relays(self, store):
-        # r is a singleton of the cut at r0 = 1; only its shortcut joins U and V
+        # r is a singleton of the cut at r0 = 1, reduced by init_state; the
+        # 2.4 shortcut it leaves in the store is all that joins U and V
         net = self.stranded_relay()
-        state = init_state(net, params_for_r0(1.0, 1.0), store=store, record_events=False)
-        assert not state.removed
+        params = params_for_r0(1.0, 1.0)
+        state = init_state(net, params, store=store, record_events=False)
+        reference = cut_start_reference(net, params, store)
+        assert_same_start(state, reference)
+        assert state.removed == [Component(size=1, range_km=params.base_range_km())]
         members = members_of(state)
-        assert {members[a] for a in state.comps} == {
-            frozenset({0}), frozenset({1, 2, 3}), frozenset({4, 5, 6})}  # r, U, V
-        assert run(state).partition == (("r",), ("u", "u2", "u3", "v", "v2", "v3"))
+        assert members[0] == {net.index_of()["r"]} and 0 not in state.comps
+        ids = {members[a]: a for a in state.comps}
+        assert set(ids) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}  # U, V
+        assert state.distance(*ids.values()) == 2.4
+        partition = (("r",), ("u", "u2", "u3", "v", "v2", "v3"))
+        assert run(state).partition == partition
+        assert run(init_state(net, params, store=store)).partition == partition
 
     def test_c10_hop_comes_from_its_two_node_chain(self):
         cloud = generate_uniform_points(20, box_side=1.0, seed=HOP_SEED)
