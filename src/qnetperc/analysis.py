@@ -221,6 +221,11 @@ def threshold_to_json(est: ThresholdEstimate) -> dict:
             "probes": [[r0, p] for r0, p in est.probes]}
 
 
+def _check_target(target: float) -> None:
+    if not 0 < target <= 1:  # NaN fails too
+        raise ValueError(f"target must lie in (0, 1], got {target}")
+
+
 def _bisect(networks, params_at, lo: float, hi: float, target: float, midpoint,
             narrow):
     """Halve [lo, hi] at midpoint(lo, hi) while narrow(lo, hi) holds.
@@ -301,7 +306,8 @@ def find_threshold(cloud_factory, params: ModelParams, *, target: float = 0.9,
     probe.  The base range at eps_hi must be finite: an uncapped exact range
     is infinite past the fall.
     """
-    if tol <= 0:
+    _check_target(target)
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
@@ -348,6 +354,9 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
     across repeated calls (up to their bound of 8 networks), so comparing
     scenarios on one replicate list builds each network once.
     """
+    _check_target(target)
+    if not rel_tol > 0:  # NaN fails too; at 0 or below the bisection never ends
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if not 0 < d0_lo < d0_hi:
         raise ValueError(f"need 0 < d0_lo < d0_hi, got ({d0_lo}, {d0_hi})")
     lo, hi, evaluations = _bisect(

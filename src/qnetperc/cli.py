@@ -22,9 +22,10 @@ from .config import (STREAM_REPEATERS, STREAM_REPLICATE, STREAM_TOPOLOGY,
 
 
 def _json_dump(payload: dict, path) -> None:
+    # encoded before the file opens, so a refused payload leaves no file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _stamp() -> str:

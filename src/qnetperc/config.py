@@ -100,13 +100,19 @@ _CHOICES = {
 
 
 def merge_config(file_values: dict | None, cli_values: dict) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
+    """Defaults, overridden by the config file, overridden by explicit flags.
+
+    The file's own values are checked (types and choices) before any flag
+    overrides them, so a bad value in the file is an error even where a flag
+    replaces it.
+    """
     values = {}
     valid = {f.name for f in dataclasses.fields(RunConfig)}
     if file_values:
         unknown = set(file_values) - valid
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        RunConfig(**file_values)
         values.update(file_values)
     values.update({k: v for k, v in cli_values.items() if v is not None and k in valid})
     return RunConfig(**values)

@@ -27,15 +27,17 @@ A run without an event log (every harness run) starts from the single-linkage
 cut at the base range r0 = r(1) instead: each connected component of the
 pairs with d < r0 is one component, because every order of the rules merges
 such a pair, and its distance to another is the minimum over member pairs,
-the float the merges would leave.  The cut's singletons start retired: each
-is isolated from the start and stays so, since its legs are at least r0, its
-own range, and any shortcut it gains is at least 2 r0.  On a point cloud one
-writes no shortcut, so it never enters the store.  On an edge list one (a
-repeater) is a relay path: the singletons hold the lowest ids, and
-init_state() reduces them in ascending id order, with the range of the
-clusters' pooled size as the cap, so run() schedules only the clusters.
-run() from the cut would reduce them in that order before any other
-component, and the floats stay the same:
+the float the merges would leave.  The cut's singletons start retired, on
+both kinds of network: each is isolated from the start and stays so, since
+its legs are at least r0, its own range, and any shortcut it gains is at
+least 2 r0.  So none is entered as a live component, and no isolation check
+is made for one.  On a point cloud one writes no shortcut, so it never
+enters the store.  On an edge list one (a repeater) is a relay path: the
+singletons hold the lowest ids of the store, and init_state() has the store
+reduce them in ascending id order, with the range of the clusters' pooled
+size as the cap, so run() schedules only the clusters.  run() from the cut
+would reduce them in that order before any other component, and the floats
+stay the same:
 
 - the only rules it fires between them are cluster merges, which commute
   with them float for float: a merge takes the min of two rows, and rounded
@@ -61,8 +63,10 @@ A component is its size and range alone; no component keeps its members.
 The state keeps each node's starting id (-1 for a point cloud's cut
 singleton, which never gets one) and one merge-parent list, which maps every
 id to the id it merged into (itself until then) and grows by one entry per
-merge.  holders() follows that list to the component holding each node,
-and report() builds the partition from holders() once, at the end.
+merge.  holders() follows that list to the component holding each node.
+A harness run reads only the giant fraction p_inf, the largest retired size
+over N, so report() keeps the holder ids and builds the partition from them
+only when it is first read.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ import heapq
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -111,15 +116,45 @@ class ReduceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of a full percolation run."""
+    """Outcome of a full percolation run.
+
+    holders is the id of the component that holds each node at the end
+    (PercolationState.holders()), -1 for a node that is a block of its own
+    without one; the partition is built from it when first read.  It is a
+    read-only array, left out of == and hash: two reports compare by their
+    other fields.
+    """
 
     n_nodes: int
     node_labels: tuple
-    partition: tuple[tuple, ...]
+    holders: np.ndarray = field(compare=False, repr=False)
     p_inf: float
     events: tuple
     merge_count: int
     reduce_count: int
+
+    @cached_property
+    def partition(self) -> tuple[tuple, ...]:
+        """The final blocks, in order of their first label, members ascending.
+
+        Each node's block is the component that holds it, and a node with no
+        id (a point cloud's cut singleton) is a block of its own.  Node
+        labels ascend with their index (a cloud's are 0..N-1, an edge list's
+        ids are strictly ascending), so one stable sort of the nodes by the
+        smallest index in their block lists the blocks in order.
+        """
+        held = self.holders
+        n = len(held)
+        # a node with no id is the only node of its key
+        key = np.where(held < 0, -1 - np.arange(n), held)
+        _, first, block = np.unique(key, return_index=True, return_inverse=True)
+        head = first[block]  # the smallest index in each node's block
+        order = np.argsort(head, kind="stable")
+        head = head[order]
+        cuts = (np.flatnonzero(head[1:] != head[:-1]) + 1).tolist()
+        labels = self.node_labels
+        listed = [labels[i] for i in order.tolist()]
+        return tuple(tuple(listed[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
 
     def partition_sets(self) -> set[frozenset]:
         return {frozenset(block) for block in self.partition}
@@ -172,27 +207,22 @@ class _DenseStore:
 
         Sums at or above cap are skipped: they can never satisfy a strict
         connection criterion nor shorten a path below cap.  Returns the
-        shortcuts written, as (b, c, d) with b < c, in id order.
+        shortcuts written, as (b, c, d) with b < c, in no particular order.
         """
         sa = self.slot.pop(a)
         row = self.D[sa]
-        legs = np.nonzero(row < cap)[0]
+        legs = np.flatnonzero(row < cap)
         shortcuts: list[tuple[int, int, float]] = []
         if len(legs) >= 2:
-            leg_ids = self.ids[legs]
-            order = np.argsort(leg_ids)  # shortcuts are listed by id pair
-            legs, leg_ids = legs[order], leg_ids[order]
             d = row[legs]
             sums = d[:, None] + d[None, :]
-            ix = np.ix_(legs, legs)
-            sub = self.D[ix]
-            improved = sums < np.minimum(sub, cap)
-            np.fill_diagonal(improved, False)
-            if improved.any():
-                self.D[ix] = np.where(improved, sums, sub)
-                iu, ju = np.nonzero(np.triu(improved, k=1))
-                shortcuts = list(zip(leg_ids[iu].tolist(), leg_ids[ju].tolist(),
-                                     sums[iu, ju].tolist()))
+            i, j = np.nonzero(sums < np.minimum(self.D[legs[:, None], legs], cap))
+            bi, ci = self.ids[legs[i]], self.ids[legs[j]]
+            keep = bi < ci  # each pair once, and never the diagonal
+            si, sj, s = legs[i[keep]], legs[j[keep]], sums[i[keep], j[keep]]
+            self.D[si, sj] = s
+            self.D[sj, si] = s
+            shortcuts = list(zip(bi[keep].tolist(), ci[keep].tolist(), s.tolist()))
         self.D[sa, :] = INF
         self.D[:, sa] = INF
         return shortcuts
@@ -236,9 +266,13 @@ class _SparseStore:
         self.reach[c] = range_c
 
     def apply_reduction(self, a: int, cap: float):
-        row = self.adj.pop(a)
+        """As _DenseStore.apply_reduction; the shortcuts come in id order."""
+        adj = self.adj
+        row = adj.pop(a)
         for x in row:
-            self.adj[x].pop(a, None)
+            del adj[x][a]
+        if len(row) < 2:
+            return []
         legs = sorted((b, d) for b, d in row.items() if d < cap)
         shortcuts: list[tuple[int, int, float]] = []
         for i, (b, d_ab) in enumerate(legs):
@@ -246,9 +280,9 @@ class _SparseStore:
                 s = d_ab + d_ac
                 if s >= cap:
                     continue
-                if s < self.adj[b].get(c, INF):
-                    self.adj[b][c] = s
-                    self.adj[c][b] = s
+                if s < adj[b].get(c, INF):
+                    adj[b][c] = s
+                    adj[c][b] = s
                     shortcuts.append((b, c, s))
         return shortcuts
 
@@ -270,9 +304,9 @@ class PercolationState:
         self.node_labels = tuple(node_labels)
         self.n_nodes = n_nodes
         self.record_events = record_events
-        self.comps = comps  # the starting components, ids 0..K-1
-        self._start = start
-        self._parent = list(range(len(comps)))
+        self.comps = comps  # the live starting components
+        self._start = start  # each node's starting id, ids 0..K-1
+        self._parent = list(range(int(start.max(initial=-1)) + 1))
         self._ranges = {c.size: c.range_km for c in comps.values()}  # by size
         self.removed: list[Component] = []
         self.events: list = []
@@ -333,11 +367,18 @@ class PercolationState:
         return d < min(self.comps[a].range_km, self.comps[b].range_km)
 
     def merge(self, a: int, b: int) -> int:
-        """Contract a and b into a fresh component with the pooled-size range."""
-        if not self.connection_ok(a, b):
-            raise ValueError(f"components {a} and {b} do not satisfy the connection criterion")
-        ca, cb = self.comps[a], self.comps[b]
+        """Contract a and b into a fresh component with the pooled-size range.
+
+        Checks what connection_ok checks, with one distance lookup.
+        """
+        ca, cb = self.comps.get(a), self.comps.get(b)
+        if ca is None or cb is None:
+            self._require_active(a, b)
+        if a == b:
+            raise ValueError("connection criterion needs two distinct components")
         d_ab = self.store.distance(a, b)
+        if not (d_ab < ca.range_km and d_ab < cb.range_km):
+            raise ValueError(f"components {a} and {b} do not satisfy the connection criterion")
         parent = self._parent
         c = len(parent)
         parent[a] = parent[b] = c
@@ -374,6 +415,9 @@ class PercolationState:
         relay can shorten no path in the plane (d_bc <= d_ab + d_ac), so its
         row is only dropped.  Sums that rounding puts an ulp below d_bc on
         near-collinear points are dropped with it.
+
+        Returns the shortcuts written, as (b, c, d) with b < c, in the
+        store's order; the event log lists them sorted by id pair.
         """
         if not self.is_isolated(a):
             raise ValueError(f"component {a} is not isolated; reduction would be premature")
@@ -387,41 +431,28 @@ class PercolationState:
         if self.record_events:
             self.events.append(ReduceEvent(comp=a, size=comp.size,
                                            range_km=comp.range_km,
-                                           shortcuts=tuple(shortcuts)))
+                                           shortcuts=tuple(sorted(shortcuts))))
         return shortcuts
 
     # -- bookkeeping --------------------------------------------------------
 
     def report(self) -> RunReport:
-        """The finished run: its partition, giant fraction and event log.
+        """The finished run: its holder ids, giant fraction and event log.
 
-        The partition is built once, from holders(): each node's block is the
-        retired component that holds it, and a node with no id (a point
-        cloud's cut singleton) is a block of its own.  Node labels ascend
-        with their index (a cloud's are 0..N-1, an edge list's ids are
-        strictly ascending), so one stable sort of the nodes by the smallest
-        index in their block lists the blocks in order of their first label,
-        members ascending.
+        The retired components are the final blocks, so p_inf is the
+        largest retired size over N, the share of the partition's largest
+        block; the partition itself is built from the holder ids only when
+        it is read (RunReport.partition).
         """
         if self.comps:
             raise ValueError("run has not finished; active components remain")
         n = self.n_nodes
         held = self.holders()
-        # a node with no id is the only node of its key
-        key = np.where(held < 0, len(self._parent) + np.arange(n), held)
-        _, first, block = np.unique(key, return_index=True, return_inverse=True)
-        head = first[block]  # the smallest index in each node's block
-        order = np.argsort(head, kind="stable")
-        head = head[order]
-        cuts = (np.flatnonzero(head[1:] != head[:-1]) + 1).tolist()
-        labels = self.node_labels
-        listed = [labels[i] for i in order.tolist()]
-        blocks = [tuple(listed[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-        p_inf = max(map(len, blocks)) / n
-        return RunReport(n_nodes=self.n_nodes, node_labels=self.node_labels,
-                         partition=tuple(blocks), p_inf=p_inf,
+        held.flags.writeable = False
+        return RunReport(n_nodes=n, node_labels=self.node_labels, holders=held,
+                         p_inf=max(c.size for c in self.removed) / n,
                          events=tuple(self.events),
-                         merge_count=self.n_nodes - len(self.removed),
+                         merge_count=n - len(self.removed),
                          reduce_count=len(self.removed))
 
 
@@ -525,16 +556,17 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     independence.  Singletons take the lowest ids in node order, then
     clusters in order of their smallest member.
 
-    The cut's singletons start retired, in state.removed: every leg of one
-    is at least r0, its own range, and any shortcut it gains is at least
-    2 r0, so it is isolated from the start and stays so.  On a point cloud
-    a one-point relay writes no shortcut (see reduce_and_remove), so it gets
-    no id and the live ids 0.. are the clusters alone.  On an edge list a
-    singleton (a repeater) is a relay path: the singletons keep the ids
-    0..k1-1 and are reduced here in that order, with the range of the
-    clusters' pooled size as future_cap, so run() schedules only the
-    clusters.  run() would reduce them in the same order before any other
-    component, leaving the same floats (module docstring).
+    The cut's singletons start retired, in state.removed, and never enter
+    state.comps: every leg of one is at least r0, its own range, and any
+    shortcut it gains is at least 2 r0, so it is isolated from the start and
+    stays so, and reduce_and_remove's isolation check is not needed.  On a
+    point cloud a one-point relay writes no shortcut (see reduce_and_remove),
+    so it gets no id and the ids 0.. are the clusters alone.  On an edge list
+    a singleton (a repeater) is a relay path: the singletons keep the ids
+    0..k1-1 in the store, which reduces them here in that order, with the
+    range of the clusters' pooled size as the cap, so run() schedules only
+    the clusters.  run() would reduce them in the same order before any
+    other component, leaving the same floats (module docstring).
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
@@ -557,7 +589,9 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
         nodes, starts = nodes[k1:], starts[k1:] - k1
     sizes = np.diff(starts).tolist()
     ranges = {size: params.component_range_km(size) for size in set(sizes)}
-    comps = {c: Component(size=size, range_km=ranges[size]) for c, size in enumerate(sizes)}
+    live = 0 if cloud else k1  # the first id of a cluster
+    comps = {c: Component(size=sizes[c], range_km=ranges[sizes[c]])
+             for c in range(live, len(sizes))}
     reach = [ranges[size] for size in sizes]
     k = len(sizes)
     block_of = np.full(n, -1, dtype=np.intp)  # each node's starting id
@@ -584,13 +618,12 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
             backend = _SparseStore(adj, reach)
     state = PercolationState(backend, n, labels, params, comps, block_of,
                              record_events=record_events, point_cloud=cloud)
-    if cloud:
-        state.removed.extend([Component(size=1, range_km=r0)] * k1)
-    elif k1:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
+    state.removed.extend([Component(size=1, range_km=r0)] * k1)
+    if live:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
         pool = n - k1
         cap = state._range_of_size(pool) if pool else 0.0
         for a in range(k1):
-            state.reduce_and_remove(a, future_cap=cap)
+            backend.apply_reduction(a, cap)
     return state
 
 

@@ -25,6 +25,15 @@ from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
 CP = ComplexityParams(m=102, p=0.722)
 
 
+@pytest.fixture
+def no_engine_runs(monkeypatch):
+    """Any giant-fraction probe fails the test, so a search refused up front
+    is never entered (and one that would never end stops at its first probe)."""
+    def probe(network, params):
+        raise AssertionError("the search probed a network")
+    monkeypatch.setattr(analysis, "_p_inf", probe)
+
+
 def base_params(d0=300.0, eps=0.01, m=102, alpha=0.585):
     return ModelParams(channel=ChannelModel(d0_km=d0, epsilon=eps),
                        distill=DistillationParams(m=m, alpha=alpha))
@@ -229,6 +238,18 @@ class TestFindThreshold:
             find_threshold(self.factory(), self.alpha_params(0.0), target=0.5,
                            eps_lo=1e-4, eps_hi=1e-2, seeds=())
 
+    def test_nan_tol_raises_before_any_probe(self, no_engine_runs):
+        # NaN passes a tol <= 0 check, and the search took the bracket ends
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            find_threshold(self.factory(), self.alpha_params(0.0), target=0.5,
+                           tol=math.nan, eps_lo=1e-4, eps_hi=3e-3, seeds=(0,))
+
+    @pytest.mark.parametrize("target", [-1.0, 0.0, 1.5, math.nan])
+    def test_target_outside_the_unit_interval_raises(self, no_engine_runs, target):
+        with pytest.raises(ValueError, match=r"target must lie in \(0, 1\]"):
+            find_threshold(self.factory(), self.alpha_params(0.0), target=target,
+                           eps_lo=1e-4, eps_hi=3e-3, seeds=(0,))
+
     def test_non_bracketing_raises(self):
         with pytest.raises(ValueError, match="bracket"):
             find_threshold(self.factory(), self.alpha_params(0.0),
@@ -285,6 +306,28 @@ class TestMinD0:
         params = scenario_params(base_params(), Scenario.NO_MEMORY)
         res = min_d0_for_target(net, params, target=0.5, d0_lo=1e6, d0_hi=1e7)
         assert res == {"d0_km": 1e6, "bracket": (1e6, 1e6), "probes": [(1e6, 1.0)]}
+
+    def test_nan_rel_tol_raises_before_any_probe(self, no_engine_runs):
+        # NaN never narrows, so the search returned d0_hi after two probes
+        net = build_network([("a", "b", 30.0)])
+        with pytest.raises(ValueError, match="rel_tol must be positive, got nan"):
+            min_d0_for_target(net, base_params(), d0_lo=1.0, d0_hi=1e4,
+                              rel_tol=math.nan)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -0.5])
+    def test_rel_tol_at_or_below_zero_raises_before_the_loop(self, no_engine_runs,
+                                                            rel_tol):
+        # b / a > 1 + rel_tol always holds there, so the bisection would never end
+        net = build_network([("a", "b", 30.0)])
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            min_d0_for_target(net, base_params(), d0_lo=1.0, d0_hi=1e4,
+                              rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("target", [-1.0, 0.0, 1.5, math.nan])
+    def test_target_outside_the_unit_interval_raises(self, no_engine_runs, target):
+        net = build_network([("a", "b", 30.0)])
+        with pytest.raises(ValueError, match=r"target must lie in \(0, 1\]"):
+            min_d0_for_target(net, base_params(), target=target, d0_lo=1.0, d0_hi=1e4)
 
     def test_no_replicates_raises(self):
         net = build_network([("a", "b", 30.0)])

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,14 @@ def strip_timestamp(path):
     doc = json.loads(path.read_text())
     doc.pop("generated_at", None)
     return json.dumps(doc, sort_keys=True)
+
+
+def test_json_dump_refusing_a_payload_leaves_no_file(tmp_path):
+    from qnetperc.cli import _json_dump
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _json_dump({"target": math.nan}, path)
+    assert not path.exists()
 
 
 class TestGenerate:
@@ -285,6 +294,21 @@ class TestConfigValidation:
                       "--out", str(tmp_path / "r.json")) == 2
         assert built == []
 
+    @pytest.mark.parametrize("key, value, flag", [("range_mode", "foo", ("--range-mode", "exact")),
+                                                   ("m", 5.5, ("--m", "3"))])
+    def test_config_file_values_are_checked_under_a_flag(self, tmp_path, capsys,
+                                                         key, value, flag):
+        # the flag overrides the file's value, which must still be valid
+        net = tmp_path / "net.csv"
+        net.write_text("u,v,length_km\na,b,20.0\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert invoke("run", "--network", str(net), "--config", str(cfg), *flag,
+                      "--out", str(out)) == 2
+        assert f"config {key} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_config_checks_types_and_choices(self):
         from qnetperc.config import RunConfig
         with pytest.raises(ValueError, match="beta_cap"):
@@ -413,6 +437,21 @@ class TestSweepThresholdCli:
                       "--target", "0.5", "--replicates", "2",
                       "--out", str(tmp_path / "th.json")) == 2
         assert "eps_hi" in capsys.readouterr().err
+        assert not (tmp_path / "th.json").exists()
+
+    @pytest.mark.parametrize("extra", [("--tol", "nan"), ("--target", "-1"),
+                                       ("--target", "nan")])
+    def test_threshold_bisection_inputs_exit_2(self, tmp_path, capsys, extra):
+        assert invoke(*self.threshold_argv(tmp_path, *extra)) == 2
+        assert extra[0][2:] in capsys.readouterr().err
+        assert not (tmp_path / "th.json").exists()
+
+    def test_config_file_values_are_checked_under_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"range_mode": "foo"}), encoding="utf-8")
+        argv = self.threshold_argv(tmp_path, "--config", str(cfg), "--range-mode", "exact")
+        assert invoke(*argv) == 2
+        assert "config range_mode must" in capsys.readouterr().err
         assert not (tmp_path / "th.json").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -368,7 +368,7 @@ def stdlib_event_log(report) -> str:
 
 
 def report_of(events) -> RunReport:
-    return RunReport(n_nodes=5, node_labels=tuple(range(5)), partition=(tuple(range(5)),),
+    return RunReport(n_nodes=5, node_labels=tuple(range(5)), holders=np.zeros(5, dtype=np.intp),
                      p_inf=1.0, events=tuple(events), merge_count=1, reduce_count=1)
 
 
@@ -426,7 +426,8 @@ class TestEventLogWriter:
 
 @pytest.mark.oracle
 class TestPartitionFromParents:
-    """report() builds the partition from the merge-parent list alone."""
+    """A report builds its partition from the merge-parent list alone, when the
+    partition is first read; p_inf is the largest retired size without it."""
 
     @given(instance=st.one_of(logged_runs(),
                               st.builds(relay_chain_instance, st.integers(0, 40_000))),
@@ -447,8 +448,12 @@ class TestPartitionFromParents:
         assert all(node in members[held[node]] for node in range(report.n_nodes))
         # a run without a log starts from the cut at r0 and ends the same
         cut = run(init_state(network, params, store=store, record_events=False))
+        assert "partition" not in vars(cut)  # not built until it is read
         assert cut.partition == report.partition
         assert cut.p_inf == report.p_inf
+        for rep in (report, cut):
+            assert rep.p_inf == max(map(len, rep.partition)) / rep.n_nodes
+            assert rep.partition is rep.partition  # built once
 
 
 def random_edge_list_instance(seed: int):
