@@ -91,6 +91,9 @@ class SweepSpec:
             raise ValueError("d0 grid must be strictly increasing")
         if len(self.seeds) < 1:
             raise ValueError("at least one replicate seed is required")
+        if len(set(self.scenarios)) < len(self.scenarios):
+            raise ValueError(f"scenarios must be distinct, got "
+                             f"{[s.value for s in self.scenarios]}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,13 @@ class SweepRow:
 def _replicates(network, seeds) -> list:
     """The network of each replicate seed, in order.
 
-    network may be a topology object or a seed -> topology factory.
+    network may be a topology object or a seed -> topology factory.  A
+    repeated seed is refused before any network is built: it would weight
+    one replicate twice.
     """
+    seeds = tuple(seeds)
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"replicate seeds must be distinct, got {seeds}")
     networks = [network(seed) if callable(network) else network for seed in seeds]
     if not networks:
         raise ValueError("at least one network (replicate seed) is required")
@@ -137,47 +145,23 @@ def _p_inf(network, params: ModelParams) -> float:
     return _run_p_inf(network, params) if p is None else p
 
 
-def sweep_connectivity(network, params: ModelParams, spec: SweepSpec,
-                       jobs: int = 1):
+def sweep_connectivity(network, params: ModelParams, spec: SweepSpec):
     """Giant fraction over (scenario, d0, seed); returns (rows, aggregates).
 
     network may be a topology object or a seed -> topology factory (use a
     factory when replicates should re-draw repeater placement).  A factory
     over topology's memoized constructors costs one build per distinct seed
-    across repeated calls (up to their bound of 8 networks).  jobs > 1
-    spreads the engine runs over worker processes.
+    across repeated calls (up to their bound of 8 networks).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    seeds = list(dict.fromkeys(spec.seeds))
-    networks = dict(zip(seeds, _replicates(network, seeds)))
-    tasks = []
+    networks = dict(zip(spec.seeds, _replicates(network, spec.seeds)))
+    rows, aggregates = [], []
     for scenario in spec.scenarios:
         for d0 in spec.d0_grid_km:
             sp = scenario_params(
                 replace(params, channel=replace(params.channel, d0_km=d0)), scenario)
-            for seed in spec.seeds:
-                tasks.append((scenario, d0, seed, sp))
-    # fixed tasks are answered here, so worker processes never build a forest
-    p_infs = [_fixed_p_inf(networks[seed], sp) for _, _, seed, sp in tasks]
-    pending = [i for i, p in enumerate(p_infs) if p is None]
-    nets = [networks[tasks[i][2]] for i in pending]
-    sps = [tasks[i][3] for i in pending]
-    if jobs > 1 and pending:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            engine_p_infs = list(pool.map(_run_p_inf, nets, sps, chunksize=1))
-    else:
-        engine_p_infs = [_run_p_inf(net, sp) for net, sp in zip(nets, sps)]
-    for i, p in zip(pending, engine_p_infs):
-        p_infs[i] = p
-    rows = [SweepRow(scenario=t[0].value, d0_km=t[1], seed=t[2], p_inf=p)
-            for t, p in zip(tasks, p_infs)]
-    aggregates = []
-    for scenario in spec.scenarios:
-        for d0 in spec.d0_grid_km:
-            vals = [r.p_inf for r in rows
-                    if r.scenario == scenario.value and r.d0_km == d0]
+            vals = [_p_inf(networks[seed], sp) for seed in spec.seeds]
+            rows += [SweepRow(scenario=scenario.value, d0_km=d0, seed=seed, p_inf=p)
+                     for seed, p in zip(spec.seeds, vals)]
             aggregates.append({
                 "scenario": scenario.value, "d0_km": d0,
                 "mean": float(np.mean(vals)), "std": float(np.std(vals, ddof=0)),
@@ -405,10 +389,15 @@ def _f_rounds(x: float, m: int, p: float) -> float:
     return base + m * (0.25 * q * q + 0.5 * q * math.log2(q)) * _f_rounds(x / 2.0, m, p)
 
 
+def _check_n(n: float) -> None:
+    # NaN and inf would pass n >= 1 alone, and _f_rounds never reaches x <= m
+    if not (math.isfinite(n) and n >= 1):
+        raise ValueError(f"n must be finite and >= 1, got {n}")
+
+
 def complexity_f(n: float, cp: ComplexityParams) -> float:
     """Rounds f(n) for remote distillation of n pairs; eta < 1 distills n^eta."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return _f_rounds(float(n) ** cp.eta, cp.m, cp.p)
 
 
@@ -418,8 +407,7 @@ def interpolate_f(n_query: float, cp: ComplexityParams) -> float:
     Exactly complexity_f at a halving point; elsewhere the geometric mean of
     the two bracketing halving-point values (their midpoint in log10 f).
     """
-    if n_query < 1:
-        raise ValueError(f"n must be >= 1, got {n_query}")
+    _check_n(n_query)
     k = math.log2(n_query / cp.m)
     k_floor = math.floor(k)
     if math.isclose(k, round(k), abs_tol=1e-12):
@@ -432,16 +420,17 @@ def interpolate_f(n_query: float, cp: ComplexityParams) -> float:
 
 def worst_case_n(epsilon: float, d_worst_km: float, d0_km: float, alpha: float) -> int:
     """Memory accesses needed for the hardest link: ((3 d_worst)/(4 eps d0))^(1/alpha)."""
-    if alpha == 0:
-        raise ValueError("worst-case pair count is undefined at alpha = 0")
-    if min(epsilon, d_worst_km, d0_km, alpha) <= 0:
-        raise ValueError("all inputs must be positive")
+    for name, value in (("epsilon", epsilon), ("d_worst_km", d_worst_km),
+                        ("d0_km", d0_km), ("alpha", alpha)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     base = 3.0 * d_worst_km / (4.0 * epsilon * d0_km)
     return max(1, round(base ** (1.0 / alpha)))
 
 
 def coherence_time(f_value: float, detection_rate_hz: float) -> float:
     """Seconds of memory coherence needed to hold pairs through f rounds."""
-    if detection_rate_hz <= 0:
-        raise ValueError(f"detection rate must be positive, got {detection_rate_hz}")
+    if not (math.isfinite(detection_rate_hz) and detection_rate_hz > 0):
+        raise ValueError(f"detection rate must be finite and positive, "
+                         f"got {detection_rate_hz}")
     return f_value / detection_rate_hz

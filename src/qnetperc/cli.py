@@ -198,7 +198,7 @@ def _cmd_sweep(args) -> int:
     spec = analysis.SweepSpec(d0_grid_km=d0_grid, scenarios=scenarios,
                               seeds=seeds)
     rows, aggregates = analysis.sweep_connectivity(
-        factory, cfg.model_params(), spec, jobs=args.jobs)
+        factory, cfg.model_params(), spec)
     analysis.write_curve_csv(rows, args.out)
     if args.aggregate:
         analysis.write_aggregate_csv(aggregates, args.aggregate)
@@ -270,18 +270,20 @@ def _cmd_complexity(args) -> int:
     elif not args.n:
         raise ValueError("complexity needs --n values or --worst-case")
     cp = analysis.ComplexityParams(m=args.m, p=args.p, eta=args.eta)
+    lines = []  # printed once every value is computed, so a refused input prints none
     if args.worst_case:
         n = analysis.worst_case_n(args.epsilon, args.d_worst, args.d0, args.alpha)
-        print(f"worst_case_n = {n}")
+        lines.append(f"worst_case_n = {n}")
         values = [(n, analysis.interpolate_f(n, cp))]
     else:
         fn = analysis.interpolate_f if args.interpolate else analysis.complexity_f
         values = [(n, fn(n, cp)) for n in args.n]
     for n, f in values:
         line = f"f({n:g}) = {f:.6g}"
-        if args.rate:
+        if args.rate is not None:
             line += f"  coherence_time = {analysis.coherence_time(f, args.rate):.6g} s"
-        print(line)
+        lines.append(line)
+    print("\n".join(lines))
     return 0
 
 
@@ -332,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0-grid", required=True, help="comma-separated km values")
     p.add_argument("--scenarios", default="no_memory,point_to_point,distributed")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--aggregate")
     p.add_argument("--meta")

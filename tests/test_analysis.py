@@ -95,6 +95,13 @@ class TestComplexityTable:
         with pytest.raises(ValueError):
             ComplexityParams(m=102, p=1.0)
 
+    @pytest.mark.parametrize("fn", [complexity_f, interpolate_f])
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n_raises(self, fn, n):
+        # NaN passed n < 1, and neither value reaches the recursion's base case
+        with pytest.raises(ValueError, match=f"n must be finite and >= 1, got {n}"):
+            fn(n, CP)
+
 
 class TestInterpolation:
     def test_exact_at_halving_points(self):
@@ -131,6 +138,14 @@ class TestWorstCase:
         with pytest.raises(ValueError):
             worst_case_n(0.01, 100.0, 300.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["epsilon", "d_worst_km", "d0_km", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_inputs_must_be_finite_and_positive(self, name, value):
+        kw = dict(epsilon=0.01, d_worst_km=100.0, d0_km=300.0, alpha=0.585)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            worst_case_n(**kw)
+
 
 class TestCoherence:
     def test_reference_value(self):
@@ -143,6 +158,12 @@ class TestCoherence:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             coherence_time(1.0, 0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        # NaN gave a NaN time and inf a time of 0 s
+        with pytest.raises(ValueError, match="detection rate must be finite"):
+            coherence_time(1.0, rate)
 
 
 class TestSweep:
@@ -181,23 +202,37 @@ class TestSweep:
         assert len(lines) == 3
         assert aggregate.read_text().splitlines()[0] == "scenario,d0_km,mean,std,n"
 
-    def test_jobs_below_one_rejected(self):
-        spec = SweepSpec(d0_grid_km=(100.0,), seeds=(0,))
-        with pytest.raises(ValueError, match="jobs"):
-            sweep_connectivity(self.net(), base_params(), spec, jobs=0)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(d0_grid_km=(2.0, 1.0))
         with pytest.raises(ValueError):
             SweepSpec(d0_grid_km=(1.0,), seeds=())
+        with pytest.raises(ValueError, match="scenarios must be distinct"):
+            SweepSpec(d0_grid_km=(1.0,),
+                      scenarios=(Scenario.DISTRIBUTED, Scenario.DISTRIBUTED))
 
-    def test_parallel_jobs_match_serial(self):
-        spec = SweepSpec(d0_grid_km=(50.0, 500.0), seeds=(0, 1),
-                         scenarios=(Scenario.DISTRIBUTED, Scenario.NO_MEMORY))
-        rows1, _ = sweep_connectivity(self.net(), base_params(), spec, jobs=1)
-        rows2, _ = sweep_connectivity(self.net(), base_params(), spec, jobs=2)
-        assert rows1 == rows2
+
+# each search over a replicate factory, at a given seed tuple
+REPLICATE_SEARCHES = {
+    "sweep": lambda factory, seeds: sweep_connectivity(
+        factory, base_params(), SweepSpec(d0_grid_km=(100.0,), seeds=seeds)),
+    "threshold": lambda factory, seeds: find_threshold(
+        factory, base_params(), eps_lo=1e-4, eps_hi=1e-2, seeds=seeds),
+    "min_d0": lambda factory, seeds: min_d0_for_target(
+        factory, base_params(), d0_lo=1.0, d0_hi=1e4, seeds=seeds),
+}
+
+
+@pytest.mark.parametrize("search", REPLICATE_SEARCHES.values(), ids=REPLICATE_SEARCHES)
+@pytest.mark.parametrize("seeds", [(0, 0), (3, 1, 3)])
+def test_repeated_replicate_seed_raises_before_any_network(no_engine_runs, search,
+                                                           seeds):
+    # a repeat would weight one replicate twice in every mean
+    def factory(seed):
+        raise AssertionError("a network was built")
+
+    with pytest.raises(ValueError, match="replicate seeds must be distinct"):
+        search(factory, seeds)
 
 
 class TestFindThreshold:

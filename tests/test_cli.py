@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetperc import topology
-from qnetperc.cli import main
+from qnetperc.cli import build_parser, main
 from qnetperc.topology import load_edge_list, load_point_cloud
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -454,10 +454,23 @@ class TestSweepThresholdCli:
         assert "config range_mode must" in capsys.readouterr().err
         assert not (tmp_path / "th.json").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_sweep_jobs_below_one_exits_2(self, tmp_path, jobs):
-        assert invoke(*self.sweep_argv(tmp_path, "--jobs", jobs)) == 2
+    def test_sweep_jobs_flag_exits_2(self, tmp_path):
+        # sweep runs its probes in one process and has no --jobs
+        assert invoke(*self.sweep_argv(tmp_path, "--jobs", "2")) == 2
         assert not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--seeds", "0,0", "replicate seeds must be distinct"),
+        ("--scenarios", "distributed,distributed", "scenarios must be distinct"),
+    ])
+    def test_sweep_repeated_value_exits_2(self, tmp_path, capsys, flag, values, message):
+        # a repeat wrote its rows twice and counted them twice in the aggregate
+        argv = self.sweep_argv(tmp_path, flag, values,
+                               "--aggregate", str(tmp_path / "agg.csv"))
+        assert invoke(*argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curves.csv").exists()
+        assert not (tmp_path / "agg.csv").exists()
 
     def test_threshold_ordering_smoke(self, tmp_path):
         out = tmp_path / "th.json"
@@ -655,8 +668,43 @@ class TestCalculators:
                       "--epsilon", "0.01", "--d0", "300", "--alpha", "0.585") == 2
         assert capsys.readouterr().err == "error: --worst-case needs --d-worst\n"
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--n", "nan"), "n must be finite"),
+        (("--n", "inf"), "n must be finite"),
+        (("--n", "204", "--interpolate", "--n", "nan"), "n must be finite"),
+        (("--n", "204", "--rate", "nan"), "detection rate must be finite"),
+        (("--n", "204", "--rate", "inf"), "detection rate must be finite"),
+        (("--n", "204", "--rate", "0"), "detection rate must be finite"),
+        (("--worst-case", "--epsilon", "0.01", "--d-worst", "inf", "--d0", "300",
+          "--alpha", "0.585"), "d_worst_km must be finite"),
+        (("--worst-case", "--epsilon", "0.01", "--d-worst", "100", "--d0", "300",
+          "--alpha", "0.585", "--rate", "nan"), "detection rate must be finite"),
+    ])
+    def test_complexity_refused_input_exits_2(self, capsys, extra, message):
+        # these recursed without end, failed on a float conversion, printed
+        # nan or 0 s, or left the rate out
+        assert invoke("complexity", "--m", "102", "--p", "0.722", *extra) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""
+
     def test_bad_subcommand_exits_2(self):
         assert invoke("no-such-command") == 2
+
+
+def readme_cli_commands():
+    """Each qnetperc command of README's CLI code block, continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
+
+
+@pytest.mark.parametrize("command", readme_cli_commands())
+def test_readme_cli_block_parses(command):
+    # parses only; a flag the docs still show after its removal fails here
+    program, *argv = command.split()
+    assert program == "qnetperc"
+    build_parser().parse_args(argv)
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
