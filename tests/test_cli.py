@@ -454,6 +454,11 @@ class TestSweepThresholdCli:
         assert "config range_mode must" in capsys.readouterr().err
         assert not (tmp_path / "th.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_jobs_below_one_exits_2(self, tmp_path, jobs):
+        assert invoke(*self.sweep_argv(tmp_path, "--jobs", jobs)) == 2
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_sweep_jobs_flag_exits_2(self, tmp_path):
         # sweep runs its probes in one process and has no --jobs
         assert invoke(*self.sweep_argv(tmp_path, "--jobs", "2")) == 2
