@@ -17,6 +17,7 @@ suite was produced by this script.
 """
 
 import argparse
+import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -103,8 +104,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs=2, default=(0, 50_000),
                     metavar=("LO", "HI"))
-    ap.add_argument("--jobs", type=int, default=2)
+    cpus = os.cpu_count() or 1
+    ap.add_argument("--jobs", type=int, default=min(2, cpus),
+                    help="worker processes, from 1 to the CPU count")
     args = ap.parse_args()
+    # the pool forks all its workers on the first submit, so check first
+    if not 1 <= args.jobs <= cpus:
+        ap.error(f"--jobs must lie in [1, {cpus}], got {args.jobs}")
     from concurrent.futures import ProcessPoolExecutor
     lo, hi = args.seeds
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:

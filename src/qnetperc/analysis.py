@@ -107,13 +107,15 @@ class SweepRow:
 def _replicates(network, seeds) -> list:
     """The network of each replicate seed, in order.
 
-    network may be a topology object or a seed -> topology factory.  A
-    repeated seed is refused before any network is built: it would weight
-    one replicate twice.
+    network may be a topology object (one replicate) or a seed -> topology
+    factory.  A repeated seed, or an object under several seeds, is refused
+    before any network is built: it would weight one replicate twice.
     """
     seeds = tuple(seeds)
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"replicate seeds must be distinct, got {seeds}")
+    if not callable(network) and len(seeds) > 1:
+        raise ValueError(f"a fixed network is one replicate, got seeds {seeds}")
     networks = [network(seed) if callable(network) else network for seed in seeds]
     if not networks:
         raise ValueError("at least one network (replicate seed) is required")
@@ -148,10 +150,11 @@ def _p_inf(network, params: ModelParams) -> float:
 def sweep_connectivity(network, params: ModelParams, spec: SweepSpec):
     """Giant fraction over (scenario, d0, seed); returns (rows, aggregates).
 
-    network may be a topology object or a seed -> topology factory (use a
-    factory when replicates should re-draw repeater placement).  A factory
-    over topology's memoized constructors costs one build per distinct seed
-    across repeated calls (up to their bound of 8 networks).
+    network may be a topology object under one seed or a seed -> topology
+    factory (use a factory when replicates should re-draw repeater
+    placement).  A factory over topology's memoized constructors costs one
+    build per distinct seed across repeated calls (up to their bound of 8
+    networks).
     """
     networks = dict(zip(spec.seeds, _replicates(network, spec.seeds)))
     rows, aggregates = [], []
@@ -332,11 +335,12 @@ def min_d0_for_target(network, params: ModelParams, *, target: float = 0.9,
     """Smallest decoherence distance reaching the target mean giant fraction.
 
     Log-space bisection on d0; all ranges (and the sudden-death cap) scale
-    with d0, so the mean curve is monotone.  network may be a seed -> topology
-    factory, in which case each replicate re-draws the topology.  A factory
-    over topology's memoized constructors costs one build per distinct seed
-    across repeated calls (up to their bound of 8 networks), so comparing
-    scenarios on one replicate list builds each network once.
+    with d0, so the mean curve is monotone.  network may be a topology
+    object under one seed or a seed -> topology factory, in which case each
+    replicate re-draws the topology.  A factory over topology's memoized
+    constructors costs one build per distinct seed across repeated calls (up
+    to their bound of 8 networks), so comparing scenarios on one replicate
+    list builds each network once.
     """
     _check_target(target)
     if not rel_tol > 0:  # NaN fails too; at 0 or below the bisection never ends
@@ -381,12 +385,23 @@ def _f_rounds(x: float, m: int, p: float) -> float:
     the parallel purification term remains; this base case is what pins the
     headline table values.  Above m, links spent on teleporting qubits and
     gates must be regenerated, multiplying the cost of the half-size problem.
+    The recursion f(x) = base(x) + c(x) f(x/2) runs as a loop from the base
+    case up, with the same float operations in the same order.
     """
-    base = (x / 2.0) ** (-math.log2(p))
-    if x <= m:
-        return base
-    q = x / m
-    return base + m * (0.25 * q * q + 0.5 * q * math.log2(q)) * _f_rounds(x / 2.0, m, p)
+    e = -math.log2(p)
+    halvings = [x]
+    while halvings[-1] > m:
+        halvings.append(halvings[-1] / 2.0)
+    try:
+        f = (halvings[-1] / 2.0) ** e
+        for h in reversed(halvings[:-1]):
+            q = h / m
+            f = (h / 2.0) ** e + m * (0.25 * q * q + 0.5 * q * math.log2(q)) * f
+    except OverflowError:  # float ** raises where * and + give inf
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"the rounds for {x:g} pooled pairs overflow a float")
+    return f
 
 
 def _check_n(n: float) -> None:
@@ -424,8 +439,12 @@ def worst_case_n(epsilon: float, d_worst_km: float, d0_km: float, alpha: float) 
                         ("d0_km", d0_km), ("alpha", alpha)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    base = 3.0 * d_worst_km / (4.0 * epsilon * d0_km)
-    return max(1, round(base ** (1.0 / alpha)))
+    try:  # ** and round overflow; a product out of range makes the base x/0 or inf/inf
+        base = 3.0 * d_worst_km / (4.0 * epsilon * d0_km)
+        return max(1, round(base ** (1.0 / alpha)))
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"worst_case_n overflows a float at epsilon={epsilon}, "
+                         f"d_worst_km={d_worst_km}, d0_km={d0_km}, alpha={alpha}")
 
 
 def coherence_time(f_value: float, detection_rate_hz: float) -> float:
@@ -433,4 +452,7 @@ def coherence_time(f_value: float, detection_rate_hz: float) -> float:
     if not (math.isfinite(detection_rate_hz) and detection_rate_hz > 0):
         raise ValueError(f"detection rate must be finite and positive, "
                          f"got {detection_rate_hz}")
-    return f_value / detection_rate_hz
+    seconds = f_value / detection_rate_hz
+    if not math.isfinite(seconds):
+        raise ValueError(f"coherence time {f_value:g} / {detection_rate_hz:g} Hz overflows")
+    return seconds

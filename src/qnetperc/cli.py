@@ -13,12 +13,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 from . import analysis, engine, quantum, topology
 from .config import (STREAM_REPEATERS, STREAM_REPLICATE, STREAM_TOPOLOGY,
-                     RunConfig, load_config_file, merge_config, subseed)
+                     RunConfig, subseed)
 
 
 def _json_dump(payload: dict, path) -> None:
@@ -28,8 +28,10 @@ def _json_dump(payload: dict, path) -> None:
         fh.write(text + "\n")
 
 
-def _stamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _provenance(cfg: RunConfig) -> dict:
+    """The header every run, sweep and threshold output carries."""
+    return {"config_hash": cfg.config_hash(), "seed": cfg.seed,
+            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds")}
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +118,15 @@ def _resolve_config(args, unread=(), only=()) -> RunConfig:
     only maps a key to the one value the command runs with; any other value
     is an error, and the config records that one.
     """
-    file_values = load_config_file(args.config) if args.config else {}
+    file_values = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
     flags = _CONFIG_FLAGS + _SWITCHES
-    cli_values = {dest: getattr(args, dest) for _, dest, _ in flags}
-    given = {**file_values, **{k: v for k, v in cli_values.items() if v is not None}}
+    given = {**file_values, **{dest: getattr(args, dest) for _, dest, _ in flags
+                               if getattr(args, dest) is not None}}
     source = dict(only).get("source", given.get("source", RunConfig.source))
     if source not in tuple(_SOURCES):  # a config value may be unhashable
         raise ValueError(f"--source must be one of {', '.join(_SOURCES)}, got {source!r}")
@@ -134,7 +141,11 @@ def _resolve_config(args, unread=(), only=()) -> RunConfig:
         if dest in only and given.get(dest, only[dest]) != only[dest]:
             raise ValueError(f"{args.command} runs only with {flag} {only[dest]} "
                              f"(config key {dest!r}), got {given[dest]!r}")
-    return replace(merge_config(file_values, cli_values), **dict(only))
+    unknown = set(file_values) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    RunConfig(**file_values)  # checked even where a flag replaces a value
+    return RunConfig(**{**given, **dict(only)})
 
 
 def _build_network(cfg: RunConfig):
@@ -166,9 +177,7 @@ def _cmd_run(args) -> int:
     report = engine.run(state)
     payload = {
         "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "generated_at": _stamp(),
+        **_provenance(cfg),
         "n_nodes": report.n_nodes,
         "p_inf": report.p_inf,
         "n_blocks": len(report.partition),
@@ -197,15 +206,14 @@ def _cmd_sweep(args) -> int:
 
     spec = analysis.SweepSpec(d0_grid_km=d0_grid, scenarios=scenarios,
                               seeds=seeds)
-    rows, aggregates = analysis.sweep_connectivity(
-        factory, cfg.model_params(), spec)
+    # no seed redraws a network file without --repeaters: one replicate, read once
+    network = factory if cfg.source == "points" or cfg.add_repeaters else _build_network(cfg)
+    rows, aggregates = analysis.sweep_connectivity(network, cfg.model_params(), spec)
     analysis.write_curve_csv(rows, args.out)
     if args.aggregate:
         analysis.write_aggregate_csv(aggregates, args.aggregate)
     # CSV headers are pinned, so provenance rides in a sibling metadata file
-    meta = {"config_hash": cfg.config_hash(), "seed": cfg.seed,
-            "generated_at": _stamp(), "rows": len(rows)}
-    _json_dump(meta, args.meta or f"{args.out}.meta.json")
+    _json_dump({**_provenance(cfg), "rows": len(rows)}, args.meta or f"{args.out}.meta.json")
     print(f"swept {len(rows)} runs over {len(d0_grid)} d0 values")
     return 0
 
@@ -232,12 +240,8 @@ def _cmd_threshold(args) -> int:
         estimates.append(est)
         print(f"alpha={alpha:g}: r0_th={est.r0_th:.6g} "
               f"[{est.ci_low:.6g}, {est.ci_high:.6g}]")
-    payload = {
-        "config_hash": cfg.config_hash(), "seed": cfg.seed,
-        "generated_at": _stamp(), "target": args.target,
-        "estimates": [analysis.threshold_to_json(e) for e in estimates],
-    }
-    _json_dump(payload, args.out)
+    _json_dump({**_provenance(cfg), "target": args.target,
+                "estimates": [analysis.threshold_to_json(e) for e in estimates]}, args.out)
     ordered = all(b.r0_th < a.r0_th for a, b in zip(estimates, estimates[1:])
                   if b.alpha > a.alpha)
     if len(estimates) > 1 and not ordered:

@@ -95,6 +95,15 @@ class TestComplexityTable:
         with pytest.raises(ValueError):
             ComplexityParams(m=102, p=1.0)
 
+    @pytest.mark.parametrize("m, p", [(102, 0.722), (1, 0.5), (7, 0.01)])
+    def test_loop_satisfies_the_recursion(self, m, p):
+        # the loop must give the recursion's floats exactly, not approximately
+        for x in np.geomspace(m * 1.001, m * 2.0 ** 16, 97).tolist():
+            q = x / m
+            base = (x / 2.0) ** (-math.log2(p))
+            c = m * (0.25 * q * q + 0.5 * q * math.log2(q))
+            assert analysis._f_rounds(x, m, p) == base + c * analysis._f_rounds(x / 2.0, m, p)
+
     @pytest.mark.parametrize("fn", [complexity_f, interpolate_f])
     @pytest.mark.parametrize("n", [math.nan, math.inf])
     def test_non_finite_n_raises(self, fn, n):
@@ -170,6 +179,10 @@ class TestSweep:
     def net(self):
         return build_network([("a", "b", 30.0), ("b", "c", 40.0), ("c", "d", 35.0)])
 
+    def recut(self, seed):
+        # a fixed network is one replicate; each seed here cuts its own cables
+        return insert_repeaters(self.net(), RepeaterConfig(10.0, seed))
+
     def test_tiny_d0_gives_singletons(self):
         spec = SweepSpec(d0_grid_km=(1e-6,), seeds=(0,))
         rows, agg = sweep_connectivity(self.net(), base_params(), spec)
@@ -182,7 +195,7 @@ class TestSweep:
 
     def test_scenario_ordering_pointwise(self):
         spec = SweepSpec(d0_grid_km=(50.0, 200.0, 1000.0), seeds=(0, 1))
-        rows, agg = sweep_connectivity(self.net(), base_params(), spec)
+        rows, agg = sweep_connectivity(self.recut, base_params(), spec)
         by = {(r.scenario, r.d0_km, r.seed): r.p_inf for r in rows}
         for d0 in spec.d0_grid_km:
             for seed in spec.seeds:
@@ -193,7 +206,7 @@ class TestSweep:
     def test_csv_formats(self, tmp_path):
         spec = SweepSpec(d0_grid_km=(100.0,), seeds=(0, 1),
                          scenarios=(Scenario.DISTRIBUTED,))
-        rows, agg = sweep_connectivity(self.net(), base_params(), spec)
+        rows, agg = sweep_connectivity(self.recut, base_params(), spec)
         curve, aggregate = tmp_path / "c.csv", tmp_path / "a.csv"
         write_curve_csv(rows, curve)
         write_aggregate_csv(agg, aggregate)
@@ -233,6 +246,14 @@ def test_repeated_replicate_seed_raises_before_any_network(no_engine_runs, searc
 
     with pytest.raises(ValueError, match="replicate seeds must be distinct"):
         search(factory, seeds)
+
+
+@pytest.mark.parametrize("search", REPLICATE_SEARCHES.values(), ids=REPLICATE_SEARCHES)
+def test_fixed_network_under_several_seeds_raises(no_engine_runs, search):
+    # no seed changes a fixed network, so each seed would repeat one replicate
+    net = build_network([("a", "b", 30.0)])
+    with pytest.raises(ValueError, match="a fixed network is one replicate"):
+        search(net, (0, 1))
 
 
 class TestFindThreshold:

@@ -309,6 +309,21 @@ class TestConfigValidation:
         assert f"config {key} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, message", [("[1, 2]", "config must be a JSON object"),
+                                               ("7", "config must be a JSON object"),
+                                               ("{", "Expecting property name")])
+    def test_config_file_must_be_a_json_object(self, tmp_path, monkeypatch, capsys,
+                                               body, message):
+        from qnetperc import cli
+        built = []
+        monkeypatch.setattr(cli, "_build_network", built.append)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body, encoding="utf-8")
+        assert invoke("run", "--network", "net.csv", "--config", str(cfg),
+                      "--out", str(tmp_path / "r.json")) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
+
     def test_run_config_checks_types_and_choices(self):
         from qnetperc.config import RunConfig
         with pytest.raises(ValueError, match="beta_cap"):
@@ -324,8 +339,9 @@ class TestSweepThresholdCli:
         net = tmp_path / "net.csv"
         net.write_text("u,v,length_km\na,b,30\nb,c,35\n", encoding="utf-8")
         out, agg = tmp_path / "curves.csv", tmp_path / "agg.csv"
-        assert invoke("sweep", "--network", str(net), "--d0-grid", "10,10000",
-                      "--seeds", "0,1", "--out", str(out),
+        # --repeaters: each seed cuts its own replicate
+        assert invoke("sweep", "--network", str(net), "--repeaters",
+                      "--d0-grid", "10,10000", "--seeds", "0,1", "--out", str(out),
                       "--aggregate", str(agg)) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "scenario,d0_km,seed,p_inf"
@@ -467,9 +483,11 @@ class TestSweepThresholdCli:
     @pytest.mark.parametrize("flag, values, message", [
         ("--seeds", "0,0", "replicate seeds must be distinct"),
         ("--scenarios", "distributed,distributed", "scenarios must be distinct"),
+        ("--seeds", "0,1", "a fixed network is one replicate"),
     ])
     def test_sweep_repeated_value_exits_2(self, tmp_path, capsys, flag, values, message):
-        # a repeat wrote its rows twice and counted them twice in the aggregate
+        # a repeat wrote its rows twice and counted them twice in the aggregate;
+        # no seed changes a network file without --repeaters, so its seeds repeat
         argv = self.sweep_argv(tmp_path, flag, values,
                                "--aggregate", str(tmp_path / "agg.csv"))
         assert invoke(*argv) == 2
@@ -684,10 +702,23 @@ class TestCalculators:
           "--alpha", "0.585"), "d_worst_km must be finite"),
         (("--worst-case", "--epsilon", "0.01", "--d-worst", "100", "--d0", "300",
           "--alpha", "0.585", "--rate", "nan"), "detection rate must be finite"),
+        (("--n", "1e300"), "overflow a float"),
+        (("--n", "1e300", "--interpolate"), "overflow a float"),
+        (("--p", "0.001", "--n", "1e300"), "overflow a float"),
+        (("--worst-case", "--epsilon", "0.01", "--d-worst", "100", "--d0", "300",
+          "--alpha", "0.01"), "overflow a float"),
+        (("--n", "408", "--rate", "1e-310"), "coherence time"),
+        (("--worst-case", "--epsilon", "0.01", "--d-worst", "100", "--d0", "300",
+          "--alpha", "1e-4"), "worst_case_n overflows a float at epsilon=0.01, "
+                              "d_worst_km=100.0, d0_km=300.0, alpha=0.0001"),
+        (("--worst-case", "--epsilon", "1e-300", "--d-worst", "100", "--d0", "1e-300",
+          "--alpha", "0.5"), "worst_case_n overflows a float"),
+        (("--worst-case", "--epsilon", "1e300", "--d-worst", "1e308", "--d0", "1e300",
+          "--alpha", "0.5"), "worst_case_n overflows a float"),
     ])
     def test_complexity_refused_input_exits_2(self, capsys, extra, message):
-        # these recursed without end, failed on a float conversion, printed
-        # nan or 0 s, or left the rate out
+        # these recursed without end or too deep, failed on a float conversion
+        # or overflow, printed nan, inf or 0 s, or left the rate out
         assert invoke("complexity", "--m", "102", "--p", "0.722", *extra) == 2
         out, err = capsys.readouterr()
         assert message in err

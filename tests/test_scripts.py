@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -42,10 +44,21 @@ def test_fiber_scenarios(tmp_path):
     assert (tmp_path / "curves_aggregate.csv").exists()
 
 
-def test_hopping_search_help():
-    proc = run_script("search_hopping_instance.py", "--help")
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help(name):
+    # imports the script, so an import error fails here without an experiment
+    proc = run_script(name, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+@pytest.mark.parametrize("jobs", ["0", str((os.cpu_count() or 1) + 1)],
+                         ids=["zero", "above_cpu_count"])
+def test_hopping_search_jobs_out_of_range_exits_2(jobs):
+    # the empty seed range starts no worker even if the check were missing
+    proc = run_script("search_hopping_instance.py", "--seeds", "0", "0", "--jobs", jobs)
+    assert proc.returncode == 2
+    assert "--jobs must lie in [1, " in proc.stderr
 
 
 def test_hopping_search_finds_the_c10_instance():
