@@ -427,10 +427,14 @@ def interpolate_f(n_query: float, cp: ComplexityParams) -> float:
     k_floor = math.floor(k)
     if math.isclose(k, round(k), abs_tol=1e-12):
         return complexity_f(n_query, cp)
-    lo = cp.m * 2.0 ** k_floor
-    hi = cp.m * 2.0 ** (k_floor + 1)
-    f_lo, f_hi = complexity_f(lo, cp), complexity_f(hi, cp)
-    return 10.0 ** (0.5 * (math.log10(f_lo) + math.log10(f_hi)))
+    log_f = 0.0
+    for point in (cp.m * 2.0 ** k_floor, cp.m * 2.0 ** (k_floor + 1)):
+        try:
+            log_f += math.log10(complexity_f(point, cp))
+        except ValueError:  # it names the halving point, not the query
+            raise ValueError(f"the rounds for n = {n_query:g} overflow a float at "
+                             f"the bracketing halving point {point:g}") from None
+    return 10.0 ** (0.5 * log_f)
 
 
 def worst_case_n(epsilon: float, d_worst_km: float, d0_km: float, alpha: float) -> int:

@@ -32,6 +32,9 @@ STREAM_REPLICATE = 2
 
 def subseed(master: int, *path: int) -> int:
     """Deterministic child seed for a named stream of the master seed."""
+    for value in (master, *path):
+        if int(value) < 0:  # SeedSequence's own message names no input
+            raise ValueError(f"seed must be >= 0, got {int(value)}")
     ss = np.random.SeedSequence((int(master), *map(int, path)))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -70,6 +73,8 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"config {name} must be one of {allowed}, "
                                  f"got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"config seed must be >= 0, got {self.seed}")
 
     def model_params(self) -> ModelParams:
         base = ModelParams(

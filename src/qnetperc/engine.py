@@ -82,7 +82,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import ModelParams
-from .topology import EdgeListNetwork, PointCloud, distance_rows, single_linkage_labels
+from .topology import (EdgeListNetwork, PointCloud, distance_rows, single_linkage_labels,
+                       squared_distance_rows)
 
 INF = math.inf
 
@@ -475,27 +476,32 @@ def _blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, starts
 
 
-_ROW_BLOCK = 256  # distance rows computed and folded at once
+_BLOCK_ENTRIES = 2 ** 15  # float64 entries (256 KB) computed and folded at once
 
 
 def _fold_rows(rows_of, bounds: list[int], width: int) -> np.ndarray:
     """Row i is the minimum over the rows bounds[i]:bounds[i + 1] of a matrix.
 
-    rows_of(a, b) gives the matrix's rows a:b; it is read _ROW_BLOCK rows at
-    a time, and a block of rows cut by that boundary folds its parts
-    together, so the result is the same floats as one reduce per block.
+    rows_of(a, b) gives the matrix's rows a:b, or only their last columns,
+    and the columns it leaves out stay INF.  It is read
+    max(1, _BLOCK_ENTRIES // width) rows at a time, so a block of rows stays
+    in the core's cache while it is folded.  A block of rows cut by a read
+    boundary folds its parts together, so the result is the same floats as
+    one reduce per block.
     """
-    out = np.empty((len(bounds) - 1, width))
+    out = np.full((len(bounds) - 1, width), INF)
+    step = max(1, _BLOCK_ENTRIES // width)
     c = 0  # the block holding the first row read
-    for a in range(0, bounds[-1], _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, bounds[-1])
+    for a in range(0, bounds[-1], step):
+        b = min(a + step, bounds[-1])
         rows = rows_of(a, b)
+        tail = out[:, width - rows.shape[1]:]
         while c < len(out) and bounds[c] < b:
             lo, hi = max(bounds[c], a), min(bounds[c + 1], b)
             if lo == bounds[c]:
-                np.minimum.reduce(rows[lo - a:hi - a], axis=0, out=out[c])
+                np.minimum.reduce(rows[lo - a:hi - a], axis=0, out=tail[c])
             else:  # the rest of a block begun before row a
-                np.minimum(out[c], rows[lo - a:hi - a].min(axis=0), out=out[c])
+                np.minimum(tail[c], rows[lo - a:hi - a].min(axis=0), out=tail[c])
             if hi < bounds[c + 1]:
                 break  # the block goes on after row b
             c += 1
@@ -505,13 +511,22 @@ def _fold_rows(rows_of, bounds: list[int], width: int) -> np.ndarray:
 def _cloud_distances(cloud: PointCloud, nodes: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Distances between the blocks of a cloud, the minimum over member pairs; diagonal INF.
 
-    Only the distances among the listed nodes are computed, in blocks of
-    _ROW_BLOCK rows, so no M x M matrix of the M listed points is built.
-    Members are contiguous per block, so the distance rows fold into a K x M
-    array, and the rows of its transpose fold into K x K.  When every block
-    is a single node the rows are the matrix and are written straight into
-    it; a lone block has no distances at all.  (np.minimum.reduceat makes
-    one inner-loop call per block and column, several times slower here.)
+    Members are contiguous per block.  The squared distances among the M
+    listed nodes are computed about _BLOCK_ENTRIES at a time, rows a:b
+    against the columns a: only, so each pair is computed once and no M x M
+    matrix is built.  They fold per block of rows into a K x M array, and
+    the rows of its transpose fold into K x K.  Entry (J, I) of that is
+    exact for J > I, since every column of block J lies after every row of
+    block I; elsewhere it is INF or a minimum over some of the pairs, never
+    below the true one.  The squared distances of (i, j) and (j, i) are the
+    same float, so the minimum of the K x K array and its transpose is exact
+    everywhere, and one square root of it gives the distances: sqrt is
+    correctly rounded and non-decreasing, so
+    sqrt(min(a, b)) == min(sqrt(a), sqrt(b)) bit for bit, and the floats
+    are those of folding distance_rows.  When every block is a single node
+    the distance rows are the matrix and are written straight into it; a
+    lone block has no distances at all.  (np.minimum.reduceat makes one
+    inner-loop call per block and column, several times slower here.)
     """
     k, m = len(starts) - 1, len(nodes)
     if k <= 1:
@@ -519,12 +534,15 @@ def _cloud_distances(cloud: PointCloud, nodes: np.ndarray, starts: np.ndarray) -
     pos = cloud.positions[nodes]
     if k == m:
         mat = np.empty((m, m))
-        for a in range(0, m, _ROW_BLOCK):
-            distance_rows(pos, a, a + _ROW_BLOCK, out=mat[a:a + _ROW_BLOCK])
+        step = max(1, _BLOCK_ENTRIES // m)
+        for a in range(0, m, step):
+            distance_rows(pos, a, a + step, out=mat[a:a + step])
     else:
         bounds = starts.tolist()
-        folded = _fold_rows(lambda a, b: distance_rows(pos, a, b), bounds, m).T.copy()
+        folded = _fold_rows(lambda a, b: squared_distance_rows(pos[a:], 0, b - a),
+                            bounds, m).T.copy()
         mat = _fold_rows(lambda a, b: folded[a:b], bounds, k)
+        mat = np.sqrt(np.minimum(mat, mat.T))
     np.fill_diagonal(mat, INF)
     return mat
 

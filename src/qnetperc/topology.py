@@ -24,9 +24,9 @@ over one short replicate list build each network and forest once.  A
 comparison over more replicates than the bound cycles the memo without a
 hit; the threshold command and the scripts therefore build their replicate
 networks once and pass a dict's __getitem__ as the factory.  Seeds must be
-integers (operator.index), so a seed the draw cannot take raises on every
-call instead of returning an equal-valued memoized network.  Since one
-network may reach unrelated callers, its arrays are read-only: a cloud's
+non-negative integers (operator.index), so a seed the draw cannot take
+raises on every call instead of returning an equal-valued memoized network.
+Since one network may reach unrelated callers, its arrays are read-only: a cloud's
 positions (a copy of the caller's array) and every array of linkage_edges
 and merge_forest.
 
@@ -89,6 +89,17 @@ def _check_box_side(box_side: float) -> None:
         raise ValueError(f"box_side must be finite and positive, got {box_side}")
 
 
+def _check_seed(seed: int) -> int:
+    """seed as an int (operator.index), refused when negative.
+
+    numpy refuses a negative seed too, but its message names no input.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Uniform 2D point set; positions is a read-only (N, 2) float array.
@@ -138,11 +149,11 @@ class PointCloud:
         return _merge_forest(self.n_nodes, self.linkage_edges)
 
 
-def distance_rows(positions: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
-    """Rows a:b of the Euclidean distance matrix of the points positions.
+def squared_distance_rows(positions: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    """Rows a:b of the squared Euclidean distance matrix of the points positions.
 
-    Entry (i, j) is sqrt(dx*dx + dy*dy) with dx = x[i] - x[j], summed in
-    that order: the one distance formula, so every caller compares the same
+    Entry (i, j) is dx*dx + dy*dy with dx = x[i] - x[j], summed in that
+    order: the one distance formula, so every caller compares the same
     floats.  The rows are written into out when given; one more array of
     their shape is alive while they are built.
     """
@@ -152,6 +163,16 @@ def distance_rows(positions: np.ndarray, a: int, b: int, out=None) -> np.ndarray
     dy = y[a:b, None] - y
     dy *= dy
     out += dy
+    return out
+
+
+def distance_rows(positions: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    """Rows a:b of the Euclidean distance matrix: the square roots of squared_distance_rows.
+
+    sqrt is correctly rounded and non-decreasing, so the root of a minimum
+    of squared distances is the minimum of these rows, bit for bit.
+    """
+    out = squared_distance_rows(positions, a, b, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -165,7 +186,7 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_box_side(box_side)  # before the draw, which cannot span a bad box
-    rng = np.random.default_rng(operator.index(seed))
+    rng = np.random.default_rng(_check_seed(seed))
     pos = rng.uniform(0.0, box_side, size=(n, 2))
     return PointCloud(positions=pos, box_side=box_side)
 
@@ -522,7 +543,7 @@ class RepeaterConfig:
                              f"got {self.mean_segment_km}")
         # an int: a float seed would hit the memo of an equal int one, where
         # a cold cut raises
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @_memoized
@@ -593,7 +614,7 @@ def generate_fiber_network(n_nodes: int = 692, n_edges: int = 733,
     from scipy.sparse.csgraph import minimum_spanning_tree
     from scipy.spatial import Delaunay
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     pts = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
     sides = Delaunay(pts).simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = np.unique(np.sort(sides, axis=1), axis=0)  # (i, j), i < j, ascending

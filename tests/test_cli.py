@@ -324,6 +324,30 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (("run", "--source", "points", "--n", "50", "--seed", "-1"),
+         "config seed must be >= 0, got -1"),
+        (("run", "--source", "points", "--n", "50", "--config", "CFG"),  # seed -4
+         "config seed must be >= 0, got -4"),
+        (("threshold", "--n", "50", "--eps-lo", "3e-5", "--eps-hi", "8e-4", "--seed", "-5"),
+         "config seed must be >= 0, got -5"),
+        (("sweep", "--source", "points", "--n", "20", "--d0-grid", "1", "--seeds", "0,-1"),
+         "seed must be >= 0, got -1"),
+        (("generate", "points", "--n", "5", "--seed", "-3"), "seed must be >= 0, got -3"),
+        (("generate", "fiber", "--seed", "-2"), "seed must be >= 0, got -2"),
+        (("repeaters", "--in", "NET", "--seed", "-1"), "seed must be >= 0, got -1"),
+    ])
+    def test_a_negative_seed_exits_2_naming_it(self, tmp_path, capsys, argv, message):
+        # numpy refused these with "expected non-negative integer", naming no input
+        net, cfg = tmp_path / "net.csv", tmp_path / "cfg.json"
+        net.write_text("u,v,length_km\na,b,500.0\n", encoding="utf-8")
+        cfg.write_text(json.dumps({"seed": -4}), encoding="utf-8")
+        argv = [{"NET": str(net), "CFG": str(cfg)}.get(arg, arg) for arg in argv]
+        out = tmp_path / "out"
+        assert invoke(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_run_config_checks_types_and_choices(self):
         from qnetperc.config import RunConfig
         with pytest.raises(ValueError, match="beta_cap"):
@@ -715,6 +739,11 @@ class TestCalculators:
           "--alpha", "0.5"), "worst_case_n overflows a float"),
         (("--worst-case", "--epsilon", "1e300", "--d-worst", "1e308", "--d0", "1e300",
           "--alpha", "0.5"), "worst_case_n overflows a float"),
+        # named by the query, not by the halving point the recursion failed at
+        (("--n", "1e300", "--interpolate"), "the rounds for n = 1e+300 overflow a float "
+                                            "at the bracketing halving point 5.33662e+299"),
+        (("--n", "1e299", "--interpolate"), "the rounds for n = 1e+299 overflow a float "
+                                            "at the bracketing halving point 6.67077e+298"),
     ])
     def test_complexity_refused_input_exits_2(self, capsys, extra, message):
         # these recursed without end or too deep, failed on a float conversion

@@ -3,14 +3,18 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (D0, assert_same_start, cut_start_reference,
                       disk_percolation_oracle, members_of, nearest_scale,
                       params_for_r0, random_instance, reference_schedule,
                       retired_singletons)
+from qnetperc import engine
 from qnetperc.engine import (INF, Component, MergeEvent, ReduceEvent, _cloud_distances,
                              events_to_dicts, init_state, partition_to_lists,
                              run, verify_report)
@@ -192,31 +196,88 @@ class TestCutStart:
         assert report.merge_count == sum(isinstance(e, MergeEvent) for e in report.events)
 
 
-class TestCloudDistances:
-    """Block distances built 256 rows at a time equal the fold of the full matrix."""
+def folded_distance_matrix(positions: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The minimum of distance_matrix() over each pair of blocks, by reduceat; diagonal INF."""
+    k = len(starts) - 1
+    expected = np.full((k, k), INF)
+    if k:
+        full = PointCloud(positions=positions).distance_matrix()
+        expected = np.minimum.reduceat(np.minimum.reduceat(full, starts[:-1], axis=0),
+                                       starts[:-1], axis=1)
+        np.fill_diagonal(expected, INF)
+    return expected
 
-    @pytest.mark.parametrize("sizes", [
-        [],  # K = 0
-        [7], [300],  # K = 1: no distances at all
-        [300, 2, 5],  # a block of more than 256 points
-        [2, 3] * 120,  # small blocks, one cut by the 256-row boundary
-        [1] * 300,  # all singletons: rows written straight into the matrix
-    ])
-    def test_equal_to_the_fold_of_distance_matrix(self, sizes):
+
+CLUSTER_SIZES = [
+    [],  # K = 0
+    [7], [300],  # K = 1: no distances at all
+    [300, 2, 5],  # a block that spans several reads
+    [2, 3] * 120,  # small blocks, some cut by a read boundary
+    [1] * 300,  # all singletons: rows written straight into the matrix
+]
+
+
+class TestCloudDistances:
+    """Block distances from folded squared distances and one root equal the fold of the full matrix.
+
+    The squared rows are read about _BLOCK_ENTRIES entries at a time; the
+    small budgets put the read boundaries where the default budget does not
+    reach on a test-sized cloud.
+    """
+
+    @staticmethod
+    def check(sizes):
         base = generate_uniform_points(640, seed=len(sizes)).positions
         cloud = PointCloud(positions=np.vstack([base, base[:40]]))  # coincident points
         k, m = len(sizes), sum(sizes)
         nodes = np.random.default_rng(k).permutation(cloud.n_nodes)[:m]
         starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        expected = np.full((k, k), INF)
-        if k:
-            full = PointCloud(positions=cloud.positions[nodes]).distance_matrix()
-            expected = np.minimum.reduceat(np.minimum.reduceat(full, starts[:-1], axis=0),
-                                           starts[:-1], axis=1)
-            np.fill_diagonal(expected, INF)
         got = _cloud_distances(cloud, nodes, starts)
         assert got.shape == (k, k)
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == folded_distance_matrix(cloud.positions[nodes], starts).tobytes()
+
+    @pytest.mark.parametrize("sizes", CLUSTER_SIZES)
+    def test_equal_to_the_fold_of_distance_matrix(self, sizes):
+        self.check(sizes)
+
+    @pytest.mark.parametrize("entries", [
+        1,  # one row per read: every block of several points spans reads
+        2000,  # a few rows per read: read boundaries fall inside blocks
+    ])
+    @pytest.mark.parametrize("sizes", CLUSTER_SIZES)
+    def test_small_read_budgets_give_the_same_floats(self, monkeypatch, entries, sizes):
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", entries)
+        self.check(sizes)
+
+
+@st.composite
+def clustered_clouds(draw):
+    """A cloud on a coarse grid or a line, with contiguous blocks of random sizes."""
+    m = draw(st.integers(1, 60))
+    grid = draw(st.sampled_from([3, 8, 1000]))
+    cells = draw(st.lists(st.integers(0, grid - 1), min_size=2 * m, max_size=2 * m))
+    pos = np.array(cells, dtype=float).reshape(m, 2) / grid
+    if draw(st.booleans()):  # collinear: every point on one diagonal
+        pos[:, 1] = pos[:, 0]
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(draw(st.integers(1, m - sum(sizes))))
+    return pos, sizes
+
+
+@pytest.mark.oracle
+class TestCloudDistancesOracle:
+    """_cloud_distances against the reduceat fold of distance_matrix(), byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=clustered_clouds(), entries=st.integers(1, 400))
+    def test_equal_to_the_fold_of_distance_matrix(self, case, entries):
+        pos, sizes = case
+        starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        # not monkeypatch: a function-scoped fixture would span every example
+        with mock.patch.object(engine, "_BLOCK_ENTRIES", entries):
+            got = _cloud_distances(PointCloud(positions=pos), np.arange(len(pos)), starts)
+        assert got.tobytes() == folded_distance_matrix(pos, starts).tobytes()
 
 
 class TestConnectionCriterion:

@@ -10,12 +10,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import Delaunay
 
+from qnetperc.config import subseed
 from qnetperc.topology import (REPEATER, STATION, EdgeListNetwork, PointCloud,
-                               RepeaterConfig, build_network, generate_fiber_network,
-                               generate_uniform_points, insert_repeaters,
-                               load_edge_list, load_network, load_point_cloud,
-                               network_to_json, save_edge_list,
-                               save_point_cloud, single_linkage_labels)
+                               RepeaterConfig, build_network, distance_rows,
+                               generate_fiber_network, generate_uniform_points,
+                               insert_repeaters, load_edge_list, load_network,
+                               load_point_cloud, network_to_json, save_edge_list,
+                               save_point_cloud, single_linkage_labels,
+                               squared_distance_rows)
 
 
 class TestPointClouds:
@@ -103,6 +105,15 @@ class TestPointClouds:
         path.write_text("id,x,y\n2,0.3,0.1\n0,0.1,0.1\n1,0.2,0.1\n",
                         encoding="utf-8")
         assert load_point_cloud(path).positions[:, 0].tolist() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (3, 40), (0, 70), (69, 70), (5, 5)])
+    def test_distance_rows_are_the_roots_of_the_squared_rows(self, a, b):
+        # the engine folds squared distances and takes one root after the fold
+        base = generate_uniform_points(60, seed=a).positions
+        pos = np.vstack([base, base[:10]])  # coincident points: zero entries
+        squared = squared_distance_rows(pos, a, b)
+        assert squared.shape == (b - a, 70)
+        assert distance_rows(pos, a, b).tobytes() == np.sqrt(squared).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 50, 800])
     def test_distance_matrix_bytes_match_the_stacked_form(self, n):
@@ -602,6 +613,15 @@ class TestConstructorMemo:
                 generate_uniform_points(5, seed=seed)
         with pytest.raises(TypeError):
             RepeaterConfig(50.0, seed=1.0)
+
+    def test_a_negative_seed_raises_naming_it(self):
+        # numpy's own refusal, "expected non-negative integer", names no input
+        for build in (lambda: generate_uniform_points(5, seed=-1),
+                      lambda: generate_fiber_network(20, 24, seed=-1),
+                      lambda: RepeaterConfig(50.0, seed=-1),
+                      lambda: subseed(-1), lambda: subseed(0, -1)):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                build()
 
     def test_an_integer_seed_of_another_type_cuts_the_same_network(self):
         fiber = generate_fiber_network(20, 24, seed=4)
