@@ -1,8 +1,8 @@
 """Percolation model of quantum communication networks with distributed memories."""
 
 from .quantum import (ALPHA_STAR, ChannelModel, DistillationParams, ModelParams,
-                      base_range, bbpssw_fidelity, bbpssw_success, channel_p,
-                      component_range, fidelity_of_p, nested_distill, swap_p)
+                      bbpssw_fidelity, bbpssw_success, channel_p, fidelity_of_p,
+                      nested_distill, swap_p)
 from .topology import (EdgeListNetwork, PointCloud, RepeaterConfig,
                        generate_fiber_network, generate_uniform_points,
                        insert_repeaters, load_edge_list, save_edge_list)

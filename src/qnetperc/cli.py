@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp = dsub.add_parser("nested")
     dp.add_argument("--f", type=float, required=True)
     dp.add_argument("--n", type=int, required=True)
-    dp.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
+    dp.add_argument("--mode", choices=quantum.RANGE_MODES, default="exact")
 
     p = sub.add_parser("complexity", help="remote-distillation round estimates")
     p.add_argument("--m", type=int, required=True)

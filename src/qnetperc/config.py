@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Scenario, scenario_params
-from .quantum import ALPHA_STAR, ChannelModel, DistillationParams, ModelParams
+from .quantum import ALPHA_STAR, RANGE_MODES, ChannelModel, DistillationParams, ModelParams
+from .topology import check_seed
 
 # seed stream tags
 STREAM_TOPOLOGY = 0
@@ -32,10 +33,7 @@ STREAM_REPLICATE = 2
 
 def subseed(master: int, *path: int) -> int:
     """Deterministic child seed for a named stream of the master seed."""
-    for value in (master, *path):
-        if int(value) < 0:  # SeedSequence's own message names no input
-            raise ValueError(f"seed must be >= 0, got {int(value)}")
-    ss = np.random.SeedSequence((int(master), *map(int, path)))
+    ss = np.random.SeedSequence(tuple(map(check_seed, (master, *path))))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -73,8 +71,7 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"config {name} must be one of {allowed}, "
                                  f"got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"config seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "config seed")
 
     def model_params(self) -> ModelParams:
         base = ModelParams(
@@ -98,7 +95,7 @@ class RunConfig:
 _FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,),
                 "str | None": (str, type(None))}
 _CHOICES = {
-    "range_mode": ("asymptotic", "exact"),
+    "range_mode": RANGE_MODES,
     "scenario": tuple(s.value for s in Scenario),
     "source": ("file", "points"),
 }

@@ -56,7 +56,7 @@ reachable through the public rules of PercolationState, and all reach the
 same partition:
 
 - connectable_pairs(): every pair (a, b, d) that meets the criterion now;
-- connection_ok(a, b) and merge(a, b): the criterion and contraction;
+- merge(a, b): contraction, refused for a pair that fails the criterion;
 - is_isolated(a) and reduce_and_remove(a): isolation and reduction.
 
 A component is its size and range alone; no component keeps its members.
@@ -82,8 +82,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import ModelParams
-from .topology import (EdgeListNetwork, PointCloud, distance_rows, single_linkage_labels,
-                       squared_distance_rows)
+from .topology import (EdgeListNetwork, PointCloud, _roots, distance_rows,
+                       single_linkage_labels, squared_distance_rows)
 
 INF = math.inf
 
@@ -327,16 +327,9 @@ class PercolationState:
         """The id of the component, live or retired, that holds each node now.
 
         A point cloud's cut singleton never gets an id, and gets -1.  Ids
-        are found by pointer jumping over the merge-parent list: each pass
-        replaces every id's parent with its grandparent, so a chain of m
-        merges takes about log2(m) passes.
+        are the roots of the merge-parent list (topology._roots).
         """
-        parent = np.array(self._parent, dtype=np.intp)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
+        parent = _roots(np.array(self._parent, dtype=np.intp))
         held = self._start.copy()
         live = held >= 0
         held[live] = parent[held[live]]
@@ -359,18 +352,11 @@ class PercolationState:
 
     # -- rules --------------------------------------------------------------
 
-    def connection_ok(self, a: int, b: int) -> bool:
-        """True iff d_ab is reachable and strictly below both ranges."""
-        self._require_active(a, b)
-        if a == b:
-            raise ValueError("connection criterion needs two distinct components")
-        d = self.store.distance(a, b)
-        return d < min(self.comps[a].range_km, self.comps[b].range_km)
-
     def merge(self, a: int, b: int) -> int:
         """Contract a and b into a fresh component with the pooled-size range.
 
-        Checks what connection_ok checks, with one distance lookup.
+        Raises ValueError unless a and b are two distinct active components
+        whose distance d_ab is strictly below both ranges (the criterion).
         """
         ca, cb = self.comps.get(a), self.comps.get(b)
         if ca is None or cb is None:

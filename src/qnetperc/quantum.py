@@ -25,7 +25,9 @@ from dataclasses import dataclass
 # Efficiency exponent of nested BBPSSW purification: log2(3/2).
 ALPHA_STAR = math.log2(1.5)
 
-_MODES = ("asymptotic", "exact")
+# the two range formulas (ModelParams.component_range_km), and the two
+# nested_distill modes they come from
+RANGE_MODES = ("asymptotic", "exact")
 
 
 @dataclass(frozen=True)
@@ -86,16 +88,37 @@ class ModelParams:
     size_growth: bool = True
 
     def __post_init__(self):
-        if self.range_mode not in _MODES:
-            raise ValueError(f"range_mode must be one of {_MODES}, got {self.range_mode!r}")
+        if self.range_mode not in RANGE_MODES:
+            raise ValueError(f"range_mode must be one of {RANGE_MODES}, got {self.range_mode!r}")
 
     def base_range_km(self) -> float:
-        return base_range(self.channel, self.distill, mode=self.range_mode,
-                          beta_cap=self.beta_cap)
+        """Single-node communication range r0 = r(1) in km."""
+        return self.component_range_km(1)
 
     def component_range_km(self, s: int) -> float:
-        return component_range(s, self.channel, self.distill, mode=self.range_mode,
-                               beta_cap=self.beta_cap, size_growth=self.size_growth)
+        """Range r(s) in km of a node inside a component of size s.
+
+        x = (4/3) eps n^(eta*alpha) for n = m*s pooled memories (n = m without
+        size_growth); asymptotic: r = x d0, exact: r = -d0 ln(1 - x).  Where the
+        log argument is <= 0, or the power passes the largest float, r is inf,
+        the formula's limit, so r(s) never decreases in s in either mode.  With
+        beta_cap the result never exceeds beta.
+        """
+        if not s >= 1:
+            raise ValueError(f"component size must be >= 1, got {s}")
+        distill, channel = self.distill, self.channel
+        pooled = distill.m * s if self.size_growth else distill.m
+        try:
+            x = (4.0 / 3.0) * channel.epsilon * pooled ** distill.effective_exponent
+        except OverflowError:  # float ** raises where * gives inf
+            x = math.inf
+        if self.range_mode == "asymptotic":
+            r = x * channel.d0_km
+        else:
+            r = math.inf if x >= 1.0 else -channel.d0_km * math.log1p(-x)
+        if self.beta_cap:
+            r = min(r, channel.beta_km)
+        return r
 
 
 def channel_p(d_km: float, channel: ChannelModel) -> float:
@@ -165,41 +188,7 @@ def nested_distill(f: float, n: int, mode: str = "exact") -> float:
         return out
     if mode == "asymptotic":
         return 1.0 - (2.0 / 3.0) ** math.log2(n) * (1.0 - f)
-    raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def base_range(channel: ChannelModel, distill: DistillationParams,
-               mode: str = "asymptotic", beta_cap: bool = True) -> float:
-    """Single-node communication range r0 in km.
-
-    asymptotic: r0 = (4/3) eps m^(eta*alpha) d0
-    exact:      r0 = -d0 ln[1 - (4/3) eps m^(eta*alpha)]
-
-    If the exact-mode log argument is <= 0 the range is infinite, the limit
-    of the formula as the argument falls to 0, so r(s) never decreases in s
-    in either mode.  With beta_cap the result never exceeds beta.
-    """
-    return component_range(1, channel, distill, mode=mode, beta_cap=beta_cap)
-
-
-def component_range(s: int, channel: ChannelModel, distill: DistillationParams,
-                    mode: str = "asymptotic", beta_cap: bool = True,
-                    size_growth: bool = True) -> float:
-    """Range r(s) of a node inside a component of size s (m*s pooled memories)."""
-    if not s >= 1:
-        raise ValueError(f"component size must be >= 1, got {s}")
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    e = distill.effective_exponent
-    pooled = distill.m * s if size_growth else distill.m
-    x = (4.0 / 3.0) * channel.epsilon * pooled ** e
-    if mode == "asymptotic":
-        r = x * channel.d0_km
-    else:
-        r = math.inf if x >= 1.0 else -channel.d0_km * math.log1p(-x)
-    if beta_cap:
-        r = min(r, channel.beta_km)
-    return r
+    raise ValueError(f"mode must be one of {RANGE_MODES}, got {mode!r}")
 
 
 def swap_p(p_ab: float, p_ac: float) -> float:

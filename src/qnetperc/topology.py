@@ -24,8 +24,9 @@ over one short replicate list build each network and forest once.  A
 comparison over more replicates than the bound cycles the memo without a
 hit; the threshold command and the scripts therefore build their replicate
 networks once and pass a dict's __getitem__ as the factory.  Seeds must be
-non-negative integers (operator.index), so a seed the draw cannot take
-raises on every call instead of returning an equal-valued memoized network.
+integers (operator.index) in [0, 2**64), checked by check_seed, so a seed
+the draw cannot take raises on every call instead of returning an
+equal-valued memoized network.
 Since one network may reach unrelated callers, its arrays are read-only: a cloud's
 positions (a copy of the caller's array) and every array of linkage_edges
 and merge_forest.
@@ -63,10 +64,20 @@ def _has_header(row, header: tuple[str, ...]) -> bool:
     return row is not None and tuple(field.strip() for field in row) == header
 
 
-def _read_header(reader, path, header: tuple[str, ...]) -> None:
-    row = next(reader, None)
-    if not _has_header(row, header):
-        raise ValueError(f"{path}: expected header '{','.join(header)}', got {row}")
+def _data_rows(path, header: tuple[str, ...]):
+    """(line number, row) of each data row of a CSV file with the given header:
+    the rows after it that are not empty, each checked to have 3 fields."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        row = next(reader, None)
+        if not _has_header(row, header):
+            raise ValueError(f"{path}: expected header '{','.join(header)}', got {row}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            yield lineno, row
 
 
 # one bound for both constructors' memos (module docstring); typed, so a
@@ -89,14 +100,17 @@ def _check_box_side(box_side: float) -> None:
         raise ValueError(f"box_side must be finite and positive, got {box_side}")
 
 
-def _check_seed(seed: int) -> int:
-    """seed as an int (operator.index), refused when negative.
+def check_seed(seed: int, name: str = "seed") -> int:
+    """seed as an int (operator.index), refused outside [0, 2**64): the one seed check.
 
-    numpy refuses a negative seed too, but its message names no input.
+    numpy refuses a negative seed too, but its message names no input, and
+    it takes a seed of any size, beyond the 64-bit master seed.
     """
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    if seed >= 2 ** 64:
+        raise ValueError(f"{name} must be below 2**64, got {seed}")
     return seed
 
 
@@ -186,7 +200,7 @@ def generate_uniform_points(n: int, box_side: float = 1.0, seed: int = 0) -> Poi
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_box_side(box_side)  # before the draw, which cannot span a bad box
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     pos = rng.uniform(0.0, box_side, size=(n, 2))
     return PointCloud(positions=pos, box_side=box_side)
 
@@ -201,22 +215,15 @@ def save_point_cloud(cloud: PointCloud, path) -> None:
 def load_point_cloud(path, box_side: float | None = None) -> PointCloud:
     """Parse the point-cloud CSV format: header 'id,x,y', ids exactly 0..N-1."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, _POINT_CLOUD_HEADER)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2]), lineno))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            for axis, value in zip("xy", rows[-1][1:3]):
-                if not math.isfinite(value):  # before it can reach box_side
-                    raise ValueError(f"{path}:{lineno}: coordinate {axis} = {value} "
-                                     f"is not finite")
+    for lineno, row in _data_rows(path, _POINT_CLOUD_HEADER):
+        try:
+            rows.append((int(row[0]), float(row[1]), float(row[2]), lineno))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for axis, value in zip("xy", rows[-1][1:3]):
+            if not math.isfinite(value):  # before it can reach box_side
+                raise ValueError(f"{path}:{lineno}: coordinate {axis} = {value} "
+                                 f"is not finite")
     seen: set[int] = set()
     for i, _, _, lineno in rows:
         if not 0 <= i < len(rows):
@@ -332,11 +339,20 @@ def single_linkage_labels(network, r0: float) -> np.ndarray:
     top = network.n_nodes + forest.joins_below(r0)
     p = forest.parent[:top]
     p = np.where(p < top, p, np.arange(top))  # a join at or above r0 is cut
-    while True:  # pointer jumping: each pass halves the distance to the root
-        q = p[p]
-        if np.array_equal(q, p):
-            return p[:network.n_nodes]
-        p = q
+    return _roots(p)[:network.n_nodes]
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The root of each node of a parent array whose roots are their own parents.
+
+    Pointer jumping: each pass replaces every parent with its grandparent, so
+    a chain of m links takes about log2(m) passes.
+    """
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +485,12 @@ def build_network(edges, kinds: dict[str, str] | None = None,
 def load_edge_list(path) -> EdgeListNetwork:
     """Parse the edge-list CSV format: header 'u,v,length_km', opaque string ids."""
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, _EDGE_LIST_HEADER)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            u, v, raw = row
-            try:
-                length = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad length {raw!r}") from None
-            edges.append((u.strip(), v.strip(), length))
+    for lineno, (u, v, raw) in _data_rows(path, _EDGE_LIST_HEADER):
+        try:
+            length = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad length {raw!r}") from None
+        edges.append((u.strip(), v.strip(), length))
     try:
         return build_network(edges)
     except ValueError as exc:
@@ -530,6 +538,11 @@ def save_network_json(net: EdgeListNetwork, path) -> None:
 # Repeater insertion
 # ---------------------------------------------------------------------------
 
+# the most repeaters a cut may expect (total cable length over the mean
+# segment); each is a node and an edge, so far more would exhaust memory
+MAX_EXPECTED_REPEATERS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class RepeaterConfig:
     """Poisson cutting of cables into ~mean_segment_km pieces."""
@@ -543,7 +556,7 @@ class RepeaterConfig:
                              f"got {self.mean_segment_km}")
         # an int: a float seed would hit the memo of an equal int one, where
         # a cold cut raises
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @_memoized
@@ -561,9 +574,17 @@ def insert_repeaters(net: EdgeListNetwork, cfg: RepeaterConfig) -> EdgeListNetwo
     already a node id (a station, or a cut of another cable when ids hold
     "__") raises ValueError: the two nodes would silently become one.
 
+    A network expecting more than MAX_EXPECTED_REPEATERS cuts raises
+    ValueError before any draw.
+
     Memoized: an equal network and config return the same network (module
     docstring).  A raised error is not memoized, so it is raised on every call.
     """
+    expected = net.total_length_km() / cfg.mean_segment_km
+    if expected > MAX_EXPECTED_REPEATERS:
+        raise ValueError(f"a mean segment of {cfg.mean_segment_km!r} km expects "
+                         f"{expected:.4g} repeaters, above the limit of "
+                         f"{MAX_EXPECTED_REPEATERS}")
     rate = 1.0 / cfg.mean_segment_km
     new_edges: list[tuple[str, str, float]] = []
     kinds = dict(zip(net.node_ids, net.kinds))
@@ -614,7 +635,7 @@ def generate_fiber_network(n_nodes: int = 692, n_edges: int = 733,
     from scipy.sparse.csgraph import minimum_spanning_tree
     from scipy.spatial import Delaunay
 
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     pts = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
     sides = Delaunay(pts).simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = np.unique(np.sort(sides, axis=1), axis=0)  # (i, j), i < j, ascending

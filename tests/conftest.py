@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from qnetperc import topology
-from qnetperc.engine import init_state
+from qnetperc.engine import MergeEvent, init_state
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
 
@@ -119,6 +119,15 @@ def members_of(state) -> dict[int, frozenset[int]]:
         if cid >= 0:
             members.setdefault(cid, set()).add(node)
     return {cid: frozenset(nodes) for cid, nodes in members.items()}
+
+
+def replay_members(report) -> dict[int, frozenset[int]]:
+    """The nodes of every component id of a logged run, replayed from its merges."""
+    members = {i: frozenset((i,)) for i in range(report.n_nodes)}
+    for ev in report.events:
+        if isinstance(ev, MergeEvent):
+            members[ev.new_id] = members[ev.a] | members[ev.b]
+    return members
 
 
 def retired_singletons(state) -> list[int]:

@@ -13,27 +13,18 @@ import numpy as np
 import pytest
 
 from conftest import (disk_percolation_oracle, random_instance, random_params,
-                      reference_schedule)
+                      reference_schedule, replay_members)
 from qnetperc.analysis import (ComplexityParams, Scenario, coherence_time,
                                complexity_f, find_threshold, interpolate_f,
                                min_d0_for_target, scenario_params, worst_case_n)
 from qnetperc.engine import (MergeEvent, init_state, run, verify_report)
-from qnetperc.quantum import (ChannelModel, DistillationParams, ModelParams,
-                              base_range, bbpssw_success, component_range)
+from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams, bbpssw_success
 from qnetperc.topology import (RepeaterConfig, generate_fiber_network,
                                generate_uniform_points, insert_repeaters)
 
 
 def ok(n, msg):
     print(f"PASS criterion {n}: {msg}")
-
-
-def replay_members(report):
-    members = {i: frozenset((i,)) for i in range(report.n_nodes)}
-    for ev in report.events:
-        if isinstance(ev, MergeEvent):
-            members[ev.new_id] = members[ev.a] | members[ev.b]
-    return members
 
 
 def test_c01_bbpssw_success_probability():
@@ -44,8 +35,8 @@ def test_c01_bbpssw_success_probability():
 
 def test_c02_range_constants():
     ch = ChannelModel(d0_km=1.0, epsilon=0.01)
-    r_local = base_range(ch, DistillationParams(m=1, alpha=0.585))
-    r_pooled = base_range(ch, DistillationParams(m=102, alpha=0.585))
+    r_local, r_pooled = (ModelParams(channel=ch, distill=DistillationParams(m=m, alpha=0.585))
+                         .base_range_km() for m in (1, 102))
     # the headline 0.013 is the 2-significant-figure rounding of (4/3)*0.01
     assert r_local == pytest.approx(4 / 3 * 0.01, rel=1e-2)
     assert float(f"{r_local:.2g}") == 0.013
@@ -133,10 +124,9 @@ def test_c07_contraction_identity():
         m = int(rng.integers(1, 200))
         sa = int(rng.integers(1, 5000))
         sb = int(rng.integers(1, 5000))
-        d = DistillationParams(m=m, alpha=alpha)
-        ra = component_range(sa, ch, d, beta_cap=False)
-        rb = component_range(sb, ch, d, beta_cap=False)
-        merged = component_range(sa + sb, ch, d, beta_cap=False)
+        params = ModelParams(channel=ch, distill=DistillationParams(m=m, alpha=alpha),
+                             beta_cap=False)
+        ra, rb, merged = map(params.component_range_km, (sa, sb, sa + sb))
         am = mpmath.mpf(1) / alpha
         folded = float((mpmath.mpf(ra) ** am + mpmath.mpf(rb) ** am) ** mpmath.mpf(alpha))
         ulps = abs(folded - merged) / np.spacing(merged)

@@ -101,6 +101,18 @@ class TestIngestAndRepeaters:
                       "--out", str(tmp_path / "o.csv")) == 2
         assert "mean_segment_km" in capsys.readouterr().err
 
+    def test_too_many_expected_repeaters_exit_2_before_any_draw(self, tmp_path, capsys):
+        # 65 km over 1e-9 km segments would draw 6.5e10 cuts, hundreds of GiB
+        raw = tmp_path / "raw.csv"
+        raw.write_text("u,v,length_km\na,b,30\nb,c,35\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert invoke("repeaters", "--in", str(raw), "--mean-segment", "1e-9",
+                      "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: a mean segment of 1e-09 km expects 6.5e+10 repeaters, above the "
+            f"limit of {topology.MAX_EXPECTED_REPEATERS}\n")
+        assert not out.exists()
+
     def test_colliding_repeater_ids_exit_2(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text("u,v,length_km\na,b__c,500.0\na__b,c,500.0\n", encoding="utf-8")
@@ -261,6 +273,28 @@ class TestRun:
         assert "infinite range" in capsys.readouterr().err
         assert not out.exists() and not ev.exists()
 
+    @pytest.mark.parametrize("cap", [(), ("--no-beta-cap",)])
+    @pytest.mark.parametrize("command", ["run", "sweep", "threshold"])
+    def test_an_overflowing_range_exits_0_or_2(self, tmp_path, capsys, command, cap):
+        # (m s) ** alpha passes the largest float: the range is beta with the
+        # cap on; without it the range is infinite, which run refuses and a
+        # sweep or threshold probe reads as reaching every node
+        net = tmp_path / "net.csv"
+        net.write_text("u,v,length_km\na,b,30\nb,c,35\n", encoding="utf-8")
+        argv = {"run": ("run", "--network", str(net), "--alpha", "200"),
+                "sweep": ("sweep", "--source", "points", "--n", "200", "--alpha", "100",
+                          "--d0-grid", "1,10", "--seeds", "0"),
+                "threshold": ("threshold", "--n", "50", "--alpha-value", "100",
+                              "--eps-lo", "1e-4", "--eps-hi", "0.5", "--replicates", "2")}
+        out = tmp_path / "out"
+        refused = command == "run" and bool(cap)
+        assert invoke(*argv[command], *cap, "--out", str(out)) == (2 if refused else 0)
+        if refused:
+            assert "infinite range" in capsys.readouterr().err
+            assert not out.exists()
+        elif command == "run":  # beta = 300 ln 3 km spans both cables
+            assert json.loads(out.read_text())["p_inf"] == 1.0
+
     @pytest.mark.parametrize("extra", [("--store", "dense"),
                                        ("--reduction", "dijkstra"),
                                        ("--policy", "random"),
@@ -336,13 +370,27 @@ class TestConfigValidation:
         (("generate", "points", "--n", "5", "--seed", "-3"), "seed must be >= 0, got -3"),
         (("generate", "fiber", "--seed", "-2"), "seed must be >= 0, got -2"),
         (("repeaters", "--in", "NET", "--seed", "-1"), "seed must be >= 0, got -1"),
+        # the master seed is 64-bit, though numpy would draw from these
+        (("run", "--source", "points", "--n", "50", "--seed", str(2 ** 64)),
+         f"config seed must be below 2**64, got {2 ** 64}"),
+        (("run", "--source", "points", "--n", "50", "--config", "CFG64"),
+         f"config seed must be below 2**64, got {2 ** 64}"),
+        (("sweep", "--source", "points", "--n", "20", "--d0-grid", "1", "--seeds",
+          f"0,{2 ** 64}"), f"seed must be below 2**64, got {2 ** 64}"),
+        (("generate", "points", "--n", "5", "--seed", str(2 ** 64)),
+         f"seed must be below 2**64, got {2 ** 64}"),
+        (("repeaters", "--in", "NET", "--seed", str(2 ** 64)),
+         f"seed must be below 2**64, got {2 ** 64}"),
     ])
     def test_a_negative_seed_exits_2_naming_it(self, tmp_path, capsys, argv, message):
-        # numpy refused these with "expected non-negative integer", naming no input
-        net, cfg = tmp_path / "net.csv", tmp_path / "cfg.json"
+        # numpy refused the negative seeds with "expected non-negative
+        # integer", naming no input; every seed outside [0, 2**64) exits 2
+        net, cfg, cfg64 = tmp_path / "net.csv", tmp_path / "cfg.json", tmp_path / "cfg64.json"
         net.write_text("u,v,length_km\na,b,500.0\n", encoding="utf-8")
         cfg.write_text(json.dumps({"seed": -4}), encoding="utf-8")
-        argv = [{"NET": str(net), "CFG": str(cfg)}.get(arg, arg) for arg in argv]
+        cfg64.write_text(json.dumps({"seed": 2 ** 64}), encoding="utf-8")
+        argv = [{"NET": str(net), "CFG": str(cfg), "CFG64": str(cfg64)}.get(arg, arg)
+                for arg in argv]
         out = tmp_path / "out"
         assert invoke(*argv, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -35,7 +35,7 @@ class TestInit:
 
     def test_two_nodes_within_range(self):
         state = init_state(two_nodes(0.5), params_for_r0(1.0, 0.585))
-        assert state.connection_ok(0, 1)
+        assert state.connectable_pairs() == [(0, 1, 0.5)]
 
     def test_path_graph_has_four_finite_distances(self):
         net = build_network([(f"n{i}", f"n{i+1}", 1.0) for i in range(4)])
@@ -281,9 +281,14 @@ class TestCloudDistancesOracle:
 
 
 class TestConnectionCriterion:
+    """merge() checks the criterion d < min(r_a, r_b); connectable_pairs() lists
+    the pairs that meet it."""
+
     def test_within_both_ranges(self):
         state = init_state(two_nodes(0.5), params_for_r0(1.0, 0.0))
-        assert state.connection_ok(0, 1)
+        assert state.connectable_pairs() == [(0, 1, 0.5)]
+        c = state.merge(0, 1)
+        assert state.comps[c].size == 2
 
     def test_tie_is_limited_by_smaller_range(self):
         # sizes 1 and 2 with alpha=1: ranges 1 and 2; d=1 fails strictly
@@ -292,18 +297,26 @@ class TestConnectionCriterion:
         ab = state.merge(0, 1)
         assert state.comps[ab].range_km == pytest.approx(2.0, rel=1e-12)
         assert state.distance(ab, 2) == 1.0
-        assert not state.connection_ok(ab, 2)
+        assert state.connectable_pairs() == []
+        with pytest.raises(ValueError, match="connection criterion"):
+            state.merge(ab, 2)
+        assert sorted(state.comps) == [2, ab]  # a refused merge changes nothing
 
     def test_unreachable_pair(self):
         net = build_network([], extra_nodes=["a", "b"])
         state = init_state(net, params_for_r0(1.0, 0.5))
-        assert not state.connection_ok(0, 1)
+        assert state.connectable_pairs() == []
+        with pytest.raises(ValueError, match="connection criterion"):
+            state.merge(0, 1)
 
     def test_inactive_id_rejected(self):
         state = init_state(two_nodes(0.5), params_for_r0(1.0, 0.0))
         c = state.merge(0, 1)
-        with pytest.raises(ValueError):
-            state.connection_ok(0, c)
+        assert state.connectable_pairs() == []
+        with pytest.raises(ValueError, match="component 0 is not active"):
+            state.merge(0, c)
+        with pytest.raises(ValueError, match="two distinct components"):
+            state.merge(c, c)
 
 
 class TestConnectablePairs:
@@ -312,9 +325,10 @@ class TestConnectablePairs:
         cloud = generate_uniform_points(30, seed=5)
         state = init_state(cloud, params_for_r0(0.15, 0.585), store=store)
         for _ in range(6):
-            ids = state.active_ids()
+            ids, comps = state.active_ids(), state.comps
             expected = [(a, b, state.distance(a, b)) for i, a in enumerate(ids)
-                        for b in ids[i + 1:] if state.connection_ok(a, b)]
+                        for b in ids[i + 1:] if state.distance(a, b)
+                        < min(comps[a].range_km, comps[b].range_km)]
             assert len(expected) >= 2
             assert state.connectable_pairs() == expected
             # a merged id takes a's row slot: slot order stops being id order

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (assert_same_start, cut_start_reference, disk_percolation_oracle,
                       is_refinement, params_for_r0, random_edge_list, random_instance,
-                      random_params, reference_schedule)
-from test_acceptance import replay_members
+                      random_params, reference_schedule, replay_members)
 from qnetperc.engine import (MergeEvent, ReduceEvent, RunReport, events_to_dicts,
                              init_state, run, save_event_log, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams

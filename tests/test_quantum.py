@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetperc.quantum import (ALPHA_STAR, ChannelModel, DistillationParams,
-                              ModelParams, base_range, bbpssw_fidelity,
-                              bbpssw_success, channel_p, component_range,
+from qnetperc.quantum import (ALPHA_STAR, RANGE_MODES, ChannelModel, DistillationParams,
+                              ModelParams, bbpssw_fidelity, bbpssw_success, channel_p,
                               fidelity_of_p, nested_distill, swap_p)
 
 CH = ChannelModel(d0_km=100.0, epsilon=0.01)
+
+
+def model(distill: DistillationParams, channel: ChannelModel = CH, **kw) -> ModelParams:
+    return ModelParams(channel=channel, distill=distill, **kw)
 
 
 def success_oracle(f: Fraction) -> Fraction:
@@ -140,14 +143,14 @@ class TestRanges:
     def test_no_memory_constant(self):
         # m=1: r0/d0 = (4/3)*0.01 = 0.013333, which rounds to the headline 0.013
         d = DistillationParams(m=1, alpha=0.585)
-        r = base_range(CH, d, mode="asymptotic")
+        r = model(d).base_range_km()
         assert r / CH.d0_km == pytest.approx(4 / 3 * 0.01, rel=1e-12)
         assert float(f"{r / CH.d0_km:.2g}") == 0.013
 
     def test_point_to_point_constant(self):
         # m=102, alpha=0.585: r0/d0 = (4/3)*0.01*102^0.585 = 0.1995 ~ 0.2
         d = DistillationParams(m=102, alpha=0.585)
-        r = base_range(CH, d, mode="asymptotic")
+        r = model(d).base_range_km()
         assert r / CH.d0_km == pytest.approx(0.2, rel=0.01)
         assert r / CH.d0_km == pytest.approx(4 / 3 * 0.01 * 102 ** 0.585, rel=1e-12)
 
@@ -156,24 +159,35 @@ class TestRanges:
         ch = ChannelModel(d0_km=100.0, epsilon=0.5)
         d = DistillationParams(m=4, alpha=0.585)
         assert (4 / 3) * 0.5 * 4 ** 0.585 >= 1.0
-        assert base_range(ch, d, mode="exact") == ch.beta_km
-        assert base_range(ch, d, mode="exact", beta_cap=False) == math.inf
+        assert model(d, ch, range_mode="exact").base_range_km() == ch.beta_km
+        assert model(d, ch, range_mode="exact", beta_cap=False).base_range_km() == math.inf
+
+    @pytest.mark.parametrize("mode", RANGE_MODES)
+    def test_an_overflowing_power_is_infinite(self, mode):
+        # 102 ** 200 is past the largest float, so the range is the formula's
+        # limit: beta with the cap, inf without
+        d = DistillationParams(m=102, alpha=200.0)
+        with pytest.raises(OverflowError):
+            102 ** d.effective_exponent
+        assert model(d, range_mode=mode).base_range_km() == CH.beta_km
+        assert model(d, range_mode=mode, beta_cap=False).base_range_km() == math.inf
 
     def test_component_range_reduces_to_base(self):
-        d = DistillationParams(m=7, alpha=0.7)
-        assert component_range(1, CH, d) == base_range(CH, d)
+        p = model(DistillationParams(m=7, alpha=0.7))
+        assert p.component_range_km(1) == p.base_range_km()
 
     def test_component_range_doubling(self):
         d = DistillationParams(m=3, alpha=0.585, eta=0.9)
         e = d.effective_exponent
+        p = model(d)
         for s in (1, 2, 5, 17):
-            ratio = component_range(2 * s, CH, d) / component_range(s, CH, d)
+            ratio = p.component_range_km(2 * s) / p.component_range_km(s)
             assert ratio == pytest.approx(2 ** e, rel=1e-12)
 
     def test_component_range_example(self):
         # s=4, m=102, alpha=0.585, eps=0.01: (4/3)*0.01*408^0.585 * d0
         d = DistillationParams(m=102, alpha=0.585)
-        r = component_range(4, CH, d, beta_cap=False)
+        r = model(d, beta_cap=False).component_range_km(4)
         assert r / CH.d0_km == pytest.approx(4 / 3 * 0.01 * 408 ** 0.585, rel=1e-12)
         assert r / CH.d0_km == pytest.approx(0.44893, abs=5e-5)
 
@@ -186,18 +200,17 @@ class TestRanges:
                 if x > 0.2:
                     continue
                 ch = ChannelModel(d0_km=100.0, epsilon=eps)
-                exact = base_range(ch, d, mode="exact", beta_cap=False)
-                asym = base_range(ch, d, mode="asymptotic", beta_cap=False)
+                exact = model(d, ch, range_mode="exact", beta_cap=False).base_range_km()
+                asym = model(d, ch, beta_cap=False).base_range_km()
                 assert abs(exact - asym) / asym <= 0.12
 
     def test_size_growth_off_freezes_range(self):
-        p = ModelParams(channel=CH, distill=DistillationParams(m=9, alpha=0.585),
-                        size_growth=False)
+        p = model(DistillationParams(m=9, alpha=0.585), size_growth=False)
         assert p.component_range_km(50) == p.base_range_km()
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
-            component_range(0, CH, DistillationParams(m=1))
+            model(DistillationParams(m=1)).component_range_km(0)
 
 
 class TestSwap:
@@ -228,11 +241,9 @@ class TestContractionIdentity:
     def test_folding_ranges_matches_pooled_size(self, sa, sb, alpha, m):
         import mpmath
         mpmath.mp.dps = 50
-        d = DistillationParams(m=m, alpha=alpha)
-        e = d.effective_exponent
-        ra = component_range(sa, CH, d, beta_cap=False)
-        rb = component_range(sb, CH, d, beta_cap=False)
-        merged = component_range(sa + sb, CH, d, beta_cap=False)
+        p = model(DistillationParams(m=m, alpha=alpha), beta_cap=False)
+        e = p.distill.effective_exponent
+        ra, rb, merged = map(p.component_range_km, (sa, sb, sa + sb))
         inv = mpmath.mpf(1) / e
         folded = float((mpmath.mpf(ra) ** inv + mpmath.mpf(rb) ** inv) ** mpmath.mpf(e))
         assert abs(folded - merged) <= 8 * np.spacing(merged)

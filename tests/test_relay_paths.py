@@ -18,12 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_same_start, cut_start_reference, members_of, nearest_scale,
-                      params_for_r0, random_instance)
-from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_PARAMS, HOP_SEED, replay_members
+                      params_for_r0, random_instance, replay_members)
+from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_PARAMS, HOP_SEED
 from test_engine_properties import relay_chain_instance
 from qnetperc.engine import Component, MergeEvent, ReduceEvent, init_state, run
-from qnetperc.quantum import (ChannelModel, DistillationParams, ModelParams,
-                              component_range)
+from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
 
 pytestmark = pytest.mark.oracle
@@ -49,11 +48,6 @@ def oracle_partition(network, params, seed):
     relays: list[frozenset] = []
     rng = random.Random(seed)
 
-    def reach(c):
-        return component_range(len(c), params.channel, params.distill,
-                               mode=params.range_mode, beta_cap=params.beta_cap,
-                               size_growth=params.size_growth)
-
     def paths_from(src):
         # Dijkstra over member sets; only the source and relays pass a path on
         dist, done = {src: 0.0}, set()
@@ -70,7 +64,7 @@ def oracle_partition(network, params, seed):
 
     while comps:
         d = {c: paths_from(c) for c in comps}
-        r = {c: reach(c) for c in comps}
+        r = {c: params.component_range_km(len(c)) for c in comps}
         rules = [(a, b) for a, b in itertools.combinations(comps, 2)
                  if d[a].get(b, math.inf) < min(r[a], r[b])]
         rules += [(a,) for a in comps

@@ -11,8 +11,8 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import Delaunay
 
 from qnetperc.config import subseed
-from qnetperc.topology import (REPEATER, STATION, EdgeListNetwork, PointCloud,
-                               RepeaterConfig, build_network, distance_rows,
+from qnetperc.topology import (MAX_EXPECTED_REPEATERS, REPEATER, STATION, EdgeListNetwork,
+                               PointCloud, RepeaterConfig, build_network, distance_rows,
                                generate_fiber_network, generate_uniform_points,
                                insert_repeaters, load_edge_list, load_network,
                                load_point_cloud, network_to_json, save_edge_list,
@@ -305,6 +305,18 @@ class TestRepeaters:
     def test_rejects_bad_mean_segment(self, mean):
         with pytest.raises(ValueError, match="mean_segment_km"):
             RepeaterConfig(mean_segment_km=mean)
+
+    def test_refuses_too_many_expected_repeaters_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew cuts")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        net = build_network([("a", "b", 30.0), ("b", "c", 35.0)])
+        mean = 65.0 / MAX_EXPECTED_REPEATERS / 2  # twice the limit
+        with pytest.raises(ValueError, match=rf"^a mean segment of {mean!r} km expects "
+                                             rf"2e\+06 repeaters, above the limit of "
+                                             rf"{MAX_EXPECTED_REPEATERS}$"):
+            insert_repeaters(net, RepeaterConfig(mean_segment_km=mean))
 
     def test_length_conservation(self):
         net = generate_fiber_network(60, 80, mean_length_km=400.0, seed=5)
@@ -622,6 +634,16 @@ class TestConstructorMemo:
                       lambda: subseed(-1), lambda: subseed(0, -1)):
             with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
                 build()
+
+    def test_a_seed_of_2_to_the_64_raises_naming_it(self):
+        # the master seed is 64-bit; numpy would take a larger one
+        for build in (lambda: generate_uniform_points(5, seed=2 ** 64),
+                      lambda: generate_fiber_network(20, 24, seed=2 ** 64),
+                      lambda: RepeaterConfig(50.0, seed=2 ** 64),
+                      lambda: subseed(2 ** 64), lambda: subseed(0, 2 ** 64)):
+            with pytest.raises(ValueError, match=rf"^seed must be below 2\*\*64, got {2 ** 64}$"):
+                build()
+        assert subseed(2 ** 64 - 1) >= 0
 
     def test_an_integer_seed_of_another_type_cuts_the_same_network(self):
         fiber = generate_fiber_network(20, 24, seed=4)
