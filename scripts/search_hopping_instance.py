@@ -104,17 +104,14 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs=2, default=(0, 50_000),
                     metavar=("LO", "HI"))
-    cpus = os.cpu_count() or 1
-    ap.add_argument("--jobs", type=int, default=min(2, cpus),
-                    help="worker processes, from 1 to the CPU count")
     args = ap.parse_args()
-    # the pool forks all its workers on the first submit, so check first
-    if not 1 <= args.jobs <= cpus:
-        ap.error(f"--jobs must lie in [1, {cpus}], got {args.jobs}")
+    seeds = range(*args.seeds)
+    if not seeds:
+        return
     from concurrent.futures import ProcessPoolExecutor
-    lo, hi = args.seeds
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for res in pool.map(scan_seed, range(lo, hi), chunksize=64):
+    # one worker per CPU, and none idle on a short range
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(seeds))) as pool:
+        for res in pool.map(scan_seed, seeds, chunksize=64):
             for hit in res:
                 print("HIT", repr(hit), flush=True)
 

@@ -28,12 +28,8 @@ the engine (after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the
 floats the engine compares and p_inf is the same integer over N, so the
 values are bit-identical.  A probe whose ranges can grow runs the engine,
 which starts from this same cut, taken from the same forest (init_state
-without an event log), and adds only what growing ranges join.  The cut's
-singletons start retired and only its clusters are run: a lone node is
-isolated at r0 for the whole run.  A lone point, as a one-point relay,
-joins nothing; a lone repeater is reduced before the run, in the id order in
-which the run would reduce it, and the floats it leaves are the run's own
-(engine module docstring).
+without an event log), and adds only what growing ranges join; the engine
+module docstring gives why that start leaves a run's own partition.
 """
 
 from __future__ import annotations
@@ -428,12 +424,16 @@ def interpolate_f(n_query: float, cp: ComplexityParams) -> float:
     if math.isclose(k, round(k), abs_tol=1e-12):
         return complexity_f(n_query, cp)
     log_f = 0.0
+    # _f_rounds, not complexity_f: a query below 2 can have its lower point
+    # below 1, which is no input error
     for point in (cp.m * 2.0 ** k_floor, cp.m * 2.0 ** (k_floor + 1)):
         try:
-            log_f += math.log10(complexity_f(point, cp))
-        except ValueError:  # it names the halving point, not the query
+            f = _f_rounds(point ** cp.eta, cp.m, cp.p)
+        except ValueError:  # its one refusal, named by the query, not the point
             raise ValueError(f"the rounds for n = {n_query:g} overflow a float at "
                              f"the bracketing halving point {point:g}") from None
+        # a point under 1 can underflow to 0 rounds at a tiny p: the mean is 0
+        log_f += math.log10(f) if f else -math.inf
     return 10.0 ** (0.5 * log_f)
 
 

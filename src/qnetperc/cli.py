@@ -2,7 +2,8 @@
 
 Subcommands: generate, ingest, repeaters, run, sweep, threshold, distill,
 complexity.  Exit codes: 0 success, 1 runtime failure, 2 validation error
-(bad input, or a path that cannot be read or written).
+(bad input, or a path that cannot be read or written); on exit 2 main()
+removes every output file the command created.
 Every output embeds the resolved config hash and master seed; reruns of the
 same config are byte-identical except for the generated_at timestamp.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
@@ -195,6 +197,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _meta_path(args) -> str:
+    return args.meta or f"{args.out}.meta.json"
+
+
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args, {"scenario": "use --scenarios", "d0_km": "use --d0-grid"})
     d0_grid = tuple(float(x) for x in args.d0_grid.split(","))
@@ -213,7 +219,7 @@ def _cmd_sweep(args) -> int:
     if args.aggregate:
         analysis.write_aggregate_csv(aggregates, args.aggregate)
     # CSV headers are pinned, so provenance rides in a sibling metadata file
-    _json_dump({**_provenance(cfg), "rows": len(rows)}, args.meta or f"{args.out}.meta.json")
+    _json_dump({**_provenance(cfg), "rows": len(rows)}, _meta_path(args))
     print(f"swept {len(rows)} runs over {len(d0_grid)} d0 values")
     return 0
 
@@ -378,6 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the arguments that name a file a command writes
+_OUTPUTS = ("out", "partition", "events", "aggregate", "meta", "json")
+
+
+def _output_paths(args) -> set[str]:
+    paths = {getattr(args, dest, None) for dest in _OUTPUTS}
+    if args.command == "sweep":
+        paths.add(_meta_path(args))
+    return {path for path in paths if path}
+
+
 _HANDLERS = {
     "generate": _cmd_generate,
     "ingest": _cmd_ingest,
@@ -396,9 +413,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a refused command leaves no file it made, however far it got
+    created = [path for path in _output_paths(args) if not os.path.lexists(path)]
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
+        for path in created:
+            if os.path.lexists(path):
+                os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

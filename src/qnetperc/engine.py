@@ -26,18 +26,20 @@ init_state() starts a run that records events from one singleton per node.
 A run without an event log (every harness run) starts from the single-linkage
 cut at the base range r0 = r(1) instead: each connected component of the
 pairs with d < r0 is one component, because every order of the rules merges
-such a pair, and its distance to another is the minimum over member pairs,
-the float the merges would leave.  The cut's singletons start retired, on
-both kinds of network: each is isolated from the start and stays so, since
-its legs are at least r0, its own range, and any shortcut it gains is at
-least 2 r0.  So none is entered as a live component, and no isolation check
-is made for one.  On a point cloud one writes no shortcut, so it never
-enters the store.  On an edge list one (a repeater) is a relay path: the
-singletons hold the lowest ids of the store, and init_state() has the store
-reduce them in ascending id order, with the range of the clusters' pooled
-size as the cap, so run() schedules only the clusters.  run() from the cut
-would reduce them in that order before any other component, and the floats
-stay the same:
+such a pair (it is connectable from the start and stays so, since ranges
+never fall and distances only shrink), and its distance to another is the
+minimum over member pairs, the float the merges would leave.  The final
+partition is then the same by order independence.  The cut's singletons
+start retired, on both kinds of network: each is isolated from the start and
+stays so, since its legs are at least r0, its own range, and any shortcut it
+gains is at least 2 r0.  So none is entered as a live component, and no
+isolation check is made for one.  On a point cloud one writes no shortcut
+(see reduce_and_remove), so it never enters the store.  On an edge list one
+(a repeater) is a relay path: the singletons hold the lowest ids of the
+store, and init_state() has the store reduce them in ascending id order,
+with future_cap() of the clusters' pooled size as the cap, so run()
+schedules only the clusters.  run() from the cut would reduce them in that
+order before any other component, and the floats stay the same:
 
 - the only rules it fires between them are cluster merges, which commute
   with them float for float: a merge takes the min of two rows, and rounded
@@ -320,6 +322,17 @@ class PercolationState:
             r = self._ranges[size] = self.params.component_range_km(size)
         return r
 
+    def future_cap(self, pool: int) -> float:
+        """The pruning cap for reductions while pool nodes can still merge.
+
+        pool is the summed size of the components not yet isolated.  An
+        isolated component never merges again, so no component to come holds
+        more than pool nodes, and r is non-decreasing in size: r(pool) bounds
+        every range still to come.  With an empty pool nothing can merge, so
+        the cap is 0 and every sum is skipped.
+        """
+        return self._range_of_size(pool) if pool else 0.0
+
     def active_ids(self) -> list[int]:
         return sorted(self.comps)
 
@@ -395,8 +408,9 @@ class PercolationState:
         """Apply the reduction rule to isolated component a and retire it.
 
         future_cap, when given, must be an upper bound on every range any
-        active component can ever reach; shortcut sums at or above it are
-        provably unusable and are skipped.  None keeps the full contract.
+        active component can ever reach (see future_cap()); shortcut sums at
+        or above it are provably unusable and are skipped.  None keeps the
+        full contract.
 
         On a point cloud a size-1 component inserts no shortcuts: a one-point
         relay can shorten no path in the plane (d_bc <= d_ab + d_ac), so its
@@ -551,26 +565,17 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
 
     A run that records events starts from one singleton component per node,
     so its log holds every merge.  Otherwise it starts from the single-linkage
-    cut at the base range r0 = r(1) (topology.single_linkage_labels): one
-    component per connected component of the pairs with d < r0, which every
-    order of the rules merges (such a pair is connectable from the start and
-    stays so, since ranges never fall and distances only shrink).  A
-    cluster's distance to another is the minimum over member pairs, the float
-    that merge() would leave, and the final partition is the same by order
-    independence.  Singletons take the lowest ids in node order, then
-    clusters in order of their smallest member.
+    cut at the base range r0 = r(1) (topology.single_linkage_labels), one
+    component per connected component of the pairs with d < r0, each at the
+    minimum member-pair distance from another.  Singletons take the lowest
+    ids in node order, then clusters in order of their smallest member.
 
     The cut's singletons start retired, in state.removed, and never enter
-    state.comps: every leg of one is at least r0, its own range, and any
-    shortcut it gains is at least 2 r0, so it is isolated from the start and
-    stays so, and reduce_and_remove's isolation check is not needed.  On a
-    point cloud a one-point relay writes no shortcut (see reduce_and_remove),
-    so it gets no id and the ids 0.. are the clusters alone.  On an edge list
-    a singleton (a repeater) is a relay path: the singletons keep the ids
-    0..k1-1 in the store, which reduces them here in that order, with the
-    range of the clusters' pooled size as the cap, so run() schedules only
-    the clusters.  run() would reduce them in the same order before any
-    other component, leaving the same floats (module docstring).
+    state.comps.  A point cloud's get no id, so the ids 0.. are the clusters
+    alone.  An edge list's keep the ids 0..k1-1 in the store, which reduces
+    them here in that order under future_cap() of the clusters' pooled size,
+    so run() schedules only the clusters.  The module docstring gives why
+    this start reaches the partition and floats of a run from singletons.
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
@@ -624,8 +629,7 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
                              record_events=record_events, point_cloud=cloud)
     state.removed.extend([Component(size=1, range_km=r0)] * k1)
     if live:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
-        pool = n - k1
-        cap = state._range_of_size(pool) if pool else 0.0
+        cap = state.future_cap(n - k1)
         for a in range(k1):
             backend.apply_reduction(a, cap)
     return state
@@ -654,15 +658,11 @@ def run(state: PercolationState) -> RunReport:
     isolated only when it is new or when a component within its range is
     reduced, so only those are re-checked.
 
-    Isolated components never merge again, so the range of the pooled size
-    of the others bounds every range still to come.  Reductions skip shortcut
-    sums at or above that cap, unusable by any merge to come, so they are
-    neither stored nor logged; on a point cloud a one-point relay writes none
-    at all (see reduce_and_remove).
-
-    A state from init_state without an event log holds only the cut's
-    clusters: its singletons were retired before the run, an edge list's
-    reduced in the order this loop would reduce them (module docstring).
+    Reductions skip shortcut sums at or above future_cap() of the components
+    not isolated, unusable by any merge to come, so they are neither stored
+    nor logged; on a point cloud a one-point relay writes none at all (see
+    reduce_and_remove).  A state from init_state without an event log holds
+    only the cut's clusters (module docstring).
     """
     comps, store = state.comps, state.store
     firsts = sorted(comps)  # ids that may have a partner above them; sorted: a heap
@@ -698,10 +698,10 @@ def run(state: PercolationState) -> RunReport:
             raise RuntimeError("no merges possible yet no component is isolated")
         a = pop(isolated_heap)
         isolated.discard(a)
-        cap = state._range_of_size(pool) if pool else 0.0
         unchecked.update(x for x in store.partners(a) if x not in isolated)
         # only a written shortcut can make a pair connectable
-        for b, c, d in state.reduce_and_remove(a, future_cap=cap):
+        for b, c, d in state.reduce_and_remove(a, future_cap=state.future_cap(pool)):
+            # this check keeps all but 1 of 21,023 shortcuts off the heap (two 800-point clouds)
             if d < comps[b].range_km and d < comps[c].range_km and b not in queued:
                 queued.add(b)
                 push(firsts, b)

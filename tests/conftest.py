@@ -149,13 +149,11 @@ def cut_start_reference(network, params, store):
     """The start of a run without an event log, from the public rules alone.
 
     merged_below_r0, then every singleton left reduced in node order (its id
-    is its node index) with the range of the clusters' pooled size as the
-    future cap.
+    is its node index) under future_cap of the clusters' pooled size.
     """
     state = merged_below_r0(network, params, store)
     singles = [a for a in state.active_ids() if state.comps[a].size == 1]
-    pool = network.n_nodes - len(singles)
-    cap = params.component_range_km(pool) if pool else 0.0
+    cap = state.future_cap(network.n_nodes - len(singles))
     for a in singles:
         state.reduce_and_remove(a, future_cap=cap)
     return state
@@ -194,8 +192,8 @@ def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):
         assert isolated, "no merges possible yet no component is isolated"
         cap = None
         if prune:
-            pool = sum(c.size for a, c in state.comps.items() if a not in isolated)
-            cap = state.params.component_range_km(pool) if pool else 0.0
+            cap = state.future_cap(sum(c.size for a, c in state.comps.items()
+                                       if a not in isolated))
         state.reduce_and_remove(choose(isolated), future_cap=cap)
     return state.report()
 

@@ -122,6 +122,9 @@ class TestInterpolation:
         expected = math.sqrt(complexity_f(204, CP) * complexity_f(408, CP))
         assert f == pytest.approx(expected, rel=1e-12)
         assert f == pytest.approx(4e4, rel=1.0)  # within a factor of two
+        # at n = 1 the lower point, m/128, lies below 1 and is no input error
+        lo, hi = (analysis._f_rounds(x, CP.m, CP.p) for x in (CP.m / 128, CP.m / 64))
+        assert interpolate_f(1, CP) == pytest.approx(math.sqrt(lo * hi), rel=1e-12)
 
     def test_midpoint_of_equal_values_is_that_value(self):
         # the log-space midpoint of two equal values is that value

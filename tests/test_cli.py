@@ -37,6 +37,24 @@ def test_json_dump_refusing_a_payload_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "generate fiber", "ingest"])
+def test_exit_2_leaves_no_output_file_it_created(tmp_path, capsys, command):
+    # the last output lies in a missing directory, so its write fails after
+    # the first output is written; the input file stays
+    net = tmp_path / "net.csv"
+    net.write_text(EDGE_LIST, encoding="utf-8")
+    first, last = str(tmp_path / "first"), str(tmp_path / "missing_dir" / "last")
+    argv = {"run": ("run", "--network", str(net), "--out", first, "--events", last),
+            "sweep": ("sweep", "--network", str(net), "--d0-grid", "100,300",
+                      "--out", first, "--aggregate", last),
+            "generate fiber": ("generate", "fiber", "--nodes", "120", "--edges", "140",
+                               "--seed", "1", "--out", first, "--json", last),
+            "ingest": ("ingest", "--in", str(net), "--out", first, "--json", last)}
+    assert invoke(*argv[command]) == 2
+    assert "missing_dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [net]
+
+
 class TestGenerate:
     def test_points_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -576,7 +594,10 @@ class TestSweepThresholdCli:
                       "--replicates", "3", "--d0", "100", "--out", str(out))
         assert code == 0
         doc = json.loads(out.read_text())
-        assert len(doc["estimates"]) == 2
+        assert [e["alpha"] for e in doc["estimates"]] == [0.0, 0.585]
+        for est in doc["estimates"]:
+            assert set(est) == {"alpha", "r0_th", "ci_low", "ci_high", "replicates",
+                                "probes"}
         r = {e["alpha"]: e["r0_th"] for e in doc["estimates"]}
         assert r[0.585] < r[0.0]
 
@@ -806,18 +827,17 @@ class TestCalculators:
 
 
 def readme_cli_commands():
-    """Each qnetperc command of README's CLI code block, continuation lines joined."""
+    """Each qnetperc command of README's sh code blocks, continuation lines joined."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
+    blocks = [part.split("```", 1)[0] for part in text.split("```sh\n")[1:]]
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.startswith("qnetperc ")]
 
 
 @pytest.mark.parametrize("command", readme_cli_commands())
 def test_readme_cli_block_parses(command):
     # parses only; a flag the docs still show after its removal fails here
-    program, *argv = command.split()
-    assert program == "qnetperc"
-    build_parser().parse_args(argv)
+    build_parser().parse_args(command.split()[1:])
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):

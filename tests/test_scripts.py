@@ -20,19 +20,6 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=env, timeout=600)
 
 
-def test_threshold_ordering(tmp_path):
-    out = tmp_path / "thresholds.json"
-    proc = run_script("run_threshold_ordering.py", "--n", "200", "--replicates", "2",
-                      "--alphas", "0", "0.585", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"n", "target", "estimates"}
-    assert [e["alpha"] for e in doc["estimates"]] == [0.0, 0.585]
-    for est in doc["estimates"]:
-        assert set(est) == {"alpha", "r0_th", "ci_low", "ci_high", "replicates",
-                            "probes"}
-
-
 def test_fiber_scenarios(tmp_path):
     proc = run_script("run_fiber_scenarios.py", "--nodes", "60", "--edges", "63",
                       "--replicates", "1", "--out", str(tmp_path))
@@ -52,19 +39,17 @@ def test_script_help(name):
     assert "usage" in proc.stdout
 
 
-@pytest.mark.parametrize("jobs", ["0", str((os.cpu_count() or 1) + 1)],
-                         ids=["zero", "above_cpu_count"])
-def test_hopping_search_jobs_out_of_range_exits_2(jobs):
-    # the empty seed range starts no worker even if the check were missing
-    proc = run_script("search_hopping_instance.py", "--seeds", "0", "0", "--jobs", jobs)
-    assert proc.returncode == 2
-    assert "--jobs must lie in [1, " in proc.stderr
+def test_hopping_search_on_an_empty_seed_range_starts_no_worker():
+    # min(CPUs, seeds) is 0 here, a pool size ProcessPoolExecutor refuses
+    proc = run_script("search_hopping_instance.py", "--seeds", "5", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_hopping_search_finds_the_c10_instance():
     from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_SEED
     proc = run_script("search_hopping_instance.py", "--seeds", str(HOP_SEED),
-                      str(HOP_SEED + 1), "--jobs", "1")
+                      str(HOP_SEED + 1))
     assert proc.returncode == 0, proc.stderr
     hits = [ast.literal_eval(line[len("HIT "):]) for line in proc.stdout.splitlines()
             if line.startswith("HIT ")]
