@@ -246,6 +246,9 @@ def _cmd_threshold(args) -> int:
         estimates.append(est)
         print(f"alpha={alpha:g}: r0_th={est.r0_th:.6g} "
               f"[{est.ci_low:.6g}, {est.ci_high:.6g}]")
+        if len(est.probes) == 1:  # the target already held at --eps-lo
+            print(f"warning: alpha={alpha:g}: the target holds at --eps-lo, so r0_th=0 is "
+                  f"not a crossing; lower --eps-lo, --d0 or --m", file=sys.stderr)
     _json_dump({**_provenance(cfg), "target": args.target,
                 "estimates": [analysis.threshold_to_json(e) for e in estimates]}, args.out)
     ordered = all(b.r0_th < a.r0_th for a, b in zip(estimates, estimates[1:])
@@ -388,11 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
 _OUTPUTS = ("out", "partition", "events", "aggregate", "meta", "json")
 
 
-def _output_paths(args) -> set[str]:
-    paths = {getattr(args, dest, None) for dest in _OUTPUTS}
+def _output_paths(args) -> list[str]:
+    """The files the command writes; two flags naming one file would keep only one."""
+    paths = {f"--{dest}": getattr(args, dest, None) for dest in _OUTPUTS}
     if args.command == "sweep":
-        paths.add(_meta_path(args))
-    return {path for path in paths if path}
+        paths["--meta"] = _meta_path(args)
+    first: dict[str, str] = {}  # the first flag to name each file
+    for flag, path in paths.items():
+        if path and first.setdefault(os.path.realpath(path), flag) != flag:
+            raise ValueError(f"{first[os.path.realpath(path)]} and {flag} both write {path}")
+    return [path for path in paths.values() if path]
 
 
 _HANDLERS = {
@@ -413,9 +421,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # a refused command leaves no file it made, however far it got
-    created = [path for path in _output_paths(args) if not os.path.lexists(path)]
+    created: list[str] = []  # a refused command leaves no file it made, however far it got
     try:
+        created = [path for path in _output_paths(args) if not os.path.lexists(path)]
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         for path in created:

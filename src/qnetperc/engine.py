@@ -29,17 +29,18 @@ pairs with d < r0 is one component, because every order of the rules merges
 such a pair (it is connectable from the start and stays so, since ranges
 never fall and distances only shrink), and its distance to another is the
 minimum over member pairs, the float the merges would leave.  The final
-partition is then the same by order independence.  The cut's singletons
-start retired, on both kinds of network: each is isolated from the start and
-stays so, since its legs are at least r0, its own range, and any shortcut it
-gains is at least 2 r0.  So none is entered as a live component, and no
-isolation check is made for one.  On a point cloud one writes no shortcut
-(see reduce_and_remove), so it never enters the store.  On an edge list one
-(a repeater) is a relay path: the singletons hold the lowest ids of the
-store, and init_state() has the store reduce them in ascending id order,
-with future_cap() of the clusters' pooled size as the cap, so run()
-schedules only the clusters.  run() from the cut would reduce them in that
-order before any other component, and the floats stay the same:
+partition is then the same by order independence.  On both kinds of
+network the cut's singletons take the ids 0..k1-1 in node order, the
+clusters the ids after them, and the singletons start retired: each is
+isolated from the start and stays so, since its legs are at least r0, its
+own range, and any shortcut it gains is at least 2 r0.  So none is a live
+component, and no isolation check is made for one.  Only an edge list's
+enter the store: on a point cloud one writes no shortcut (see
+reduce_and_remove), but on an edge list one (a repeater) is a relay path,
+so init_state() has the store reduce them in ascending id order, with
+future_cap() of the clusters' pooled size as the cap, and run() schedules
+only the clusters.  run() from the cut would reduce them in that order
+before any other component, and the floats stay the same:
 
 - the only rules it fires between them are cluster merges, which commute
   with them float for float: a merge takes the min of two rows, and rounded
@@ -62,13 +63,12 @@ same partition:
 - is_isolated(a) and reduce_and_remove(a): isolation and reduction.
 
 A component is its size and range alone; no component keeps its members.
-The state keeps each node's starting id (-1 for a point cloud's cut
-singleton, which never gets one) and one merge-parent list, which maps every
-id to the id it merged into (itself until then) and grows by one entry per
-merge.  holders() follows that list to the component holding each node.
-A harness run reads only the giant fraction p_inf, the largest retired size
-over N, so report() keeps the holder ids and builds the partition from them
-only when it is first read.
+The state keeps each node's starting id and one merge-parent list, which
+maps every id to the id it merged into (itself until then) and grows by one
+entry per merge.  holders() follows that list to the component holding
+each node.  A harness run reads only the giant fraction p_inf, the largest
+retired size over N, so report() keeps the holder ids and builds the
+partition from them only when it is first read.
 """
 
 from __future__ import annotations
@@ -122,10 +122,9 @@ class RunReport:
     """Outcome of a full percolation run.
 
     holders is the id of the component that holds each node at the end
-    (PercolationState.holders()), -1 for a node that is a block of its own
-    without one; the partition is built from it when first read.  It is a
-    read-only array, left out of == and hash: two reports compare by their
-    other fields.
+    (PercolationState.holders()); the partition is built from it when first
+    read.  It is a read-only array, left out of == and hash: two reports
+    compare by their other fields.
     """
 
     n_nodes: int
@@ -140,17 +139,13 @@ class RunReport:
     def partition(self) -> tuple[tuple, ...]:
         """The final blocks, in order of their first label, members ascending.
 
-        Each node's block is the component that holds it, and a node with no
-        id (a point cloud's cut singleton) is a block of its own.  Node
-        labels ascend with their index (a cloud's are 0..N-1, an edge list's
-        ids are strictly ascending), so one stable sort of the nodes by the
-        smallest index in their block lists the blocks in order.
+        Each node's block is the component that holds it.  Node labels
+        ascend with their index (a cloud's are 0..N-1, an edge list's ids are
+        strictly ascending), so one stable sort of the nodes by the smallest
+        index in their block lists the blocks in order.
         """
-        held = self.holders
-        n = len(held)
-        # a node with no id is the only node of its key
-        key = np.where(held < 0, -1 - np.arange(n), held)
-        _, first, block = np.unique(key, return_index=True, return_inverse=True)
+        n = len(self.holders)
+        _, first, block = np.unique(self.holders, return_index=True, return_inverse=True)
         head = first[block]  # the smallest index in each node's block
         order = np.argsort(head, kind="stable")
         head = head[order]
@@ -170,16 +165,16 @@ class RunReport:
 class _DenseStore:
     """Symmetric N x N distance matrix; component ids map to reusable row slots.
 
-    A slot whose component is gone has an all-INF row and column, as does
-    the diagonal, so a row read in full sees only live partners.
+    reach maps each held id to its range; the ids hold the slots in its
+    order.  A slot whose component is gone has an all-INF row and column, as
+    does the diagonal, so a row read in full sees only live partners.
     """
 
-    def __init__(self, matrix: np.ndarray, reach):
-        n = matrix.shape[0]
+    def __init__(self, matrix: np.ndarray, reach: dict[int, float]):
         self.D = matrix
-        self.slot = {i: i for i in range(n)}
-        self.ids = np.arange(n)  # component id held by each slot
-        self.reach = np.array(reach, dtype=float)  # range of each slot's component
+        self.slot = {c: s for s, c in enumerate(reach)}
+        self.ids = np.array(list(reach), dtype=np.intp)  # component id held by each slot
+        self.reach = np.array(list(reach.values()), dtype=float)  # range of each slot's component
 
     def distance(self, a: int, b: int) -> float:
         return float(self.D[self.slot[a], self.slot[b]])
@@ -234,10 +229,10 @@ class _DenseStore:
 class _SparseStore:
     """Dict-of-dicts adjacency over the active components."""
 
-    def __init__(self, adj: dict[int, dict[int, float]], reach):
+    def __init__(self, adj: dict[int, dict[int, float]], reach: dict[int, float]):
         self.adj = adj
         # range of each component; a dead id is never read, so never dropped
-        self.reach = dict(enumerate(reach))
+        self.reach = dict(reach)
 
     def distance(self, a: int, b: int) -> float:
         return self.adj[a].get(b, INF)
@@ -308,8 +303,8 @@ class PercolationState:
         self.n_nodes = n_nodes
         self.record_events = record_events
         self.comps = comps  # the live starting components
-        self._start = start  # each node's starting id, ids 0..K-1
-        self._parent = list(range(int(start.max(initial=-1)) + 1))
+        self._start = start  # each node's starting id, ids 0..k-1
+        self._parent = list(range(int(start.max()) + 1))
         self._ranges = {c.size: c.range_km for c in comps.values()}  # by size
         self.removed: list[Component] = []
         self.events: list = []
@@ -339,14 +334,10 @@ class PercolationState:
     def holders(self) -> np.ndarray:
         """The id of the component, live or retired, that holds each node now.
 
-        A point cloud's cut singleton never gets an id, and gets -1.  Ids
-        are the roots of the merge-parent list (topology._roots).
+        It is the root in the merge-parent list (topology._roots) of the
+        node's starting id.
         """
-        parent = _roots(np.array(self._parent, dtype=np.intp))
-        held = self._start.copy()
-        live = held >= 0
-        held[live] = parent[held[live]]
-        return held
+        return _roots(np.array(self._parent, dtype=np.intp))[self._start]
 
     def _require_active(self, *ids) -> None:
         for a in ids:
@@ -567,15 +558,15 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     so its log holds every merge.  Otherwise it starts from the single-linkage
     cut at the base range r0 = r(1) (topology.single_linkage_labels), one
     component per connected component of the pairs with d < r0, each at the
-    minimum member-pair distance from another.  Singletons take the lowest
-    ids in node order, then clusters in order of their smallest member.
+    minimum member-pair distance from another.  The singletons take the ids
+    0..k1-1 in node order, the clusters k1..k-1 by smallest member.
 
     The cut's singletons start retired, in state.removed, and never enter
-    state.comps.  A point cloud's get no id, so the ids 0.. are the clusters
-    alone.  An edge list's keep the ids 0..k1-1 in the store, which reduces
-    them here in that order under future_cap() of the clusters' pooled size,
-    so run() schedules only the clusters.  The module docstring gives why
-    this start reaches the partition and floats of a run from singletons.
+    state.comps.  A point cloud's never enter the store either.  An edge
+    list's do, and the store reduces them here in id order under
+    future_cap() of the clusters' pooled size, so run() schedules only the
+    clusters.  The module docstring gives why this start reaches the
+    partition and floats of a run from singletons.
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
@@ -592,26 +583,24 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     # distance matrix: a cloud's first cut builds its own
     nodes, starts = _blocks(np.arange(n) if record_events
                             else single_linkage_labels(network, r0))
-    # the cut's singletons, a prefix; a cloud's never enter the store
+    # the cut's singletons, the ids 0..k1-1
     k1 = 0 if record_events else int(np.count_nonzero(np.diff(starts) == 1))
-    if cloud:
-        nodes, starts = nodes[k1:], starts[k1:] - k1
     sizes = np.diff(starts).tolist()
     ranges = {size: params.component_range_km(size) for size in set(sizes)}
-    live = 0 if cloud else k1  # the first id of a cluster
-    comps = {c: Component(size=sizes[c], range_km=ranges[sizes[c]])
-             for c in range(live, len(sizes))}
-    reach = [ranges[size] for size in sizes]
     k = len(sizes)
-    block_of = np.full(n, -1, dtype=np.intp)  # each node's starting id
+    comps = {c: Component(size=sizes[c], range_km=ranges[sizes[c]]) for c in range(k1, k)}
+    block_of = np.empty(n, dtype=np.intp)  # each node's starting id
     block_of[nodes] = np.repeat(np.arange(k), sizes)
-    if cloud:
+    # the range of each id in the store; a cloud's singletons never enter it
+    reach = {c: ranges[sizes[c]] for c in range(k1 if cloud else 0, k)}
+    if cloud:  # rows 0.. hold the clusters' ids k1..
         labels = tuple(range(n))
-        mat = _cloud_distances(network, nodes, starts)
+        mat = _cloud_distances(network, nodes[k1:], starts[k1:] - k1)
         if store != "sparse":
             backend = _DenseStore(mat, reach)
         else:
-            adj = {a: {b: float(mat[a, b]) for b in range(k) if b != a} for a in range(k)}
+            adj = {a: {b: d for b, d in zip(reach, row) if b != a}
+                   for a, row in zip(reach, mat.tolist())}
             backend = _SparseStore(adj, reach)
     else:
         labels = network.node_ids
@@ -628,7 +617,7 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     state = PercolationState(backend, n, labels, params, comps, block_of,
                              record_events=record_events, point_cloud=cloud)
     state.removed.extend([Component(size=1, range_km=r0)] * k1)
-    if live:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
+    if k1 and not cloud:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
         cap = state.future_cap(n - k1)
         for a in range(k1):
             backend.apply_reduction(a, cap)

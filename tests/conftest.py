@@ -109,15 +109,13 @@ def disk_percolation_oracle(network, r0: float) -> set[frozenset]:
 def members_of(state) -> dict[int, frozenset[int]]:
     """The nodes of every component id, live or retired, from state.holders().
 
-    A point cloud's cut singletons never get an id, so they are left out;
-    retired_singletons lists them.  An edge list's cut singletons keep theirs
-    (the lowest ids, in node order), though init_state has already reduced
-    them, so they are here but not in state.comps.
+    The cut's singletons keep their ids (the lowest, in node order), though
+    init_state has already retired them, so they are here but not in
+    state.comps.
     """
     members: dict[int, set[int]] = {}
     for node, cid in enumerate(state.holders().tolist()):
-        if cid >= 0:
-            members.setdefault(cid, set()).add(node)
+        members.setdefault(cid, set()).add(node)
     return {cid: frozenset(nodes) for cid, nodes in members.items()}
 
 
@@ -128,12 +126,6 @@ def replay_members(report) -> dict[int, frozenset[int]]:
         if isinstance(ev, MergeEvent):
             members[ev.new_id] = members[ev.a] | members[ev.b]
     return members
-
-
-def retired_singletons(state) -> list[int]:
-    """The nodes that no component id holds (a point cloud's cut singletons),
-    ascending; an edge list's cut singletons keep their ids and are not listed."""
-    return np.flatnonzero(state.holders() < 0).tolist()
 
 
 def merged_below_r0(network, params, store):

@@ -55,6 +55,28 @@ def test_exit_2_leaves_no_output_file_it_created(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [net]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "sweep default meta", "generate fiber"])
+def test_two_outputs_may_not_share_a_path(tmp_path, capsys, command):
+    # the second output names the first's file, here by another spelling;
+    # the command exits 2 naming both flags before it writes anything
+    net = tmp_path / "net.csv"
+    net.write_text(EDGE_LIST, encoding="utf-8")
+    out, same = str(tmp_path / "out"), os.path.join(str(tmp_path), ".", "out")
+    sweep = ("sweep", "--network", str(net), "--d0-grid", "100,300", "--out", out)
+    argv, flags = {
+        "run": (("run", "--network", str(net), "--out", out, "--partition",
+                 str(tmp_path / "partition.json"), "--events", same), "--out and --events"),
+        "sweep": ((*sweep, "--meta", same), "--out and --meta"),
+        "sweep default meta": ((*sweep, "--aggregate", f"{same}.meta.json"),
+                               "--aggregate and --meta"),
+        "generate fiber": (("generate", "fiber", "--nodes", "120", "--edges", "140",
+                            "--seed", "1", "--out", out, "--json", same), "--out and --json"),
+    }[command]
+    assert invoke(*argv) == 2
+    assert f"{flags} both write" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [net]
+
+
 class TestGenerate:
     def test_points_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -584,6 +606,19 @@ class TestSweepThresholdCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "curves.csv").exists()
         assert not (tmp_path / "agg.csv").exists()
+
+    def test_threshold_warns_that_a_target_met_at_eps_lo_is_no_crossing(self, tmp_path,
+                                                                          capsys):
+        # at the default d0 and m, alpha=0.585's base range at --eps-lo already
+        # gives the target, so its estimate is 0 from one probe; alpha=0's is not
+        argv = self.threshold_argv(tmp_path, "--alpha-value", "0", "--alpha-value", "0.585")
+        assert invoke(*argv) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: alpha=0.585:") and "not a crossing" in line
+        doc = json.loads((tmp_path / "th.json").read_text())
+        crossed, met = doc["estimates"]
+        assert len(crossed["probes"]) > 1
+        assert len(met["probes"]) == 1 and met["r0_th"] == 0
 
     def test_threshold_ordering_smoke(self, tmp_path):
         out = tmp_path / "th.json"

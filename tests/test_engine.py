@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (D0, assert_same_start, cut_start_reference,
                       disk_percolation_oracle, members_of, nearest_scale,
-                      params_for_r0, random_instance, reference_schedule,
-                      retired_singletons)
+                      params_for_r0, random_instance, reference_schedule)
 from qnetperc import engine
 from qnetperc.engine import (INF, Component, MergeEvent, ReduceEvent, _cloud_distances,
                              events_to_dicts, init_state, partition_to_lists,
@@ -98,9 +97,11 @@ class TestCutStart:
 
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
     def test_singletons_take_the_lowest_ids(self, name):
+        # on both kinds of network: singletons 0..k1-1 in node order, then clusters
         network, r0 = CUT_INSTANCES[name]()
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
         state = init_state(network, params, record_events=False)
+        assert state.holders().min() >= 0  # every node has a starting id
         comps, members = state.comps, members_of(state)
         live = sorted(comps)
         # the live ids are the clusters, in order of their smallest member
@@ -109,15 +110,13 @@ class TestCutStart:
         assert heads == sorted(heads)
         singles = sorted(set(range(network.n_nodes))
                          - set().union(*(members[a] for a in live)))
-        assert singles and len(state.removed) == len(singles)
-        k1 = 0 if isinstance(network, PointCloud) else len(singles)
+        k1 = len(singles)
+        assert singles and len(state.removed) == k1
         assert live == list(range(k1, k1 + len(live)))
-        retired_ids = sorted(set(members) - set(comps))
-        if isinstance(network, PointCloud):  # the cut's singletons get no id
-            assert retired_ids == [] and retired_singletons(state) == singles
-        else:  # an edge list's hold ids 0..k1-1 in node order, reduced
-            assert retired_ids == list(range(k1)) and retired_singletons(state) == []
-            assert [members[a] for a in retired_ids] == [frozenset((x,)) for x in singles]
+        assert sorted(members) == list(range(k1 + len(live)))
+        assert [members[a] for a in range(k1)] == [frozenset((x,)) for x in singles]
+        if isinstance(network, PointCloud):  # its singletons never enter the store
+            assert state.store.ids.tolist() == live
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     def test_exact_tie_with_r0_does_not_join(self, store):
@@ -130,17 +129,16 @@ class TestCutStart:
         for network in (cloud, edges):
             state = init_state(network, params, store=store, record_events=False)
             assert_same_start(state, cut_start_reference(network, params, store))
-            members = members_of(state)
-            # node 0 is a singleton of the cut: retired, and its tie with r0
-            # leaves the cluster with no partner at all
-            assert [sorted(members[a]) for a in state.comps] == [[1, 2]]
+            assert state.holders().min() >= 0
+            # node 0 is a singleton of the cut: id 0, retired, and its tie
+            # with r0 leaves the cluster with no partner at all
+            assert members_of(state) == {0: {0}, 1: {1, 2}}
+            assert list(state.comps) == [1]
             assert state.removed == [Component(size=1, range_km=r0)]
-            (a,) = state.comps
-            assert state.store.min_distance(a) == INF
-            if network is cloud:  # a cloud's singleton has no id
-                assert retired_singletons(state) == [0] and members == {0: {1, 2}}
-            else:  # an edge list's keeps id 0
-                assert retired_singletons(state) == [] and members == {0: {0}, 1: {1, 2}}
+            assert state.store.min_distance(1) == INF
+            # a cloud's never enters the store, an edge list's is reduced out of it
+            with pytest.raises(KeyError):
+                state.store.distance(0, 1)
             from_singletons = run(init_state(network, params, store=store))
             assert run(state).partition == from_singletons.partition
 
