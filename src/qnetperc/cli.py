@@ -147,7 +147,10 @@ def _resolve_config(args, unread=(), only=()) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     RunConfig(**file_values)  # checked even where a flag replaces a value
-    return RunConfig(**{**given, **dict(only)})
+    cfg = RunConfig(**{**given, **dict(only)})
+    if cfg.source == "file" and "network_path" in file_values:  # main() checked the flag
+        _output_paths(args, {"--network (config key 'network_path')": cfg.network_path})
+    return cfg
 
 
 def _build_network(cfg: RunConfig):
@@ -201,11 +204,23 @@ def _meta_path(args) -> str:
     return args.meta or f"{args.out}.meta.json"
 
 
+def _list_flag(flag: str, text: str, parse, takes: str) -> tuple:
+    """The comma-separated values of a list flag; an item parse refuses names the flag."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(parse(item))
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated {takes}, got {item!r}") from None
+    return tuple(values)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args, {"scenario": "use --scenarios", "d0_km": "use --d0-grid"})
-    d0_grid = tuple(float(x) for x in args.d0_grid.split(","))
-    scenarios = tuple(analysis.Scenario(s) for s in args.scenarios.split(","))
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    d0_grid = _list_flag("--d0-grid", args.d0_grid, float, "km values")
+    scenarios = _list_flag("--scenarios", args.scenarios, analysis.Scenario,
+                           "names from " + ", ".join(s.value for s in analysis.Scenario))
+    seeds = _list_flag("--seeds", args.seeds, int, "integer seeds")
 
     def factory(seed: int):
         return _build_network(replace(cfg, seed=subseed(cfg.seed, STREAM_REPLICATE, seed)))
@@ -251,9 +266,11 @@ def _cmd_threshold(args) -> int:
                   f"not a crossing; lower --eps-lo, --d0 or --m", file=sys.stderr)
     _json_dump({**_provenance(cfg), "target": args.target,
                 "estimates": [analysis.threshold_to_json(e) for e in estimates]}, args.out)
-    ordered = all(b.r0_th < a.r0_th for a, b in zip(estimates, estimates[1:])
+    # a one-probe estimate of 0 is no crossing (warned above), so it has no order
+    crossed = [e for e in estimates if len(e.probes) > 1]
+    ordered = all(b.r0_th < a.r0_th for a, b in zip(crossed, crossed[1:])
                   if b.alpha > a.alpha)
-    if len(estimates) > 1 and not ordered:
+    if not ordered:
         print("warning: thresholds are not decreasing with alpha", file=sys.stderr)
         return 1
     return 0
@@ -387,19 +404,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the arguments that name a file a command writes
+# the arguments that name a file a command writes, and those that name one it reads
 _OUTPUTS = ("out", "partition", "events", "aggregate", "meta", "json")
+_INPUTS = {"--network": "network_path", "--config": "config", "--in": "infile"}
 
 
-def _output_paths(args) -> list[str]:
-    """The files the command writes; two flags naming one file would keep only one."""
+def _output_paths(args, inputs=None) -> list[str]:
+    """The files the command writes.
+
+    Two flags naming one file would keep only one, and an output naming a
+    file the command reads would replace its input, so either is an error.
+    inputs maps a name to each file read, by default the input flags.
+    """
     paths = {f"--{dest}": getattr(args, dest, None) for dest in _OUTPUTS}
     if args.command == "sweep":
         paths["--meta"] = _meta_path(args)
-    first: dict[str, str] = {}  # the first flag to name each file
+    if inputs is None:
+        inputs = {flag: getattr(args, dest, None) for flag, dest in _INPUTS.items()}
+    reads: dict[str, str] = {}  # the first name given to each file read
+    for name, path in inputs.items():
+        if path:
+            reads.setdefault(os.path.realpath(path), name)
+    first: dict[str, str] = {}  # the first flag to name each file written
     for flag, path in paths.items():
-        if path and first.setdefault(os.path.realpath(path), flag) != flag:
-            raise ValueError(f"{first[os.path.realpath(path)]} and {flag} both write {path}")
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in reads:
+            raise ValueError(f"{flag} would overwrite {path}, which {reads[real]} reads")
+        if first.setdefault(real, flag) != flag:
+            raise ValueError(f"{first[real]} and {flag} both write {path}")
     return [path for path in paths.values() if path]
 
 

@@ -29,9 +29,32 @@ pairs with d < r0 is one component, because every order of the rules merges
 such a pair (it is connectable from the start and stays so, since ranges
 never fall and distances only shrink), and its distance to another is the
 minimum over member pairs, the float the merges would leave.  The final
-partition is then the same by order independence.  On both kinds of
-network the cut's singletons take the ids 0..k1-1 in node order, the
-clusters the ids after them, and the singletons start retired: each is
+partition is then the same by order independence.
+
+On an edge list the start goes on from the cut to its contraction closure:
+the blocks left once every pair of blocks that meets the criterion has
+merged, with no reduction in between (_contraction_closure).  It is exact:
+
+- a pair that meets the criterion at the start keeps meeting it until it
+  merges, because ranges never fall and distances only shrink;
+- neither side of such a pair can be isolated first, because the other side
+  is within its range, so every order merges the pair, and by induction
+  every closure block lies inside one final block;
+- joining the blocks round by round is a legal sequence of merges, since
+  d(AB, C) <= d(B, C) and r(AB) >= r(B);
+- the block distances stay minima over member cables, the floats the merges
+  would leave, and the merges commute with the singleton reductions below.
+
+The closure differs from the cut only in the ids of the blocks that
+survive, and so in the order in which run() reduces them.  A point cloud
+keeps the cut, the closure's first round: its minimum spanning tree does
+not carry the block distances, so each further round would fold the K x K
+matrix, which costs more than the merges run() makes instead.
+
+The closure joins no singleton of the cut: a pair with one meets the
+criterion only below r0 = r(1), and every such pair is inside the cut.  On
+both kinds of network the singletons take the ids 0..k1-1 in node order,
+the clusters the ids after them, and the singletons start retired: each is
 isolated from the start and stays so, since its legs are at least r0, its
 own range, and any shortcut it gains is at least 2 r0.  So none is a live
 component, and no isolation check is made for one.  Only an edge list's
@@ -39,8 +62,8 @@ enter the store: on a point cloud one writes no shortcut (see
 reduce_and_remove), but on an edge list one (a repeater) is a relay path,
 so init_state() has the store reduce them in ascending id order, with
 future_cap() of the clusters' pooled size as the cap, and run() schedules
-only the clusters.  run() from the cut would reduce them in that order
-before any other component, and the floats stay the same:
+only the clusters.  run() from the start with them live would reduce them
+in that order before any other component, and the floats stay the same:
 
 - the only rules it fires between them are cluster merges, which commute
   with them float for float: a merge takes the min of two rows, and rounded
@@ -550,18 +573,53 @@ def _edge_distances(network: EdgeListNetwork, block_of: np.ndarray):
     return lo[first], hi[first], lengths[first]
 
 
+def _contraction_closure(network: EdgeListNetwork, params: ModelParams,
+                         labels: np.ndarray) -> np.ndarray:
+    """Block labels once every pair of blocks that meets the criterion has merged.
+
+    labels is a labelling whose blocks are legal merges, the cut at r0.  Each
+    round joins every pair of blocks that a linkage edge connects with a
+    length below both blocks' ranges r(size): a hook of the larger block
+    onto the smaller along each such edge, then topology._roots.  The edges
+    left between blocks shrink every round, and the rounds stop when none
+    meets the test.  The engine module docstring gives why this start is
+    exact.
+    """
+    lengths, ii, jj = network.linkage_edges
+    _, block = np.unique(labels, return_inverse=True)  # ids 0..K-1
+    parent = np.arange(block.max() + 1)
+    a, b = block[ii], block[jj]
+    while True:
+        cross = a != b
+        a, b, lengths = a[cross], b[cross], lengths[cross]
+        m = len(lengths)
+        # one range per distinct size, one comparison per edge end
+        sizes, size_of = np.unique(np.bincount(block)[np.concatenate((a, b))],
+                                   return_inverse=True)
+        r = np.array([params.component_range_km(s) for s in sizes.tolist()])[size_of]
+        meet = (lengths < r[:m]) & (lengths < r[m:])
+        if not meet.any():
+            return block
+        np.minimum.at(parent, np.maximum(a[meet], b[meet]), np.minimum(a[meet], b[meet]))
+        parent = _roots(parent)
+        block, a, b = parent[block], parent[a], parent[b]
+
+
 def init_state(network, params: ModelParams, *, store: str = "auto",
                record_events: bool = True) -> PercolationState:
     """Starting components and their distances from the network's metric.
 
     A run that records events starts from one singleton component per node,
-    so its log holds every merge.  Otherwise it starts from the single-linkage
-    cut at the base range r0 = r(1) (topology.single_linkage_labels), one
-    component per connected component of the pairs with d < r0, each at the
-    minimum member-pair distance from another.  The singletons take the ids
-    0..k1-1 in node order, the clusters k1..k-1 by smallest member.
+    so its log holds every merge.  Otherwise a point cloud starts from the
+    single-linkage cut at the base range r0 = r(1)
+    (topology.single_linkage_labels), one component per connected component
+    of the pairs with d < r0, and an edge list from the contraction closure
+    of that cut (_contraction_closure), one component per block left once
+    every pair that meets the criterion has merged.  Each component lies at
+    the minimum member-pair distance from another.  The singletons take the
+    ids 0..k1-1 in node order, the clusters k1..k-1 by smallest member.
 
-    The cut's singletons start retired, in state.removed, and never enter
+    The singletons start retired, in state.removed, and never enter
     state.comps.  A point cloud's never enter the store either.  An edge
     list's do, and the store reduces them here in id order under
     future_cap() of the clusters' pooled size, so run() schedules only the
@@ -580,9 +638,15 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     cloud = isinstance(network, PointCloud)
     r0 = params.component_range_km(1)
     # singletons for a logged run, else the cut at r0, taken before any
-    # distance matrix: a cloud's first cut builds its own
-    nodes, starts = _blocks(np.arange(n) if record_events
-                            else single_linkage_labels(network, r0))
+    # distance matrix: a cloud's first cut builds its own; an edge list goes
+    # on from the cut to the contraction closure
+    if record_events:
+        start_labels = np.arange(n)
+    else:
+        start_labels = single_linkage_labels(network, r0)
+        if not cloud:
+            start_labels = _contraction_closure(network, params, start_labels)
+    nodes, starts = _blocks(start_labels)
     # the cut's singletons, the ids 0..k1-1
     k1 = 0 if record_events else int(np.count_nonzero(np.diff(starts) == 1))
     sizes = np.diff(starts).tolist()
@@ -651,7 +715,9 @@ def run(state: PercolationState) -> RunReport:
     not isolated, unusable by any merge to come, so they are neither stored
     nor logged; on a point cloud a one-point relay writes none at all (see
     reduce_and_remove).  A state from init_state without an event log holds
-    only the cut's clusters (module docstring).
+    only the clusters of its start: a cloud's cut at r0, or an edge list's
+    contraction closure, which leaves run() only the reductions and the
+    merges they enable (module docstring).
     """
     comps, store = state.comps, state.store
     firsts = sorted(comps)  # ids that may have a partner above them; sorted: a heap

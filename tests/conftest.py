@@ -128,11 +128,15 @@ def replay_members(report) -> dict[int, frozenset[int]]:
     return members
 
 
-def merged_below_r0(network, params, store):
-    """Singletons, then state.merge on a pair closer than r0 until none is left."""
+def merged_start(network, params, store):
+    """Singletons, then state.merge on a connectable pair until none is left.
+
+    A point cloud merges only pairs closer than r0, its cut; an edge list
+    merges every connectable pair, its contraction closure.
+    """
     state = init_state(network, params, store=store)
-    r0 = params.base_range_km()
-    while pairs := [(a, b) for a, b, d in state.connectable_pairs() if d < r0]:
+    limit = params.base_range_km() if isinstance(network, PointCloud) else np.inf
+    while pairs := [(a, b) for a, b, d in state.connectable_pairs() if d < limit]:
         state.merge(*pairs[0])
     return state
 
@@ -140,10 +144,10 @@ def merged_below_r0(network, params, store):
 def cut_start_reference(network, params, store):
     """The start of a run without an event log, from the public rules alone.
 
-    merged_below_r0, then every singleton left reduced in node order (its id
+    merged_start, then every singleton left reduced in node order (its id
     is its node index) under future_cap of the clusters' pooled size.
     """
-    state = merged_below_r0(network, params, store)
+    state = merged_start(network, params, store)
     singles = [a for a in state.active_ids() if state.comps[a].size == 1]
     cap = state.future_cap(network.n_nodes - len(singles))
     for a in singles:

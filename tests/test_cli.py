@@ -77,6 +77,35 @@ def test_two_outputs_may_not_share_a_path(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [net]
 
 
+@pytest.mark.parametrize("command", ["run", "run --config", "sweep --config", "ingest",
+                                     "repeaters"])
+def test_no_output_may_overwrite_an_input(tmp_path, capsys, command):
+    # the output names a file the command reads, here by another spelling;
+    # the command exits 2 naming both flags before it writes anything
+    net = tmp_path / "net.csv"
+    net.write_text(EDGE_LIST, encoding="utf-8")
+    # the sweep's default metadata path, its --out plus .meta.json, is the config
+    cfg = tmp_path / "curves.csv.meta.json"
+    cfg.write_text(json.dumps({"network_path": str(net)}), encoding="utf-8")
+    same = os.path.join(str(tmp_path), ".", "net.csv")
+    argv, written, read = {
+        "run": (("run", "--network", str(net), "--out", same), "--out", "--network"),
+        # the config names the network, and no flag does
+        "run --config": (("run", "--config", str(cfg), "--out", same), "--out",
+                         "--network (config key 'network_path')"),
+        "sweep --config": (("sweep", "--config", str(cfg), "--d0-grid", "100,300",
+                            "--out", str(tmp_path / "curves.csv")), "--meta", "--config"),
+        "ingest": (("ingest", "--in", str(net), "--out", str(tmp_path / "canon.csv"),
+                    "--json", same), "--json", "--in"),
+        "repeaters": (("repeaters", "--in", str(net), "--out", same), "--out", "--in"),
+    }[command]
+    assert invoke(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{written} would overwrite" in err and f"which {read} reads" in err
+    assert sorted(tmp_path.iterdir()) == sorted([net, cfg])
+    assert net.read_text(encoding="utf-8") == EDGE_LIST
+
+
 class TestGenerate:
     def test_points_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -606,6 +635,49 @@ class TestSweepThresholdCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "curves.csv").exists()
         assert not (tmp_path / "agg.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--d0-grid", ",", "--d0-grid takes comma-separated km values, got ''"),
+        ("--d0-grid", "100,1e3x", "--d0-grid takes comma-separated km values, got '1e3x'"),
+        ("--seeds", ",", "--seeds takes comma-separated integer seeds, got ''"),
+        ("--seeds", "0,1.5", "--seeds takes comma-separated integer seeds, got '1.5'"),
+        ("--scenarios", "foo", "--scenarios takes comma-separated names from no_memory, "
+                               "point_to_point, distributed, got 'foo'"),
+    ])
+    def test_sweep_list_flag_names_a_refused_item(self, tmp_path, capsys, flag, value,
+                                                  message):
+        # these printed only the parser's message, which named no flag
+        assert invoke(*self.sweep_argv(tmp_path, flag, value)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "curves.csv").exists()
+
+    def test_threshold_orders_crossings_only(self, tmp_path, capsys):
+        # both estimates are 0 from one probe, warned as no crossing; 0 is not
+        # below 0, but neither is a threshold to order
+        argv = ("threshold", "--source", "points", "--n", "200", "--alpha-value", "0",
+                "--alpha-value", "0.585", "--eps-lo", "7e-4", "--eps-hi", "8e-4",
+                "--target", "0.5", "--d0", "100", "--m", "1", "--replicates", "2",
+                "--out", str(tmp_path / "th.json"))
+        assert invoke(*argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[:2] for line in lines] == [["warning", " alpha=0"],
+                                                          ["warning", " alpha=0.585"]]
+        doc = json.loads((tmp_path / "th.json").read_text())
+        assert [(len(e["probes"]), e["r0_th"]) for e in doc["estimates"]] == [(1, 0)] * 2
+
+    def test_threshold_refuses_an_inversion_between_crossings(self, tmp_path, capsys):
+        # at the default m = 102, alpha=1e-12 scales every range by about
+        # 1 + 5e-12: both bisections probe the same epsilons and cross at the
+        # same one, so alpha=1e-12 reports the larger r0: not decreasing
+        argv = ("threshold", "--source", "points", "--n", "150", "--alpha-value", "0",
+                "--alpha-value", "1e-12", "--eps-lo", "1e-4", "--eps-hi", "8e-3",
+                "--target", "0.5", "--tol", "0.005", "--d0", "100", "--replicates", "2",
+                "--out", str(tmp_path / "th.json"))
+        assert invoke(*argv) == 1
+        assert capsys.readouterr().err == "warning: thresholds are not decreasing with alpha\n"
+        low, high = json.loads((tmp_path / "th.json").read_text())["estimates"]
+        assert len(low["probes"]) > 1 and len(high["probes"]) > 1
+        assert high["r0_th"] >= low["r0_th"]
 
     def test_threshold_warns_that_a_target_met_at_eps_lo_is_no_crossing(self, tmp_path,
                                                                           capsys):

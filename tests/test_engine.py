@@ -63,19 +63,23 @@ def _coincident_cloud():
 CUT_INSTANCES = {
     "cloud": lambda: (generate_uniform_points(40, seed=3), None),
     "coincident_points": _coincident_cloud,
-    "edge_list": lambda: (random_instance(4, max_n=40), None),
+    # an edge list whose closure leaves 7 of the cut's 9 clusters, so that
+    # distances between live blocks stay to check
+    "edge_list": lambda: (random_instance(13, max_n=40), None),
     "edge_list_with_islands": lambda: (random_instance(37, max_n=40), None),
 }
 
 
 class TestCutStart:
-    """Without an event log a run starts from the single-linkage cut at r0."""
+    """Without an event log a cloud's run starts from the single-linkage cut
+    at r0, and an edge list's from the contraction closure of that cut."""
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
     def test_cut_holds_the_distances_merges_reach(self, name, store):
-        # the reference merges every pair below r0, then reduces each
-        # singleton left in node order, through the public rules alone
+        # the reference merges every pair below r0 on a cloud and every
+        # connectable pair on an edge list, then reduces each singleton left
+        # in node order, through the public rules alone
         network, r0 = CUT_INSTANCES[name]()
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
         r0 = params.base_range_km()
@@ -92,6 +96,8 @@ class TestCutStart:
                                                     for b in cut.comps if b != a)
         for a, b in itertools.permutations(cut.comps, 2):
             assert cut.store.distance(a, b) >= r0
+        if not isinstance(network, PointCloud):  # the closure leaves no pair to merge
+            assert cut.connectable_pairs() == []
         from_singletons = run(init_state(network, params, store=store))
         assert run(cut).partition == from_singletons.partition
 

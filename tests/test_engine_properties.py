@@ -512,3 +512,63 @@ class TestEdgeListCutStart:
                     assert not returns
                 else:
                     assert {held[x] for x in returns} == {held[leaves]}
+
+
+EDGE_LIST_INSTANCES = st.one_of(
+    st.builds(random_edge_list_instance, st.integers(0, 40_000)),
+    st.builds(relay_chain_instance, st.integers(0, 40_000)),
+    st.builds(cut_singleton_shape, st.sampled_from(CUT_SHAPES), st.integers(0, 40_000)))
+
+
+@st.composite
+def renamed_edge_lists(draw):
+    """An edge-list instance, its params, and a permutation of its node names."""
+    network, params = draw(EDGE_LIST_INSTANCES)
+    names = draw(st.permutations(network.node_ids))
+    return network, params, dict(zip(network.node_ids, names))
+
+
+def reversed_names(network, params):
+    """The instance with the permutation that reverses its node names."""
+    ids = network.node_ids
+    return network, params, dict(zip(ids, reversed(ids)))
+
+
+def rebuilt(network, rename, scale=1.0):
+    """The network through build_network, its nodes renamed and its lengths scaled."""
+    return build_network([(rename[u], rename[v], scale * d) for u, v, d in network.edges],
+                         kinds={rename[x]: k for x, k in zip(network.node_ids, network.kinds)},
+                         extra_nodes=[rename[x] for x in network.node_ids])
+
+
+@pytest.mark.oracle
+class TestEdgeListMetamorphic:
+    """Renaming an edge list's nodes, or doubling every length and d0, changes
+    no run's outcome.  A renaming reorders the nodes, so it renumbers the
+    start's blocks and changes the order in which run() reduces them; doubling
+    doubles every range, length and shortcut sum exactly."""
+
+    @given(instance=renamed_edge_lists())
+    @example(instance=reversed_names(*cut_singleton_shape("long_cable", 0)))
+    @example(instance=reversed_names(*relay_chain_instance(0)))
+    @settings(max_examples=50, deadline=None)
+    def test_renamed_and_doubled_runs_agree(self, instance):
+        network, params, rename = instance
+        same = {x: x for x in network.node_ids}
+        channel = params.channel
+        doubled = dataclasses.replace(
+            params, channel=dataclasses.replace(channel, d0_km=2 * channel.d0_km))
+        # each network, its params, and the original name of each of its nodes
+        cases = [(network, params, same),
+                 (rebuilt(network, rename), params, {new: old for old, new in rename.items()}),
+                 (rebuilt(network, same, scale=2.0), doubled, same)]
+        outcomes = set()
+        for net, p, original in cases:
+            for store in ("dense", "sparse"):
+                for logged in (True, False):
+                    report = run(init_state(net, p, store=store, record_events=logged))
+                    blocks = sorted(tuple(sorted(map(original.get, block)))
+                                    for block in report.partition)
+                    outcomes.add((tuple(blocks), report.p_inf, report.merge_count,
+                                  report.reduce_count))
+        assert len(outcomes) == 1
