@@ -45,16 +45,22 @@ merged, with no reduction in between (_contraction_closure).  It is exact:
 - the block distances stay minima over member cables, the floats the merges
   would leave, and the merges commute with the singleton reductions below.
 
-The closure differs from the cut only in the ids of the blocks that
-survive, and so in the order in which run() reduces them.  A point cloud
-keeps the cut, the closure's first round: its minimum spanning tree does
-not carry the block distances, so each further round would fold the K x K
-matrix, which costs more than the merges run() makes instead.
+The closure hands back the cables its last round left between blocks, so
+the block distances come from those alone.  It differs from the cut only
+in the ids of the blocks that survive, and so in the order in which run()
+reduces them.  A point cloud keeps the cut, the closure's first round: its
+minimum spanning tree does not carry the block distances, so each further
+round would fold the K x K matrix, which costs more than the merges run()
+makes instead.
+
+Every start numbers its blocks by one rule (_start_ids): the singletons
+take the ids 0..k1-1 in node order, and the other blocks, the clusters,
+the ids after them in order of their smallest member.  A logged start is
+all singletons, so its ids are the node indices.
 
 The closure joins no singleton of the cut: a pair with one meets the
 criterion only below r0 = r(1), and every such pair is inside the cut.  On
-both kinds of network the singletons take the ids 0..k1-1 in node order,
-the clusters the ids after them, and the singletons start retired: each is
+both kinds of network the cut's singletons start retired: each is
 isolated from the start and stays so, since its legs are at least r0, its
 own range, and any shortcut it gains is at least 2 r0.  So none is a live
 component, and no isolation check is made for one.  Only an edge list's
@@ -77,9 +83,22 @@ connectable id pair and otherwise reduces the smallest isolated id.  It is
 scheduled incrementally from a heap of ids that may have a connectable
 partner above them and a worklist of components whose isolation may have
 changed, fires exactly the order a full rescan before every rule would, and
-skips shortcut sums that no future merge can use.  Other orders are
-reachable through the public rules of PercolationState, and all reach the
-same partition:
+skips shortcut sums that no future merge can use.
+
+On an edge list's harness start the heap begins with only the lower ends
+of the connectable shortcuts that the singletons' reductions wrote
+(PercolationState.first_heap); every other start begins with every live id.
+The seed misses no connectable pair.  The closure leaves no pair of
+clusters that meets the criterion, the singletons are not live, and the
+reductions change no range and only shorten distances by writing
+shortcuts.  So a pair that meets the criterion once they are done had it
+from the last shortcut written between its two clusters, and that
+shortcut's lower end is in the seed.  An id left out is one that run()
+would pop, find without a partner above it, and drop, so the rules fire in
+the same order.
+
+Other orders are reachable through the public rules of PercolationState,
+and all reach the same partition:
 
 - connectable_pairs(): every pair (a, b, d) that meets the criterion now;
 - merge(a, b): contraction, refused for a pair that fails the criterion;
@@ -312,12 +331,35 @@ class _SparseStore:
 # State and rules
 # ---------------------------------------------------------------------------
 
+class _RangeBySize(dict):
+    """r(size) keyed by size, each computed once on its first read.
+
+    One is made per start and shared by the contraction closure's rounds,
+    the starting components and the run's merges.
+    """
+
+    def __init__(self, params: ModelParams):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, size: int) -> float:
+        r = self[size] = self.params.component_range_km(size)
+        return r
+
+    def of(self, sizes: np.ndarray) -> np.ndarray:
+        """r(s) for each entry s of sizes, one read per distinct size; 0 where s is 0."""
+        table = np.zeros(int(sizes.max()) + 1)
+        for s in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+            table[s] = self[s]
+        return table[sizes]
+
+
 class PercolationState:
     """Single-writer mutable state: active components by id, distances, event log,
     and the starting ids and merge-parent list that holders() follows."""
 
     def __init__(self, store, n_nodes: int, node_labels, params: ModelParams,
-                 comps: dict[int, Component], start: np.ndarray,
+                 comps: dict[int, Component], start: np.ndarray, ranges: _RangeBySize,
                  record_events: bool = True, point_cloud: bool = False):
         self.store = store
         self.point_cloud = point_cloud  # nodes are points of the plane
@@ -328,17 +370,15 @@ class PercolationState:
         self.comps = comps  # the live starting components
         self._start = start  # each node's starting id, ids 0..k-1
         self._parent = list(range(int(start.max()) + 1))
-        self._ranges = {c.size: c.range_km for c in comps.values()}  # by size
+        self._ranges = ranges  # r(size) by size
+        # the ids that may have a connectable partner above them, when the
+        # start knows fewer than every live id (init_state); any rule fired
+        # voids it, and run() then starts from every live id
+        self.first_heap: list[int] | None = None
         self.removed: list[Component] = []
         self.events: list = []
 
     # -- queries ------------------------------------------------------------
-
-    def _range_of_size(self, size: int) -> float:
-        r = self._ranges.get(size)
-        if r is None:
-            r = self._ranges[size] = self.params.component_range_km(size)
-        return r
 
     def future_cap(self, pool: int) -> float:
         """The pruning cap for reductions while pool nodes can still merge.
@@ -349,7 +389,7 @@ class PercolationState:
         every range still to come.  With an empty pool nothing can merge, so
         the cap is 0 and every sum is skipped.
         """
-        return self._range_of_size(pool) if pool else 0.0
+        return self._ranges[pool] if pool else 0.0
 
     def active_ids(self) -> list[int]:
         return sorted(self.comps)
@@ -397,8 +437,9 @@ class PercolationState:
         c = len(parent)
         parent[a] = parent[b] = c
         parent.append(c)
+        self.first_heap = None
         size = ca.size + cb.size
-        new_range = self._range_of_size(size)
+        new_range = self._ranges[size]
         self.store.merge(a, b, c, new_range)
         del self.comps[a], self.comps[b]
         self.comps[c] = Component(size=size, range_km=new_range)
@@ -437,6 +478,7 @@ class PercolationState:
         if not self.is_isolated(a):
             raise ValueError(f"component {a} is not isolated; reduction would be premature")
         comp = self.comps[a]
+        self.first_heap = None
         cap = INF if future_cap is None else future_cap
         if self.point_cloud and comp.size == 1:
             cap = 0.0  # no leg is below 0
@@ -475,19 +517,26 @@ class PercolationState:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of a labelling listed block by block, and where each block starts.
+def _start_ids(block: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The starting id of each block label, the size of each id, and k1.
 
-    Singletons come first in node order, then the other blocks in order of
-    their smallest member; members ascend.  The starts end with len(labels).
+    block holds each node's label and counts the nodes of each label (0 for
+    a label no node holds).  The k1 singletons take the ids 0..k1-1 in node
+    order, the other blocks the ids after them in order of their smallest
+    member.  Only the blocks are sorted, never the nodes.  The id of a label
+    no node holds is left unset.
     """
-    n = len(labels)
-    _, first, label = np.unique(labels, return_index=True, return_inverse=True)
-    head = first[label]  # each node's smallest fellow member
-    nodes = np.lexsort((head, np.bincount(label)[label] > 1))  # stable: members ascend
-    head = head[nodes]
-    starts = np.concatenate(([0], np.flatnonzero(head[1:] != head[:-1]) + 1, [n]))
-    return nodes, starts
+    n = len(block)
+    singles = np.flatnonzero(counts[block] == 1)  # in node order
+    k1 = len(singles)
+    smallest = np.full(len(counts), n)
+    np.minimum.at(smallest, block, np.arange(n))
+    clusters = np.flatnonzero(counts > 1)
+    clusters = clusters[np.argsort(smallest[clusters])]
+    id_of = np.empty(len(counts), dtype=np.intp)
+    id_of[block[singles]] = np.arange(k1)
+    id_of[clusters] = np.arange(k1, k1 + len(clusters))
+    return id_of, np.concatenate((np.ones(k1, dtype=np.intp), counts[clusters])), k1
 
 
 _BLOCK_ENTRIES = 2 ** 15  # float64 entries (256 KB) computed and folded at once
@@ -561,48 +610,51 @@ def _cloud_distances(cloud: PointCloud, nodes: np.ndarray, starts: np.ndarray) -
     return mat
 
 
-def _edge_distances(network: EdgeListNetwork, block_of: np.ndarray):
-    """Arrays (a, b, d): the shortest edge between each pair of blocks a < b."""
-    lengths, ii, jj = network.linkage_edges
-    a, b = block_of[ii], block_of[jj]
+def _edge_distances(a: np.ndarray, b: np.ndarray, lengths: np.ndarray, k: int):
+    """Arrays (lo, hi, d): the shortest cable between each pair of ids lo < hi.
+
+    The cables (a, b, lengths) join ids a != b, and their lengths ascend, so
+    each pair's first cable is its shortest.
+    """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keep = lo != hi
-    lo, hi, lengths = lo[keep], hi[keep], lengths[keep]
-    # lengths ascend, so each pair's first edge is its shortest
-    _, first = np.unique(lo * len(block_of) + hi, return_index=True)
+    _, first = np.unique(lo * k + hi, return_index=True)
     return lo[first], hi[first], lengths[first]
 
 
-def _contraction_closure(network: EdgeListNetwork, params: ModelParams,
-                         labels: np.ndarray) -> np.ndarray:
-    """Block labels once every pair of blocks that meets the criterion has merged.
+def _contraction_closure(network: EdgeListNetwork, ranges: _RangeBySize, labels: np.ndarray):
+    """The blocks left once every pair of blocks that meets the criterion has merged.
 
-    labels is a labelling whose blocks are legal merges, the cut at r0.  Each
-    round joins every pair of blocks that a linkage edge connects with a
-    length below both blocks' ranges r(size): a hook of the larger block
-    onto the smaller along each such edge, then topology._roots.  The edges
-    left between blocks shrink every round, and the rounds stop when none
-    meets the test.  The engine module docstring gives why this start is
-    exact.
+    labels is the cut at r0, whose labels are below 2n and whose blocks are
+    legal merges.  Its labels are made compact by a presence mask and a
+    cumulative sum.  Each round joins every pair of blocks that a linkage
+    edge connects with a length below both blocks' ranges r(size): a hook of
+    the larger label onto the smaller along each such edge, then
+    topology._roots.  The edges left between blocks shrink every round, and
+    the rounds stop when none meets the test.  The engine module docstring
+    gives why this start is exact.
+
+    Returns each node's block label, the size of each label (0 for one no
+    block keeps), and the cables left between blocks as (lengths, a, b)
+    arrays of lengths and block labels, a != b, the lengths ascending.
     """
     lengths, ii, jj = network.linkage_edges
-    _, block = np.unique(labels, return_inverse=True)  # ids 0..K-1
-    parent = np.arange(block.max() + 1)
+    present = np.zeros(2 * len(labels), dtype=bool)
+    present[labels] = True
+    block = (np.cumsum(present) - 1)[labels]  # labels 0..K-1
+    counts = cut_counts = np.bincount(block)
+    parent = np.arange(len(counts))
     a, b = block[ii], block[jj]
     while True:
         cross = a != b
         a, b, lengths = a[cross], b[cross], lengths[cross]
-        m = len(lengths)
-        # one range per distinct size, one comparison per edge end
-        sizes, size_of = np.unique(np.bincount(block)[np.concatenate((a, b))],
-                                   return_inverse=True)
-        r = np.array([params.component_range_km(s) for s in sizes.tolist()])[size_of]
-        meet = (lengths < r[:m]) & (lengths < r[m:])
+        r = ranges.of(counts)  # one range per block, one comparison per edge end
+        meet = (lengths < r[a]) & (lengths < r[b])
         if not meet.any():
-            return block
+            return parent[block], counts, (lengths, a, b)
         np.minimum.at(parent, np.maximum(a[meet], b[meet]), np.minimum(a[meet], b[meet]))
         parent = _roots(parent)
-        block, a, b = parent[block], parent[a], parent[b]
+        a, b = parent[a], parent[b]
+        counts = np.bincount(parent, weights=cut_counts, minlength=len(parent)).astype(np.intp)
 
 
 def init_state(network, params: ModelParams, *, store: str = "auto",
@@ -616,15 +668,20 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     of the pairs with d < r0, and an edge list from the contraction closure
     of that cut (_contraction_closure), one component per block left once
     every pair that meets the criterion has merged.  Each component lies at
-    the minimum member-pair distance from another.  The singletons take the
-    ids 0..k1-1 in node order, the clusters k1..k-1 by smallest member.
+    the minimum member-pair distance from another: an edge list's come from
+    the cables the closure leaves between its blocks, or from every cable on
+    a logged start.  All three starts number their blocks by one rule,
+    _start_ids: the k1 singletons first, then the clusters (module
+    docstring).
 
     The singletons start retired, in state.removed, and never enter
     state.comps.  A point cloud's never enter the store either.  An edge
     list's do, and the store reduces them here in id order under
     future_cap() of the clusters' pooled size, so run() schedules only the
-    clusters.  The module docstring gives why this start reaches the
-    partition and floats of a run from singletons.
+    clusters.  Those reductions also give state.first_heap, run()'s first
+    heap: the lower end of each connectable shortcut they wrote.  The module
+    docstring gives why this start reaches the partition and floats of a run
+    from singletons, and why that heap misses no connectable pair.
 
     Point clouds default to the dense store, edge lists to the sparse store.
     """
@@ -636,30 +693,37 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     if n < 1:
         raise ValueError("network must contain at least one node")
     cloud = isinstance(network, PointCloud)
-    r0 = params.component_range_km(1)
+    ranges = _RangeBySize(params)
+    r0 = ranges[1]
     # singletons for a logged run, else the cut at r0, taken before any
     # distance matrix: a cloud's first cut builds its own; an edge list goes
-    # on from the cut to the contraction closure
+    # on from the cut to the contraction closure, which hands back the cables
+    # left between its blocks, (lengths, a, b) as in linkage_edges
     if record_events:
-        start_labels = np.arange(n)
+        block, counts = np.arange(n), np.ones(n, dtype=np.intp)
+        cables = None if cloud else network.linkage_edges
+    elif cloud:
+        block = single_linkage_labels(network, r0)
+        counts = np.bincount(block)
     else:
-        start_labels = single_linkage_labels(network, r0)
-        if not cloud:
-            start_labels = _contraction_closure(network, params, start_labels)
-    nodes, starts = _blocks(start_labels)
-    # the cut's singletons, the ids 0..k1-1
-    k1 = 0 if record_events else int(np.count_nonzero(np.diff(starts) == 1))
-    sizes = np.diff(starts).tolist()
-    ranges = {size: params.component_range_km(size) for size in set(sizes)}
+        block, counts, cables = _contraction_closure(
+            network, ranges, single_linkage_labels(network, r0))
+    id_of, sizes, k1 = _start_ids(block, counts)
+    if record_events:
+        k1 = 0  # no node starts retired
+    start = id_of[block]  # each node's starting id
     k = len(sizes)
-    comps = {c: Component(size=sizes[c], range_km=ranges[sizes[c]]) for c in range(k1, k)}
-    block_of = np.empty(n, dtype=np.intp)  # each node's starting id
-    block_of[nodes] = np.repeat(np.arange(k), sizes)
+    r = ranges.of(sizes).tolist()
+    sizes = sizes.tolist()
+    comps = {c: Component(size=sizes[c], range_km=r[c]) for c in range(k1, k)}
     # the range of each id in the store; a cloud's singletons never enter it
-    reach = {c: ranges[sizes[c]] for c in range(k1 if cloud else 0, k)}
+    low = k1 if cloud else 0
+    reach = dict(zip(range(low, k), r[low:]))
     if cloud:  # rows 0.. hold the clusters' ids k1..
         labels = tuple(range(n))
-        mat = _cloud_distances(network, nodes[k1:], starts[k1:] - k1)
+        nodes = np.argsort(start, kind="stable")  # block by block, members ascending
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        mat = _cloud_distances(network, nodes[k1:], bounds[k1:] - k1)
         if store != "sparse":
             backend = _DenseStore(mat, reach)
         else:
@@ -668,23 +732,32 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
             backend = _SparseStore(adj, reach)
     else:
         labels = network.node_ids
-        lo, hi, dist = _edge_distances(network, block_of)
+        lengths, a, b = cables
+        lo, hi, dist = _edge_distances(id_of[a], id_of[b], lengths, k)
         if store == "dense":
             mat = np.full((k, k), INF)
             mat[lo, hi] = mat[hi, lo] = dist
             backend = _DenseStore(mat, reach)
         else:
             adj = {c: {} for c in range(k)}
-            for a, b, d in zip(lo.tolist(), hi.tolist(), dist.tolist()):
-                adj[a][b] = adj[b][a] = d
+            for x, y, d in zip(lo.tolist(), hi.tolist(), dist.tolist()):
+                adj[x][y] = adj[y][x] = d
             backend = _SparseStore(adj, reach)
-    state = PercolationState(backend, n, labels, params, comps, block_of,
+    state = PercolationState(backend, n, labels, params, comps, start, ranges,
                              record_events=record_events, point_cloud=cloud)
     state.removed.extend([Component(size=1, range_km=r0)] * k1)
-    if k1 and not cloud:  # ids 0..k1-1, reduced in id order under the clusters' pooled range
-        cap = state.future_cap(n - k1)
-        for a in range(k1):
-            backend.apply_reduction(a, cap)
+    if not (cloud or record_events):
+        # ids 0..k1-1, reduced in id order under the clusters' pooled range;
+        # a shortcut between two clusters (ids from k1) that meets the
+        # criterion is the only connectable pair the start can hold
+        seed = set()
+        if k1:
+            cap = state.future_cap(n - k1)
+            for s in range(k1):
+                for x, y, d in backend.apply_reduction(s, cap):
+                    if x >= k1 and d < r[x] and d < r[y]:
+                        seed.add(x)
+        state.first_heap = sorted(seed)
     return state
 
 
@@ -702,9 +775,14 @@ def run(state: PercolationState) -> RunReport:
     The smallest connectable pair is (a, b) with a the smallest id that has
     a connectable partner above it, and b the smallest such partner.  A heap
     holds every live id that may have one; an id popped without one is
-    dropped until it can gain one again.  A partner above x appears only
-    when a merge forms a new (largest) id within x's reach, or when a
-    reduction writes a shortcut from x, so the new component's partners and
+    dropped until it can gain one again.  The heap starts as
+    state.first_heap when init_state left one, on an edge list's harness
+    start: the lower ends of the connectable shortcuts its singletons'
+    reductions wrote, the start's only connectable pairs (module docstring).
+    Otherwise, or once a rule has fired on the state, it starts with every
+    live id.  A partner above x appears only when a merge forms a new
+    (largest) id within x's reach, or when a reduction writes a shortcut
+    from x, so the new component's partners and
     the lower end of each connectable shortcut are queued.  Ranges of live
     components never change and distances only shrink, so nothing else can
     create a pair.  Isolation is permanent, and a live component can become
@@ -720,7 +798,8 @@ def run(state: PercolationState) -> RunReport:
     merges they enable (module docstring).
     """
     comps, store = state.comps, state.store
-    firsts = sorted(comps)  # ids that may have a partner above them; sorted: a heap
+    # ids that may have a partner above them; sorted: a heap
+    firsts = sorted(comps) if state.first_heap is None else list(state.first_heap)
     queued = set(firsts)
     isolated: set[int] = set()
     isolated_heap: list[int] = []

@@ -395,6 +395,45 @@ class TestMinD0:
                               d0_lo=1.0, d0_hi=1e4, seeds=())
 
 
+@pytest.mark.oracle
+class TestSearchMetamorphic:
+    """A search reads only distances and ranges: relabeling the nodes moves no
+    probe, and doubling every length with the bracket doubles every probe."""
+
+    def test_doubled_fiber_doubles_the_minimum_d0(self):
+        # every range scales with d0, and the midpoint sqrt(a * b) and the stop
+        # test b / a scale exactly by 2, so each probe meets the same floats
+        fiber = generate_fiber_network(30, 33, mean_length_km=500.0, seed=2)
+        net = insert_repeaters(fiber, RepeaterConfig(100.0, 3))
+        doubled = build_network([(u, v, 2 * d) for u, v, d in net.edges],
+                                kinds=dict(zip(net.node_ids, net.kinds)),
+                                extra_nodes=net.node_ids)
+        for scenario in Scenario:
+            params = scenario_params(base_params(), scenario)
+            kw = dict(target=0.9, rel_tol=0.02)
+            res = min_d0_for_target(net, params, d0_lo=100.0, d0_hi=1e6, **kw)
+            twice = min_d0_for_target(doubled, params, d0_lo=200.0, d0_hi=2e6, **kw)
+            assert twice["d0_km"] == 2 * res["d0_km"]
+            assert twice["bracket"] == tuple(2 * d0 for d0 in res["bracket"])
+            assert twice["probes"] == [(2 * d0, p) for d0, p in res["probes"]]
+            assert len(res["probes"]) > 5
+
+    def test_relabeled_clouds_give_the_same_threshold(self):
+        def factory(seed):
+            return generate_uniform_points(120, box_side=1.0, seed=seed)
+
+        def relabeled(seed):
+            cloud = factory(seed)
+            order = np.random.default_rng(seed + 1).permutation(cloud.n_nodes)
+            return PointCloud(positions=cloud.positions[order])
+
+        params = base_params(d0=100.0, eps=0.001, m=1)
+        kw = dict(target=0.5, tol=2e-3, eps_lo=1e-4, eps_hi=5e-3, seeds=(3, 4, 5))
+        est = find_threshold(factory, params, **kw)
+        assert est.r0_th > 0 and len(est.probes) > 3
+        assert find_threshold(relabeled, params, **kw) == est
+
+
 class TestReplicateMemo:
     """A second search over the same replicate factory builds no network."""
 

@@ -12,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_same_start, cut_start_reference, disk_percolation_oracle,
-                      is_refinement, params_for_r0, random_edge_list, random_instance,
-                      random_params, reference_schedule, replay_members)
+                      is_refinement, nearest_scale, params_for_r0, random_edge_list,
+                      random_instance, random_params, reference_schedule, replay_members)
 from qnetperc.engine import (MergeEvent, ReduceEvent, RunReport, events_to_dicts,
                              init_state, run, save_event_log, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
-                               generate_fiber_network, insert_repeaters)
+                               generate_fiber_network, generate_uniform_points,
+                               insert_repeaters)
 
 
 def run_variant(network, params, *, order=None, store="auto", prune=True):
@@ -460,30 +461,76 @@ def random_edge_list_instance(seed: int):
     return network, random_params(seed, network)
 
 
+DEGENERATE_SHAPES = ("no_cables", "isolated_node", "one_node")
+
+
+def degenerate_edge_list(shape: str, seed: int):
+    """An edge list with no cables, one with a node no cable reaches, or one node."""
+    if shape == "one_node":
+        network = build_network([], extra_nodes=["a"])
+    elif shape == "no_cables":
+        network = build_network([], extra_nodes=[f"v{i}" for i in range(seed % 5 + 2)])
+    else:
+        network = random_edge_list(seed, max_n=12)
+        network = build_network(network.edges, extra_nodes=[*network.node_ids, "zz"])
+    return network, random_params(seed, network)
+
+
 @pytest.mark.oracle
 class TestEdgeListCutStart:
-    """init_state reduces an edge list's cut singletons as the public rules do."""
+    """init_state reduces an edge list's cut singletons as the public rules do,
+    and seeds run()'s heap with exactly the start's connectable pairs."""
 
     @given(instance=st.one_of(
         st.builds(random_edge_list_instance, st.integers(0, 40_000)),
         st.builds(relay_chain_instance, st.integers(0, 40_000)),
-        st.builds(cut_singleton_shape, st.sampled_from(CUT_SHAPES), st.integers(0, 40_000))))
+        st.builds(cut_singleton_shape, st.sampled_from(CUT_SHAPES), st.integers(0, 40_000)),
+        st.builds(degenerate_edge_list, st.sampled_from(DEGENERATE_SHAPES),
+                  st.integers(0, 40_000))))
     @example(instance=cut_singleton_shape("junction", 0))
     @example(instance=cut_singleton_shape("dead_end", 0))
     @example(instance=cut_singleton_shape("closed_chain", 0))
     @example(instance=cut_singleton_shape("long_cable", 0))
+    @example(instance=degenerate_edge_list("no_cables", 0))
+    @example(instance=degenerate_edge_list("isolated_node", 0))
+    @example(instance=degenerate_edge_list("one_node", 0))
     @settings(max_examples=60, deadline=None)
     def test_start_equals_the_public_rule_reference(self, instance):
         network, params = instance
         for store in ("dense", "sparse"):
             state = init_state(network, params, store=store, record_events=False)
-            assert_same_start(state, cut_start_reference(network, params, store))
+            reference = cut_start_reference(network, params, store)
+            assert_same_start(state, reference)
+            # the heap seed holds the lower end of every connectable pair, and
+            # is empty when the reference's singleton reductions wrote no
+            # connectable shortcut: merged_start leaves no connectable pair,
+            # so any the reference has came from one
+            lower = {a for a, _, _ in state.connectable_pairs()}
+            assert state.first_heap == sorted(lower)
+            assert bool(state.first_heap) == bool(reference.connectable_pairs())
             report = run(state)
             logged = run(init_state(network, params, store=store))
             assert report.partition == logged.partition
             assert report.p_inf == logged.p_inf
             assert report.merge_count == logged.merge_count
             assert report.reduce_count == logged.reduce_count
+
+    def test_a_rule_fired_before_run_voids_the_seed(self):
+        # run() must then start from every live id: a merge makes an id the
+        # seed never held
+        network, params = cut_singleton_shape("junction", 0)
+        logged = run(init_state(network, params))
+        for fire in ("merge", "reduce"):
+            state = init_state(network, params, record_events=False)
+            assert state.first_heap
+            if fire == "merge":
+                state.merge(*state.connectable_pairs()[0][:2])
+            else:
+                state.reduce_and_remove(next(a for a in state.active_ids()
+                                             if state.is_isolated(a)))
+            assert state.first_heap is None
+            report = run(state)
+            assert report.partition == logged.partition
 
     def test_the_examples_have_their_shapes(self):
         for shape in CUT_SHAPES:
@@ -568,6 +615,51 @@ class TestEdgeListMetamorphic:
                 for logged in (True, False):
                     report = run(init_state(net, p, store=store, record_events=logged))
                     blocks = sorted(tuple(sorted(map(original.get, block)))
+                                    for block in report.partition)
+                    outcomes.add((tuple(blocks), report.p_inf, report.merge_count,
+                                  report.reduce_count))
+        assert len(outcomes) == 1
+
+
+@st.composite
+def permuted_clouds(draw):
+    """A small cloud, params with a drawn range mode and beta cap, and a permutation."""
+    seed = draw(st.integers(0, 40_000))
+    cloud = generate_uniform_points(draw(st.integers(2, 60)), box_side=1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    r0 = float(rng.uniform(0.4, 1.6)) * nearest_scale(cloud)
+    params = params_for_r0(r0, float(rng.choice([0.0, 0.3, 0.585, 1.0])),
+                           m=int(rng.choice([1, 4, 102])), cap=draw(st.booleans()),
+                           mode=draw(st.sampled_from(["asymptotic", "exact"])))
+    return cloud, params, np.array(draw(st.permutations(range(cloud.n_nodes))))
+
+
+@pytest.mark.oracle
+class TestCloudMetamorphic:
+    """Permuting a cloud's points, or doubling every position, the box and d0,
+    changes no run's outcome.  A permutation renumbers the cut's singletons
+    and clusters, and so the order in which run() merges and reduces them;
+    doubling doubles every distance, range and shortcut sum exactly."""
+
+    @given(instance=permuted_clouds())
+    @settings(max_examples=50, deadline=None)
+    def test_permuted_and_doubled_runs_agree(self, instance):
+        cloud, params, perm = instance
+        same = np.arange(cloud.n_nodes)
+        channel = params.channel
+        doubled = dataclasses.replace(
+            params, channel=dataclasses.replace(channel, d0_km=2 * channel.d0_km))
+        # each cloud, its params, and the original index of each of its points
+        cases = [(cloud, params, same),
+                 (PointCloud(positions=cloud.positions[perm]), params, perm),
+                 (PointCloud(positions=2 * cloud.positions, box_side=2 * cloud.box_side),
+                  doubled, same)]
+        outcomes = set()
+        for net, p, original in cases:
+            for store in ("dense", "sparse"):
+                for logged in (True, False):
+                    report = run(init_state(net, p, store=store, record_events=logged))
+                    blocks = sorted(tuple(sorted(original[list(block)].tolist()))
                                     for block in report.partition)
                     outcomes.add((tuple(blocks), report.p_inf, report.merge_count,
                                   report.reduce_count))
