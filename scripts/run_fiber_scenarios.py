@@ -18,24 +18,10 @@ from qnetperc.topology import (RepeaterConfig, generate_fiber_network,
                                insert_repeaters)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nodes", type=int, default=692)
-    ap.add_argument("--edges", type=int, default=733)
-    ap.add_argument("--mean-length", type=float, default=500.0)
-    ap.add_argument("--mean-segment", type=float, default=50.0)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--replicates", type=int, default=2)
-    ap.add_argument("--target", type=float, default=0.9)
-    ap.add_argument("--out", type=Path, default=Path("out/fiber_scenarios"))
-    args = ap.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-
+def compute(args):
+    """The fiber, the sweep's rows and aggregate, and each scenario's minimum d0."""
     fiber = generate_fiber_network(args.nodes, args.edges,
                                    mean_length_km=args.mean_length, seed=args.seed)
-    print(f"synthetic fiber: {fiber.n_nodes} nodes, {fiber.n_edges} cables, "
-          f"mean {fiber.total_length_km() / fiber.n_edges:.0f} km")
-
     base = ModelParams(channel=ChannelModel(d0_km=300.0, epsilon=0.01),
                        distill=DistillationParams(m=102, alpha=0.585))
     seeds = tuple(range(11, 11 + args.replicates))
@@ -47,8 +33,6 @@ def main():
             4000.0, 8000.0, 16000.0, 32000.0, 64000.0)
     spec = SweepSpec(d0_grid_km=grid, seeds=seeds)
     rows, agg = sweep_connectivity(nets.__getitem__, base, spec)
-    write_curve_csv(rows, args.out / "curves.csv")
-    write_aggregate_csv(agg, args.out / "curves_aggregate.csv")
 
     brackets = {Scenario.DISTRIBUTED: (50.0, 2e4),
                 Scenario.POINT_TO_POINT: (100.0, 1e5),
@@ -59,8 +43,34 @@ def main():
                                 target=args.target, d0_lo=lo, d0_hi=hi,
                                 rel_tol=0.02, seeds=seeds)
         summary[scenario.value] = res["d0_km"]
-        print(f"{scenario.value}: min d0 for {args.target:.0%} "
-              f"connectivity ~ {res['d0_km']:.0f} km")
+    return fiber, rows, agg, summary
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--nodes", type=int, default=692)
+    ap.add_argument("--edges", type=int, default=733)
+    ap.add_argument("--mean-length", type=float, default=500.0)
+    ap.add_argument("--mean-segment", type=float, default=50.0)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--replicates", type=int, default=2)
+    ap.add_argument("--target", type=float, default=0.9)
+    ap.add_argument("--out", type=Path, default=Path("out/fiber_scenarios"))
+    args = ap.parse_args()
+    try:
+        fiber, rows, agg, summary = compute(args)
+    except ValueError as exc:  # a bad flag: exit 2 before --out is created
+        ap.error(str(exc))
+    print(f"synthetic fiber: {fiber.n_nodes} nodes, {fiber.n_edges} cables, "
+          f"mean {fiber.total_length_km() / fiber.n_edges:.0f} km")
+    for scenario, d0 in summary.items():
+        print(f"{scenario}: min d0 for {args.target:.0%} connectivity ~ {d0:.0f} km")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a directory it cannot make
+        ap.error(f"cannot create --out {args.out}: {exc.strerror}")
+    write_curve_csv(rows, args.out / "curves.csv")
+    write_aggregate_csv(agg, args.out / "curves_aggregate.csv")
     (args.out / "min_d0.json").write_text(
         json.dumps({"target": args.target, "min_d0_km": summary}, indent=2) + "\n",
         encoding="utf-8")

@@ -20,12 +20,11 @@ import argparse
 import os
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from qnetperc.engine import MergeEvent, init_state, run
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
-from qnetperc.topology import generate_uniform_points
+from qnetperc.topology import (check_seed, generate_uniform_points,
+                               single_linkage_labels)
 
 ALPHA = 0.585
 
@@ -38,15 +37,18 @@ def replay_members(report):
     return members
 
 
-def structural_candidates(dist):
-    """Relay-between-clusters patterns: (relay nodes, leg_b, leg_c)."""
+def structural_candidates(cloud, dist):
+    """Relay-between-clusters patterns: (relay nodes, leg_b, leg_c).
+
+    At each of its thresholds h the blocks are the single-linkage cut
+    d < h, read from the cloud's cached merge forest.
+    """
     n = dist.shape[0]
     tri = np.sort(dist[np.triu_indices(n, 1)])
     out = set()
     for h in tri[5:140:4]:
-        _, lab = connected_components(csr_matrix(dist < h), directed=False)
         groups = {}
-        for i, l in enumerate(lab):
+        for i, l in enumerate(single_linkage_labels(cloud, h).tolist()):
             groups.setdefault(l, []).append(i)
         bigs = [tuple(g) for g in groups.values() if len(g) >= 5]
         smalls = [tuple(g) for g in groups.values() if len(g) in (2, 3)]
@@ -66,7 +68,7 @@ def scan_seed(seed, n_points=20):
     cloud = generate_uniform_points(n_points, box_side=1.0, seed=seed)
     dist = cloud.distance_matrix()
     hits = []
-    for relay, leg_b, leg_c in structural_candidates(dist):
+    for relay, leg_b, leg_c in structural_candidates(cloud, dist):
         for isolation_margin in (0.82, 0.90, 0.97):
             for x1 in np.arange(0.12, 0.33, 0.02):
                 x_relay = x1 * len(relay) ** ALPHA
@@ -108,6 +110,11 @@ def main():
     seeds = range(*args.seeds)
     if not seeds:
         return
+    try:  # every seed lies between the first and the last
+        for seed in (seeds[0], seeds[-1]):
+            check_seed(seed, "--seeds")
+    except ValueError as exc:
+        ap.error(str(exc))
     from concurrent.futures import ProcessPoolExecutor
     # one worker per CPU, and none idle on a short range
     with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(seeds))) as pool:

@@ -28,9 +28,10 @@ the engine (after Newman & Ziff, PRL 85, 4104, 2000).  The lengths are the
 floats the engine compares and p_inf is the same integer over N, so the
 values are bit-identical.  A probe whose ranges can grow runs the engine,
 which starts from this same cut, taken from the same forest (init_state
-without an event log); on an edge list it goes on to the cut's contraction
-closure, every merge the growing ranges make before any reduction.  The
-engine module docstring gives why that start leaves a run's own partition.
+without an event log), and goes on to the cut's contraction closure: every
+merge along a linkage edge that the growing ranges allow before any
+reduction, on both kinds of network.  The engine module docstring gives why
+that start leaves a run's own partition.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def _replicates(network, seeds) -> list:
 
 
 def _run_p_inf(network, params: ModelParams) -> float:
-    # no event log, so the engine starts from the single-linkage cut at r0,
-    # or an edge list from that cut's contraction closure
+    # no event log, so the engine starts from the contraction closure of the
+    # single-linkage cut at r0
     state = init_state(network, params, record_events=False)
     return run(state).p_inf
 

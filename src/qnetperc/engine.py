@@ -23,18 +23,17 @@ an edge list a single node (a repeater) is the relay path and keeps its
 shortcuts.
 
 init_state() starts a run that records events from one singleton per node.
-A run without an event log (every harness run) starts from the single-linkage
-cut at the base range r0 = r(1) instead: each connected component of the
-pairs with d < r0 is one component, because every order of the rules merges
-such a pair (it is connectable from the start and stays so, since ranges
-never fall and distances only shrink), and its distance to another is the
-minimum over member pairs, the float the merges would leave.  The final
-partition is then the same by order independence.
+A run without an event log (every harness run) starts from the contraction
+closure of the single-linkage cut at the base range r0 = r(1) instead
+(_contraction_closure), on both kinds of network.  The cut is its first
+round: each connected component of the pairs with d < r0 is one block.
+Each further round joins every pair of blocks that a linkage edge (an edge
+list's own cable, or an edge of a point cloud's minimum spanning tree)
+connects with a length below both blocks' ranges, with no reduction in
+between, until no such edge is left.  It is exact:
 
-On an edge list the start goes on from the cut to its contraction closure:
-the blocks left once every pair of blocks that meets the criterion has
-merged, with no reduction in between (_contraction_closure).  It is exact:
-
+- the edge's length is at least the distance between the two blocks, the
+  minimum over their member pairs, so each such pair meets the criterion;
 - a pair that meets the criterion at the start keeps meeting it until it
   merges, because ranges never fall and distances only shrink;
 - neither side of such a pair can be isolated first, because the other side
@@ -42,29 +41,36 @@ merged, with no reduction in between (_contraction_closure).  It is exact:
   every closure block lies inside one final block;
 - joining the blocks round by round is a legal sequence of merges, since
   d(AB, C) <= d(B, C) and r(AB) >= r(B);
-- the block distances stay minima over member cables, the floats the merges
+- the block distances stay minima over member pairs, the floats the merges
   would leave, and the merges commute with the singleton reductions below.
 
-The closure hands back the cables its last round left between blocks, so
-the block distances come from those alone.  It differs from the cut only
-in the ids of the blocks that survive, and so in the order in which run()
-reduces them.  A point cloud keeps the cut, the closure's first round: its
-minimum spanning tree does not carry the block distances, so each further
-round would fold the K x K matrix, which costs more than the merges run()
-makes instead.
+The final partition is then the same by order independence.  The kinds
+differ only in what the closure leaves:
+
+- on an edge list the distance between two blocks is the shortest cable
+  between them, a linkage edge, so the closure leaves no pair that meets
+  the criterion.  It hands back the cables its last round left between
+  blocks, and the block distances come from those alone;
+- on a point cloud the closest member pair of two blocks need not be a tree
+  edge, so the closure can stop with pairs that still meet the criterion,
+  and run() merges those.  The block distances come from the member pairs
+  (_cloud_distances).
+
+The start differs from the cut only in the ids of the blocks that survive,
+and so in the order in which run() fires the rules.
 
 Every start numbers its blocks by one rule (_start_ids): the singletons
 take the ids 0..k1-1 in node order, and the other blocks, the clusters,
 the ids after them in order of their smallest member.  A logged start is
 all singletons, so its ids are the node indices.
 
-The closure joins no singleton of the cut: a pair with one meets the
-criterion only below r0 = r(1), and every such pair is inside the cut.  On
-both kinds of network the cut's singletons start retired: each is
-isolated from the start and stays so, since its legs are at least r0, its
-own range, and any shortcut it gains is at least 2 r0.  So none is a live
-component, and no isolation check is made for one.  Only an edge list's
-enter the store: on a point cloud one writes no shortcut (see
+The closure joins no singleton of the cut on either kind: a join needs a
+linkage edge below the singleton's range r0 = r(1), and every linkage edge
+of a cut singleton is at least r0.  The cut's singletons start retired:
+each is isolated from the start and stays so, since its legs are at least
+r0, its own range, and any shortcut it gains is at least 2 r0.  So none is
+a live component, and no isolation check is made for one.  Only an edge
+list's enter the store: on a point cloud one writes no shortcut (see
 reduce_and_remove), but on an edge list one (a repeater) is a relay path,
 so init_state() has the store reduce them in ascending id order, with
 future_cap() of the clusters' pooled size as the cap, and run() schedules
@@ -621,23 +627,25 @@ def _edge_distances(a: np.ndarray, b: np.ndarray, lengths: np.ndarray, k: int):
     return lo[first], hi[first], lengths[first]
 
 
-def _contraction_closure(network: EdgeListNetwork, ranges: _RangeBySize, labels: np.ndarray):
-    """The blocks left once every pair of blocks that meets the criterion has merged.
+def _contraction_closure(network: PointCloud | EdgeListNetwork, ranges: _RangeBySize):
+    """The blocks left once no linkage edge joins two blocks below both their ranges.
 
-    labels is the cut at r0, whose labels are below 2n and whose blocks are
-    legal merges.  Its labels are made compact by a presence mask and a
-    cumulative sum.  Each round joins every pair of blocks that a linkage
-    edge connects with a length below both blocks' ranges r(size): a hook of
-    the larger label onto the smaller along each such edge, then
-    topology._roots.  The edges left between blocks shrink every round, and
-    the rounds stop when none meets the test.  The engine module docstring
-    gives why this start is exact.
+    The first round is the single-linkage cut at r0 = r(1)
+    (topology.single_linkage_labels), whose labels are below 2n; they are
+    made compact by a presence mask and a cumulative sum.  Each further
+    round joins every pair of blocks that a linkage edge connects with a
+    length below both blocks' ranges r(size): a hook of the larger label
+    onto the smaller along each such edge, then topology._roots.  The edges
+    left between blocks shrink every round, and the rounds stop when none
+    meets the test.  The engine module docstring gives why this start is
+    exact on both kinds of network.
 
     Returns each node's block label, the size of each label (0 for one no
-    block keeps), and the cables left between blocks as (lengths, a, b)
-    arrays of lengths and block labels, a != b, the lengths ascending.
+    block keeps), and the linkage edges left between blocks as (lengths, a,
+    b) arrays of lengths and block labels, a != b, the lengths ascending.
     """
     lengths, ii, jj = network.linkage_edges
+    labels = single_linkage_labels(network, ranges[1])
     present = np.zeros(2 * len(labels), dtype=bool)
     present[labels] = True
     block = (np.cumsum(present) - 1)[labels]  # labels 0..K-1
@@ -662,17 +670,15 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     """Starting components and their distances from the network's metric.
 
     A run that records events starts from one singleton component per node,
-    so its log holds every merge.  Otherwise a point cloud starts from the
-    single-linkage cut at the base range r0 = r(1)
-    (topology.single_linkage_labels), one component per connected component
-    of the pairs with d < r0, and an edge list from the contraction closure
-    of that cut (_contraction_closure), one component per block left once
-    every pair that meets the criterion has merged.  Each component lies at
-    the minimum member-pair distance from another: an edge list's come from
-    the cables the closure leaves between its blocks, or from every cable on
-    a logged start.  All three starts number their blocks by one rule,
-    _start_ids: the k1 singletons first, then the clusters (module
-    docstring).
+    so its log holds every merge.  Otherwise both kinds of network start
+    from the contraction closure of the single-linkage cut at the base range
+    r0 = r(1) (_contraction_closure), one component per block left once no
+    linkage edge joins two blocks below both their ranges.  Each component
+    lies at the minimum member-pair distance from another: a point cloud's
+    come from its member pairs (_cloud_distances), an edge list's from the
+    cables the closure leaves between its blocks, or from every cable on a
+    logged start.  Both starts number their blocks by one rule, _start_ids:
+    the k1 singletons first, then the clusters (module docstring).
 
     The singletons start retired, in state.removed, and never enter
     state.comps.  A point cloud's never enter the store either.  An edge
@@ -695,19 +701,15 @@ def init_state(network, params: ModelParams, *, store: str = "auto",
     cloud = isinstance(network, PointCloud)
     ranges = _RangeBySize(params)
     r0 = ranges[1]
-    # singletons for a logged run, else the cut at r0, taken before any
-    # distance matrix: a cloud's first cut builds its own; an edge list goes
-    # on from the cut to the contraction closure, which hands back the cables
-    # left between its blocks, (lengths, a, b) as in linkage_edges
+    # singletons for a logged run, else the contraction closure of the cut
+    # at r0, taken before any distance matrix; an edge list's distances come
+    # from the cables left between its blocks, (lengths, a, b) as in
+    # linkage_edges, and a cloud's from its member pairs
     if record_events:
         block, counts = np.arange(n), np.ones(n, dtype=np.intp)
         cables = None if cloud else network.linkage_edges
-    elif cloud:
-        block = single_linkage_labels(network, r0)
-        counts = np.bincount(block)
     else:
-        block, counts, cables = _contraction_closure(
-            network, ranges, single_linkage_labels(network, r0))
+        block, counts, cables = _contraction_closure(network, ranges)
     id_of, sizes, k1 = _start_ids(block, counts)
     if record_events:
         k1 = 0  # no node starts retired
@@ -793,9 +795,10 @@ def run(state: PercolationState) -> RunReport:
     not isolated, unusable by any merge to come, so they are neither stored
     nor logged; on a point cloud a one-point relay writes none at all (see
     reduce_and_remove).  A state from init_state without an event log holds
-    only the clusters of its start: a cloud's cut at r0, or an edge list's
-    contraction closure, which leaves run() only the reductions and the
-    merges they enable (module docstring).
+    only the clusters of its start, the contraction closure of the cut at
+    r0.  On an edge list that leaves run() only the reductions and the
+    merges they enable; on a point cloud also the merges of the pairs whose
+    closest member pair is no tree edge (module docstring).
     """
     comps, store = state.comps, state.store
     # ids that may have a partner above them; sorted: a heap

@@ -128,15 +128,27 @@ def replay_members(report) -> dict[int, frozenset[int]]:
     return members
 
 
-def merged_start(network, params, store):
-    """Singletons, then state.merge on a connectable pair until none is left.
+def linkage_joinable_pairs(state, network) -> list[tuple[int, int]]:
+    """Every pair a < b of live ids that a linkage edge joins below both ranges, sorted.
 
-    A point cloud merges only pairs closer than r0, its cut; an edge list
-    merges every connectable pair, its contraction closure.
+    On an edge list these are its connectable pairs while no reduction has
+    written a shortcut; on a point cloud the edges are its minimum spanning
+    tree, so a connectable pair whose closest member pair is no tree edge
+    is not among them.
     """
+    comps, held = state.comps, state.holders()
+    lengths, ii, jj = network.linkage_edges
+    return sorted({(min(a, b), max(a, b))
+                   for d, a, b in zip(lengths.tolist(), held[ii].tolist(), held[jj].tolist())
+                   if a != b and a in comps and b in comps
+                   and d < comps[a].range_km and d < comps[b].range_km})
+
+
+def merged_start(network, params, store):
+    """Singletons, then state.merge on a pair that a linkage edge joins below
+    both ranges, until none is left: the contraction closure of the cut at r0."""
     state = init_state(network, params, store=store)
-    limit = params.base_range_km() if isinstance(network, PointCloud) else np.inf
-    while pairs := [(a, b) for a, b, d in state.connectable_pairs() if d < limit]:
+    while pairs := linkage_joinable_pairs(state, network):
         state.merge(*pairs[0])
     return state
 

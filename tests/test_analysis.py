@@ -788,7 +788,7 @@ class TestFixedRangeCurve:
         assert len(runs) == len(spec.d0_grid_km) * len(spec.seeds)
         monkeypatch.setattr(analysis, "_fixed_p_inf", lambda network, params: None)
         assert searches() == fast
-        # engine runs from singletons instead of from the cut at r0
+        # engine runs from singletons instead of from the closure of the cut at r0
         monkeypatch.setattr(analysis, "_run_p_inf",
                             lambda network, params: run(init_state(network, params)).p_inf)
         assert searches() == fast

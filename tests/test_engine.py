@@ -11,14 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (D0, assert_same_start, cut_start_reference,
-                      disk_percolation_oracle, members_of, nearest_scale,
-                      params_for_r0, random_instance, reference_schedule)
+                      disk_percolation_oracle, linkage_joinable_pairs, members_of,
+                      nearest_scale, params_for_r0, random_instance,
+                      reference_schedule)
 from qnetperc import engine
-from qnetperc.engine import (INF, Component, MergeEvent, ReduceEvent, _cloud_distances,
-                             events_to_dicts, init_state, partition_to_lists,
-                             run, verify_report)
+from qnetperc.analysis import Scenario, scenario_params
+from qnetperc.engine import (INF, Component, MergeEvent, PercolationState, ReduceEvent,
+                             _cloud_distances, events_to_dicts, init_state,
+                             partition_to_lists, run, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
-from qnetperc.topology import PointCloud, build_network, generate_uniform_points
+from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
+                               generate_fiber_network, generate_uniform_points,
+                               insert_repeaters, single_linkage_labels)
 
 
 def two_nodes(d: float):
@@ -71,15 +75,15 @@ CUT_INSTANCES = {
 
 
 class TestCutStart:
-    """Without an event log a cloud's run starts from the single-linkage cut
-    at r0, and an edge list's from the contraction closure of that cut."""
+    """Without an event log a run starts from the contraction closure of the
+    single-linkage cut at r0, on both kinds of network."""
 
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     @pytest.mark.parametrize("name", sorted(CUT_INSTANCES))
     def test_cut_holds_the_distances_merges_reach(self, name, store):
-        # the reference merges every pair below r0 on a cloud and every
-        # connectable pair on an edge list, then reduces each singleton left
-        # in node order, through the public rules alone
+        # the reference merges every pair that a linkage edge joins below
+        # both ranges, then reduces each singleton left in node order,
+        # through the public rules alone
         network, r0 = CUT_INSTANCES[name]()
         params = params_for_r0(r0 or 1.5 * nearest_scale(network), 0.585)
         r0 = params.base_range_km()
@@ -96,7 +100,10 @@ class TestCutStart:
                                                     for b in cut.comps if b != a)
         for a, b in itertools.permutations(cut.comps, 2):
             assert cut.store.distance(a, b) >= r0
-        if not isinstance(network, PointCloud):  # the closure leaves no pair to merge
+        # the closure is a fixpoint: no linkage edge joins two live blocks
+        # below both ranges, and on an edge list no pair is left to merge
+        assert linkage_joinable_pairs(cut, network) == []
+        if not isinstance(network, PointCloud):
             assert cut.connectable_pairs() == []
         from_singletons = run(init_state(network, params, store=store))
         assert run(cut).partition == from_singletons.partition
@@ -450,6 +457,66 @@ class TestRun:
         state = init_state(two_nodes(0.5), params_for_r0(1.0, 0.0))
         with pytest.raises(ValueError):
             state.report()
+
+
+def three_runs_agree(network, params):
+    """The harness run, the logged run and a harness run under the full
+    contract (future_cap patched to inf) give equal partitions and p_inf."""
+    harness = run(init_state(network, params, record_events=False))
+    logged = run(init_state(network, params))
+    # not monkeypatch: a function-scoped fixture would span every example
+    with mock.patch.object(PercolationState, "future_cap", lambda self, pool: INF):
+        uncapped = run(init_state(network, params, record_events=False))
+    assert harness.partition == logged.partition == uncapped.partition
+    assert harness.p_inf == logged.p_inf == uncapped.p_inf
+
+
+SCALE_R0 = 0.0139  # near the alpha=0.585 threshold of a 2000-point cloud
+
+
+class TestExactnessAtScale:
+    """three_runs_agree where only large inputs reach: a cloud's closure
+    start past its r0 cut and its fold past one read, and a repeater fiber
+    of 8,039 nodes near its distributed minimum."""
+
+    def test_cloud_near_threshold(self):
+        cloud = generate_uniform_points(2000, seed=101)
+        params = params_for_r0(SCALE_R0, 0.585)
+        reads = []
+        squared = engine.squared_distance_rows
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return squared(*args, **kwargs)
+
+        with mock.patch.object(engine, "squared_distance_rows", counted):
+            state = init_state(cloud, params, record_events=False)
+        # floors: the closure merges past the cut, and the fold takes several reads
+        cut = np.bincount(single_linkage_labels(cloud, params.base_range_km()))
+        assert len(state.comps) < np.count_nonzero(cut > 1)
+        assert len(reads) > 1
+        three_runs_agree(cloud, params)
+
+    def test_repeater_fiber_near_its_distributed_minimum(self):
+        fiber = generate_fiber_network(692, 733, mean_length_km=500.0, seed=1)
+        network = insert_repeaters(fiber, RepeaterConfig(mean_segment_km=50.0, seed=11))
+        assert network.n_nodes == 8039
+        params = scenario_params(
+            ModelParams(channel=ChannelModel(d0_km=557.0, epsilon=0.01),
+                        distill=DistillationParams(m=102, alpha=0.585)),
+            Scenario.DISTRIBUTED)
+        three_runs_agree(network, params)
+
+
+@pytest.mark.oracle
+class TestExactnessAtScaleFreshSeed:
+    """TestExactnessAtScale's cloud check on clouds and ranges drawn afresh."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.9, 1.1))
+    def test_cloud_near_threshold(self, seed, scale):
+        three_runs_agree(generate_uniform_points(2000, seed=seed),
+                         params_for_r0(SCALE_R0 * scale, 0.585))
 
 
 class TestGiantFraction:

@@ -446,7 +446,7 @@ class TestPartitionFromParents:
         assert report.partition == tuple(blocks)
         held = state.holders().tolist()
         assert all(node in members[held[node]] for node in range(report.n_nodes))
-        # a run without a log starts from the cut at r0 and ends the same
+        # a run without a log starts from the closure of the cut at r0 and ends the same
         cut = run(init_state(network, params, store=store, record_events=False))
         assert "partition" not in vars(cut)  # not built until it is read
         assert cut.partition == report.partition

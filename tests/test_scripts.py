@@ -56,3 +56,33 @@ def test_hopping_search_finds_the_c10_instance():
     assert any(seed == HOP_SEED and {frozenset(a), frozenset(b)} == {HOP_BLOCK_A, HOP_BLOCK_B}
                and separate is True
                for seed, _, _, _, _, a, b, separate in hits)
+
+
+@pytest.mark.parametrize("args", [["--replicates", "0"], ["--target", "2"],
+                                  ["--mean-segment", "0"], ["--nodes", "2", "--edges", "1"],
+                                  ["--seed", "-1"]])
+def test_fiber_scenarios_refuses_a_bad_flag(tmp_path, args):
+    # a refused flag exits 2 with argparse's message, before --out is created
+    out = tmp_path / "out"
+    proc = run_script("run_fiber_scenarios.py", "--nodes", "60", "--edges", "63",
+                      *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_fiber_scenarios_refuses_an_out_that_is_a_file(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    proc = run_script("run_fiber_scenarios.py", "--nodes", "60", "--edges", "63",
+                      "--replicates", "1", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "error: cannot create --out" in proc.stderr and "Traceback" not in proc.stderr
+    assert out.read_text() == "kept\n"
+
+
+def test_hopping_search_refuses_a_negative_seed():
+    proc = run_script("search_hopping_instance.py", "--seeds", "-1", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert "error: --seeds must be >= 0" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
