@@ -103,6 +103,39 @@ shortcut's lower end is in the seed.  An id left out is one that run()
 would pop, find without a partner above it, and drop, so the rules fire in
 the same order.
 
+A run without an event log on the dense store tries a no-merge certificate
+(_no_merge_left) once: the first time no pair is connectable, before its
+first reduction.  One Floyd-Warshall pass over the live components'
+distances gives the shortest relay path between each pair.  If no pair
+(b, c) has a path shorter than min(r_b, r_c) by the float margin, run()
+retires every live component at once, as it stands.  It is exact:
+
+- until a first merge the ranges stay fixed, and each distance run() can
+  later hold between two live components is a shortcut sum, the length of
+  a walk through the current components, so at least their shortest path.
+  So no pair can come to meet the criterion, no merge fires, and each live
+  component retires as it is: the partition, p_inf, the counts and the
+  holder ids are those of the full run;
+- floats: a shortcut sum and a Floyd-Warshall value are each a nest of at
+  most K rounded additions (one per reduction, one per step), K the live
+  count, so each lies within a factor 1 +- gamma_K of its exact walk, with
+  gamma_K = K u / (1 - K u) and u = 2^-53.  The certificate asks every path
+  value to be at least min(r_b, r_c) (1 + delta), with delta fixed at 1e-9
+  (_CERTIFICATE_MARGIN); that is at least (1 + gamma_K) / (1 - gamma_K) - 1
+  for every K up to 4 * 10^6, past any N x N matrix that fits in memory.
+  An exact tie fails it, and the run goes on in full;
+- pruning: min(r_b, r_c) is at most R2, the second-largest live range, so
+  only paths shorter than R2 (1 + delta) matter, and each part of such a
+  path is shorter still.  Step k of the pass relaxes only the rows i with
+  D[i, k] below that bound, which costs about K^2 times the rows within R2
+  instead of K^3.  The entries below the bound stay symmetric, so a step
+  with one such row could lower only that row's diagonal, and is skipped.
+  Path values only fall, so a check every 64 steps stops a failing pass
+  early.
+
+If the certificate fails, a relay merge is still to come, and the run goes
+on as if it had not been tried.
+
 Other orders are reachable through the public rules of PercolationState,
 and all reach the same partition:
 
@@ -272,6 +305,36 @@ class _DenseStore:
         self.D[sa, :] = INF
         self.D[:, sa] = INF
         return shortcuts
+
+
+_CERTIFICATE_MARGIN = 1e-9  # delta of the no-merge certificate (module docstring)
+
+
+def _no_merge_left(store: _DenseStore) -> bool:
+    """The no-merge certificate: True if no pair of live components can ever merge.
+
+    One Floyd-Warshall pass over the live components' distances, step k
+    relaxing only the rows whose entry k is below the second-largest live
+    range times (1 + margin).  It holds when no pair's path is shorter than
+    its smaller range times (1 + margin), checked every 64 steps and at the
+    end.  The module docstring gives why it is exact before a first merge.
+    """
+    live = np.fromiter(store.slot.values(), dtype=np.intp)
+    k = len(live)
+    if k < 2:
+        return True
+    d = store.D[np.ix_(live, live)]
+    r = store.reach[live]
+    need = np.minimum.outer(r, r) * (1 + _CERTIFICATE_MARGIN)
+    np.fill_diagonal(need, 0.0)  # a walk from a component back to itself
+    bound = np.partition(r, k - 2)[k - 2] * (1 + _CERTIFICATE_MARGIN)
+    for j in range(k):
+        if j % 64 == 0 and (d < need).any():
+            return False
+        rows = np.flatnonzero(d[:, j] < bound)
+        if len(rows) > 1:  # one row could lower only its own diagonal
+            d[rows] = np.minimum(d[rows], d[rows, j, None] + d[j])
+    return not (d < need).any()
 
 
 class _SparseStore:
@@ -799,6 +862,10 @@ def run(state: PercolationState) -> RunReport:
     r0.  On an edge list that leaves run() only the reductions and the
     merges they enable; on a point cloud also the merges of the pairs whose
     closest member pair is no tree edge (module docstring).
+
+    Such a run on the dense store tries the no-merge certificate once, the
+    first time no pair is connectable; when it holds, every live component
+    retires at once, with no reduction (module docstring).
     """
     comps, store = state.comps, state.store
     # ids that may have a partner above them; sorted: a heap
@@ -809,6 +876,8 @@ def run(state: PercolationState) -> RunReport:
     pool = sum(c.size for c in comps.values())  # summed size of the components not isolated
     unchecked = set(comps)
     push, pop = heapq.heappush, heapq.heappop
+    # the no-merge certificate, tried once, before the first reduction
+    certify = isinstance(store, _DenseStore) and not state.record_events
     while comps:
         if firsts:
             a = pop(firsts)
@@ -825,6 +894,12 @@ def run(state: PercolationState) -> RunReport:
                     push(firsts, x)
             unchecked.add(c)
             continue
+        if certify:
+            certify = False
+            if _no_merge_left(store):  # every live component retires as it stands
+                state.removed.extend(comps.values())
+                comps.clear()
+                break
         for x in unchecked:
             if x in comps and state.is_isolated(x):
                 isolated.add(x)
@@ -838,7 +913,8 @@ def run(state: PercolationState) -> RunReport:
         unchecked.update(x for x in store.partners(a) if x not in isolated)
         # only a written shortcut can make a pair connectable
         for b, c, d in state.reduce_and_remove(a, future_cap=state.future_cap(pool)):
-            # this check keeps all but 1 of 21,023 shortcuts off the heap (two 800-point clouds)
+            # this check keeps all but 1 of 1,904 shortcuts off the heap (the 24 runs of a
+            # threshold search on two 800-point clouds; only the 1 run not certified writes any)
             if d < comps[b].range_km and d < comps[c].range_km and b not in queued:
                 queued.add(b)
                 push(firsts, b)

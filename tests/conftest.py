@@ -1,13 +1,15 @@
 """Shared instance generators and oracles for the engine test suites."""
 
 import itertools
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from qnetperc import topology
+from qnetperc import engine, topology
 from qnetperc.engine import MergeEvent, init_state
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import PointCloud, build_network, generate_uniform_points
@@ -59,6 +61,31 @@ def _geometric_edge_list(rng, n: int):
             if d < radius:
                 edges.append((f"v{i:03d}", f"v{j:03d}", d))
     return build_network(edges, extra_nodes=[f"v{i:03d}" for i in range(n)])
+
+
+def relay_cluster_instance(seed: int):
+    """An edge list whose clusters B and C meet only through a two-node
+    cluster R, and its base range 1.
+
+    R's hooks lie past R's own range; at alpha = 1 the grown B and C often
+    reach each other through R, which only a multi-member relay shortcut
+    provides.
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+
+    def cluster(tag, k):
+        nodes = [f"{tag}{i}" for i in range(k)]
+        for i in range(1, k):
+            edges.append((nodes[i], nodes[int(rng.integers(i))], float(rng.uniform(0.1, 0.9))))
+        return nodes
+
+    b, r, c = (cluster("b", int(rng.integers(4, 7))), cluster("r", 2),
+               cluster("c", int(rng.integers(4, 7))))
+    for side in (b, c):
+        edges.append((side[int(rng.integers(len(side)))], r[int(rng.integers(2))],
+                      float(rng.uniform(2.0, 3.0))))
+    return build_network(edges), 1.0
 
 
 def nearest_scale(network) -> float:
@@ -204,6 +231,33 @@ def reference_schedule(state, prune: bool = True, choose=lambda xs: xs[0]):
                                        if a not in isolated))
         state.reduce_and_remove(choose(isolated), future_cap=cap)
     return state.report()
+
+
+def report_outcome(report):
+    """What every run order must agree on: partition, p_inf and the counts."""
+    return report.partition, report.p_inf, report.merge_count, report.reduce_count
+
+
+def certificate_refused():
+    """Patches run()'s no-merge certificate to refuse, so every run reduces
+    its components one at a time as it would without the certificate.
+    (mock, not monkeypatch: a function-scoped fixture would span every
+    hypothesis example.)"""
+    return mock.patch.object(engine, "_no_merge_left", lambda store: False)
+
+
+@contextmanager
+def certificate_outcomes():
+    """Records the outcome of each no-merge certificate that run() tries."""
+    outcomes: list[bool] = []
+    certify = engine._no_merge_left
+
+    def recorded(store):
+        outcomes.append(certify(store))
+        return outcomes[-1]
+
+    with mock.patch.object(engine, "_no_merge_left", recorded):
+        yield outcomes
 
 
 def is_refinement(fine: set[frozenset], coarse: set[frozenset]) -> bool:

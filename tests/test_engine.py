@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (D0, assert_same_start, cut_start_reference,
-                      disk_percolation_oracle, linkage_joinable_pairs, members_of,
-                      nearest_scale, params_for_r0, random_instance,
-                      reference_schedule)
+from conftest import (D0, assert_same_start, certificate_outcomes, certificate_refused,
+                      cut_start_reference, disk_percolation_oracle, linkage_joinable_pairs,
+                      members_of, nearest_scale, params_for_r0, random_instance,
+                      reference_schedule, report_outcome)
 from qnetperc import engine
 from qnetperc.analysis import Scenario, scenario_params
 from qnetperc.engine import (INF, Component, MergeEvent, PercolationState, ReduceEvent,
@@ -179,7 +179,9 @@ class TestCutStart:
     @pytest.mark.parametrize("store", ["dense", "sparse"])
     def test_the_last_reduction_has_no_future_range_left(self, store):
         # the future-range cap comes from the pooled size of the live
-        # components; retired singletons are not among them
+        # components; retired singletons are not among them.  The no-merge
+        # certificate is refused: it holds here and would retire the one
+        # live block without a reduction, leaving no cap to check
         cloud = generate_uniform_points(40, seed=3)
         params = params_for_r0(1.5 * nearest_scale(cloud), 0.585, cap=False)
         state = init_state(cloud, params, store=store, record_events=False)
@@ -193,7 +195,8 @@ class TestCutStart:
             return reduce_and_remove(a, future_cap=future_cap)
 
         state.reduce_and_remove = spy
-        run(state)
+        with certificate_refused():
+            run(state)
         assert len(caps) == len(state.removed) - retired
         assert caps[-1] == 0.0
 
@@ -459,25 +462,37 @@ class TestRun:
             state.report()
 
 
-def three_runs_agree(network, params):
-    """The harness run, the logged run and a harness run under the full
-    contract (future_cap patched to inf) give equal partitions and p_inf."""
-    harness = run(init_state(network, params, record_events=False))
+def four_runs_agree(network, params) -> list[bool]:
+    """The harness run, the logged run, a harness run under the full
+    contract (future_cap patched to inf) and a harness run with the no-merge
+    certificate refused give equal partitions, p_inf and counts.
+
+    Returns the outcome of each certificate the harness run tried.
+    """
+    with certificate_outcomes() as certified:
+        harness = run(init_state(network, params, record_events=False))
     logged = run(init_state(network, params))
     # not monkeypatch: a function-scoped fixture would span every example
     with mock.patch.object(PercolationState, "future_cap", lambda self, pool: INF):
         uncapped = run(init_state(network, params, record_events=False))
-    assert harness.partition == logged.partition == uncapped.partition
-    assert harness.p_inf == logged.p_inf == uncapped.p_inf
+    with certificate_refused():
+        reducing = run(init_state(network, params, record_events=False))
+    expected = report_outcome(harness)
+    for other in (logged, uncapped, reducing):
+        assert report_outcome(other) == expected
+    return certified
 
 
 SCALE_R0 = 0.0139  # near the alpha=0.585 threshold of a 2000-point cloud
+SCALE_R0_5000 = 0.0088  # near the alpha=0.585 threshold of a 5000-point cloud
 
 
 class TestExactnessAtScale:
-    """three_runs_agree where only large inputs reach: a cloud's closure
+    """four_runs_agree where only large inputs reach: a cloud's closure
     start past its r0 cut and its fold past one read, and a repeater fiber
-    of 8,039 nodes near its distributed minimum."""
+    of 8,039 nodes near its distributed minimum.  The cloud's harness run
+    ends at the no-merge certificate, so its run with the certificate
+    refused is the one that reduces at scale."""
 
     def test_cloud_near_threshold(self):
         cloud = generate_uniform_points(2000, seed=101)
@@ -495,7 +510,8 @@ class TestExactnessAtScale:
         cut = np.bincount(single_linkage_labels(cloud, params.base_range_km()))
         assert len(state.comps) < np.count_nonzero(cut > 1)
         assert len(reads) > 1
-        three_runs_agree(cloud, params)
+        # floor: the harness run ends at the certificate
+        assert four_runs_agree(cloud, params) == [True]
 
     def test_repeater_fiber_near_its_distributed_minimum(self):
         fiber = generate_fiber_network(692, 733, mean_length_km=500.0, seed=1)
@@ -505,18 +521,33 @@ class TestExactnessAtScale:
             ModelParams(channel=ChannelModel(d0_km=557.0, epsilon=0.01),
                         distill=DistillationParams(m=102, alpha=0.585)),
             Scenario.DISTRIBUTED)
-        three_runs_agree(network, params)
+        # the sparse store never tries the certificate
+        assert four_runs_agree(network, params) == []
 
 
 @pytest.mark.oracle
 class TestExactnessAtScaleFreshSeed:
-    """TestExactnessAtScale's cloud check on clouds and ranges drawn afresh."""
+    """TestExactnessAtScale's cloud check on clouds and ranges drawn afresh,
+    at N=2000 and at N=5000."""
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.9, 1.1))
     def test_cloud_near_threshold(self, seed, scale):
-        three_runs_agree(generate_uniform_points(2000, seed=seed),
-                         params_for_r0(SCALE_R0 * scale, 0.585))
+        four_runs_agree(generate_uniform_points(2000, seed=seed),
+                        params_for_r0(SCALE_R0 * scale, 0.585))
+
+    @settings(max_examples=1, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.9, 1.1))
+    def test_5000_point_cloud_near_threshold(self, seed, scale):
+        # the harness run, the run with the certificate refused and the
+        # logged run; the logged run's 5000 x 5000 store sets the memory
+        cloud = generate_uniform_points(5000, seed=seed)
+        params = params_for_r0(SCALE_R0_5000 * scale, 0.585)
+        harness = run(init_state(cloud, params, record_events=False))
+        with certificate_refused():
+            reducing = run(init_state(cloud, params, record_events=False))
+        logged = run(init_state(cloud, params))
+        assert report_outcome(harness) == report_outcome(reducing) == report_outcome(logged)
 
 
 class TestGiantFraction:

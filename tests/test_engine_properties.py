@@ -11,11 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_same_start, cut_start_reference, disk_percolation_oracle,
-                      is_refinement, nearest_scale, params_for_r0, random_edge_list,
-                      random_instance, random_params, reference_schedule, replay_members)
-from qnetperc.engine import (MergeEvent, ReduceEvent, RunReport, events_to_dicts,
-                             init_state, run, save_event_log, verify_report)
+from conftest import (assert_same_start, certificate_outcomes, certificate_refused,
+                      cut_start_reference, disk_percolation_oracle, is_refinement,
+                      nearest_scale, params_for_r0, random_edge_list, random_instance,
+                      random_params, reference_schedule, relay_cluster_instance,
+                      replay_members, report_outcome)
+from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_PARAMS, HOP_SEED
+from qnetperc.engine import (INF, MergeEvent, ReduceEvent, RunReport, _DenseStore,
+                             _no_merge_left, events_to_dicts, init_state, run,
+                             save_event_log, verify_report)
 from qnetperc.quantum import ChannelModel, DistillationParams, ModelParams
 from qnetperc.topology import (PointCloud, RepeaterConfig, build_network,
                                generate_fiber_network, generate_uniform_points,
@@ -664,3 +668,119 @@ class TestCloudMetamorphic:
                     outcomes.add((tuple(blocks), report.p_inf, report.merge_count,
                                   report.reduce_count))
         assert len(outcomes) == 1
+
+
+def cloud_instance(seed: int, n: int, lattice: bool = False, alpha: float = 0.585,
+                   cap: bool = True, mode: str = "asymptotic", factor: float = 1.0):
+    """A uniform cloud and params with r0 at factor times its nearest scale.
+
+    lattice snaps the points to the grid of step 1/8, which makes coincident
+    points and tied distances; r0 is then factor / 8, so a factor of 1 or 2
+    ties r0 with the grid's own distances.
+    """
+    cloud = generate_uniform_points(n, box_side=1.0, seed=seed)
+    if lattice:
+        cloud = PointCloud(positions=np.floor(cloud.positions * 8) / 8)
+        scale = 1 / 8
+    else:
+        scale = nearest_scale(cloud) if n > 1 else 1.0
+    return cloud, params_for_r0(factor * scale, alpha, cap=cap, mode=mode)
+
+
+def hop_instance():
+    """c10's cloud, where a two-node relay joins HOP_BLOCK_A and HOP_BLOCK_B."""
+    cloud = generate_uniform_points(20, box_side=1.0, seed=HOP_SEED)
+    return cloud, ModelParams(channel=ChannelModel(**HOP_PARAMS),
+                              distill=DistillationParams(m=1, alpha=0.585),
+                              range_mode="exact", beta_cap=True)
+
+
+def relay_cluster_params(seed: int, alpha: float = 1.0):
+    """relay_cluster_instance's edge list at base range 1."""
+    network, r0 = relay_cluster_instance(seed)
+    return network, params_for_r0(r0, alpha)
+
+
+@st.composite
+def certificate_instances(draw):
+    """A uniform or lattice cloud with drawn params, or a relay chain or relay
+    cluster edge list."""
+    seed = draw(st.integers(0, 40_000))
+    kind = draw(st.sampled_from(("uniform", "lattice", "relay_chain", "relay_cluster")))
+    if kind == "relay_chain":
+        return relay_chain_instance(seed)
+    if kind == "relay_cluster":
+        return relay_cluster_params(seed, draw(st.sampled_from((1.0, 1.5))))
+    lattice = kind == "lattice"
+    factor = (draw(st.sampled_from((1.0, 1.5, 2.0, 2.5))) if lattice
+              else draw(st.floats(0.4, 2.0)))
+    return cloud_instance(seed, draw(st.integers(1, 150)), lattice=lattice,
+                          alpha=draw(st.sampled_from((0.3, 0.585, 1.0, 1.5))),
+                          cap=draw(st.booleans()),
+                          mode=draw(st.sampled_from(("asymptotic", "exact"))),
+                          factor=factor)
+
+
+def certified_run_agrees(network, params) -> list[bool]:
+    """A harness run on the dense store reports what the same run with the
+    no-merge certificate refused reports; returns the certificates' outcomes."""
+    with certificate_outcomes() as certified:
+        harness = run(init_state(network, params, store="dense", record_events=False))
+    with certificate_refused():
+        reducing = run(init_state(network, params, store="dense", record_events=False))
+    assert report_outcome(harness) == report_outcome(reducing)
+    assert harness.holders.tolist() == reducing.holders.tolist()
+    return certified
+
+
+@pytest.mark.oracle
+class TestNoMergeCertificate:
+    """A dense harness run retires every live component at once when no
+    relay path is shorter than a pair's smaller range (engine docstring).
+    The reference is the same run with the certificate refused, which
+    reduces the components one at a time."""
+
+    @given(instance=certificate_instances())
+    @example(instance=cloud_instance(0, 1))
+    @example(instance=cloud_instance(0, 2))
+    @example(instance=cloud_instance(5, 2, lattice=True))
+    @example(instance=cloud_instance(7, 120, lattice=True, factor=2.0))
+    @example(instance=cloud_instance(101, 150, alpha=1.5, cap=False, mode="exact"))
+    @example(instance=relay_chain_instance(0))
+    @example(instance=relay_cluster_params(3))
+    @example(instance=hop_instance())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_run_with_it_refused(self, instance):
+        certified_run_agrees(*instance)
+
+    def test_both_branches_run(self):
+        held = [certified_run_agrees(*cloud_instance(seed, 100)) for seed in range(10)]
+        assert [True] in held
+        # R joins B and C at alpha = 1 on 9 of the seeds 0..19
+        refused = [certified_run_agrees(*relay_cluster_params(seed)) for seed in range(20)]
+        assert refused.count([False]) >= 5
+        # the relay {11, 17} joins HOP_BLOCK_A and HOP_BLOCK_B, so it must refuse
+        assert certified_run_agrees(*hop_instance()) == [False]
+        hopped = run(init_state(*hop_instance(), record_events=False))
+        assert HOP_BLOCK_A | HOP_BLOCK_B in hopped.partition_sets()
+
+    def test_only_dense_harness_runs_try_it(self):
+        cloud, params = cloud_instance(0, 100)
+        with certificate_outcomes() as tried:
+            run(init_state(cloud, params))
+            run(init_state(cloud, params, store="sparse", record_events=False))
+            run(init_state(*relay_chain_instance(0), record_events=False))
+        assert tried == []
+
+    @pytest.mark.parametrize("leg, held", [(0.5, False), (0.5 * (1 + 1e-10), False),
+                                            (0.5 + 2 ** -20, True)],
+                             ids=["tie", "within_margin", "past_margin"])
+    def test_a_relay_path_tied_with_the_smaller_range_refuses(self, leg, held):
+        # b (slot 0) and c (slot 2), both of range 1, reach each other only
+        # through a (slot 1) of range 0.25; the path b-a-c is 2 * leg, which
+        # ties with min(r_b, r_c) = 1 at leg 0.5 (dyadic, so exact), and
+        # lies within the float margin above it at 0.5 (1 + 1e-10)
+        mat = np.full((3, 3), INF)
+        mat[0, 1] = mat[1, 0] = mat[1, 2] = mat[2, 1] = leg
+        store = _DenseStore(mat, {0: 1.0, 1: 0.25, 2: 1.0})
+        assert _no_merge_left(store) is held

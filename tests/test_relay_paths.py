@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_same_start, cut_start_reference, members_of, nearest_scale,
-                      params_for_r0, random_instance, replay_members)
+                      params_for_r0, random_instance, relay_cluster_instance, replay_members)
 from test_acceptance import HOP_BLOCK_A, HOP_BLOCK_B, HOP_PARAMS, HOP_SEED
 from test_engine_properties import relay_chain_instance
 from qnetperc.engine import Component, MergeEvent, ReduceEvent, init_state, run
@@ -106,30 +106,9 @@ def _dyadic_line(seed):
     return cloud, float(rng.uniform(1.0, 4.0)) / 16
 
 
-def _relay_cluster(seed):
-    # clusters B and C meet only through a two-node cluster R whose hooks lie
-    # past R's own range; at alpha = 1 the grown B and C often reach each
-    # other through R, which only a multi-member relay shortcut provides
-    rng = np.random.default_rng(seed)
-    edges = []
-
-    def cluster(tag, k):
-        nodes = [f"{tag}{i}" for i in range(k)]
-        for i in range(1, k):
-            edges.append((nodes[i], nodes[int(rng.integers(i))], float(rng.uniform(0.1, 0.9))))
-        return nodes
-
-    b, r, c = (cluster("b", int(rng.integers(4, 7))), cluster("r", 2),
-               cluster("c", int(rng.integers(4, 7))))
-    for side in (b, c):
-        edges.append((side[int(rng.integers(len(side)))], r[int(rng.integers(2))],
-                      float(rng.uniform(2.0, 3.0))))
-    return build_network(edges), 1.0
-
-
 FAMILIES = {
     "random": _random,
-    "relay_cluster": _relay_cluster,
+    "relay_cluster": relay_cluster_instance,
     "relay_chain": lambda seed: (relay_chain_instance(seed, max_n=14)[0], 1.0),
     "dyadic_line": _dyadic_line,
 }
