@@ -91,6 +91,8 @@ def relay_cluster_instance(seed: int):
 def nearest_scale(network) -> float:
     """Median nearest-neighbor distance, the natural range scale of an instance."""
     if isinstance(network, PointCloud):
+        if network.n_nodes < 2:
+            return 1.0  # a lone point has no neighbor
         mat = network.distance_matrix()
         np.fill_diagonal(mat, np.inf)
         return float(np.median(mat.min(axis=1)))

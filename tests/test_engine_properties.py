@@ -683,7 +683,7 @@ def cloud_instance(seed: int, n: int, lattice: bool = False, alpha: float = 0.58
         cloud = PointCloud(positions=np.floor(cloud.positions * 8) / 8)
         scale = 1 / 8
     else:
-        scale = nearest_scale(cloud) if n > 1 else 1.0
+        scale = nearest_scale(cloud)
     return cloud, params_for_r0(factor * scale, alpha, cap=cap, mode=mode)
 
 
